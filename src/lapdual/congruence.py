@@ -88,12 +88,19 @@ def _ldl(a: IntMatrix):
 
 
 def _floor_sqrt_shifted(t: Fraction, c: Fraction) -> int:
-    """Largest integer x with (x + c)^2 <= t (t >= 0)."""
-    approx = math.isqrt(int(t)) if t >= 1 else 0
-    x = approx - int(c)
-    while (x + 1 + c) * (x + 1 + c) <= t:
+    """Largest integer x with x + c <= sqrt(t) (t >= 0).
+
+    The integers x with (x + c)^2 <= t are exactly the range
+    -_floor_sqrt_shifted(t, -c) .. _floor_sqrt_shifted(t, c), which is empty
+    when no integer fits."""
+
+    def fits(x):
+        return x + c <= 0 or (x + c) * (x + c) <= t
+
+    x = (math.isqrt(int(t)) if t >= 1 else 0) - int(c)
+    while fits(x + 1):
         x += 1
-    while (x + c) * (x + c) > t:
+    while not fits(x):
         x -= 1
     return x
 

@@ -1,4 +1,8 @@
+import contextlib
+import math
 import random
+import signal
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +12,7 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      loose_row_equivalence, permute_vertices, property_x_report,
                      reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
-from lapdual.congruence import block_reduction_witness
+from lapdual.congruence import _floor_sqrt_shifted, block_reduction_witness
 from lapdual.laplacians import ReductionSpec, reduced_dual_laplacian
 
 from conftest import random_connected_multigraph, random_unimodular
@@ -112,6 +116,55 @@ def test_congruence_requires_symmetry():
     with pytest.raises(NotSymmetric):
         decide_congruence(IntMatrix.from_rows([[0, 1], [2, 0]]),
                           IntMatrix.identity(2))
+
+
+@contextlib.contextmanager
+def wall_clock_guard(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+
+    def alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_congruence_of_relabelled_grid_returns():
+    # the short-vector range for x - 1/2 with nothing left to spend is empty;
+    # it used to send the range search walking away from its answer forever
+    grid = MultiGraph.from_edges(6, [(0, 3), (0, 1), (1, 4), (1, 2), (2, 5), (3, 4), (4, 5)])
+    perm = list(range(6))
+    random.Random(1).shuffle(perm)
+    a = reduced_laplacian(grid)
+    b = reduced_laplacian(permute_vertices(grid, perm))
+    with wall_clock_guard(20):
+        verdict = decide_congruence(a, b, budget=10**4)
+    assert verdict.status in ("congruent", "unknown")
+    if verdict.status == "congruent":
+        w = verdict.witness.u
+        assert w.mul(a).mul(w.transpose()) == b
+
+
+def test_short_vector_range_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(2000):
+        t = Fraction(rng.randrange(0, 40), rng.randrange(1, 8))
+        c = Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+        with wall_clock_guard(5):
+            lo, hi = -_floor_sqrt_shifted(t, -c), _floor_sqrt_shifted(t, c)
+        span = math.isqrt(int(t) + 1) + abs(int(c)) + 2
+        fits = [x for x in range(-span, span + 1) if (x + c) * (x + c) <= t]
+        assert list(range(lo, hi + 1)) == fits, (t, c)
+    # windows holding no integer
+    for t, c in ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(1, 3)),
+                 (Fraction(1, 100), Fraction(7, 2))):
+        with wall_clock_guard(5):
+            assert -_floor_sqrt_shifted(t, -c) > _floor_sqrt_shifted(t, c)
 
 
 def test_strict_row_equivalence_for_two_reductions(example2):
