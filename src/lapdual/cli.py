@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from . import congruence, duality, graphs, laplacians, serialization
 from .errors import (BudgetExceeded, CapExceeded, EmptyOrFullSet,
                      InvalidReductionSpec, LapdualError, LoopCountMismatch,
-                     MalformedInput, NonplanarInput, NotCotreeEdge,
-                     NotMaximalForest, NotSquare, NotSymmetric, NotUnimodular,
-                     RowSumNonzero, ShapeMismatch, TraceTooLarge, UnknownTag)
+                     MalformedInput, NotCotreeEdge, NotMaximalForest, NotSquare,
+                     NotSymmetric, NotUnimodular, RowSumNonzero, ShapeMismatch,
+                     TraceTooLarge, UnknownTag)
 
 # violations of an input contract: the file parsed, but its content cannot be
 # used with the requested operation
@@ -33,6 +33,14 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_MALFORMED = 65
+
+# a decision exits by its tri-state reading
+DECISION_EXITS = {"true": EXIT_OK, "false": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
+# an error exits by the first row whose types it matches
+ERROR_EXITS = (((UnknownTag, ValueError), EXIT_USAGE),
+               (INPUT_ERRORS, EXIT_MALFORMED),
+               ((BudgetExceeded, CapExceeded), EXIT_UNKNOWN),
+               (LapdualError, EXIT_NEGATIVE))
 
 DEFAULT_BUDGET = 10**6
 
@@ -172,6 +180,10 @@ def build_parser():
     return parser
 
 
+def _decision(result):
+    return result, DECISION_EXITS[graphs.TRI_STATE[result.status]]
+
+
 def _dispatch(config: CliConfig):
     """Returns (payload, exit_code); payload may be a raw string for DOT."""
     cmd = config.command
@@ -202,35 +214,21 @@ def _dispatch(config: CliConfig):
         from .intmatrix import smith_normal_form
         return smith_normal_form(_load_matrix(config.inputs[0])), EXIT_OK
     if cmd == "check-congruence":
-        verdict = congruence.decide_congruence(_load_matrix(config.inputs[0]),
-                                               _load_matrix(config.inputs[1]),
-                                               config.budget)
-        code = {"congruent": EXIT_OK, "not_congruent": EXIT_NEGATIVE}.get(
-            verdict.status, EXIT_UNKNOWN)
-        return verdict, code
+        return _decision(congruence.decide_congruence(_load_matrix(config.inputs[0]),
+                                                      _load_matrix(config.inputs[1]),
+                                                      config.budget))
     if cmd == "check-2iso":
-        result = graphs.decide_2_isomorphism_bruteforce(
-            _load_graph(config.inputs[0]), _load_graph(config.inputs[1]), config.budget)
-        code = {"two_isomorphic": EXIT_OK, "not_two_isomorphic": EXIT_NEGATIVE}.get(
-            result.status, EXIT_UNKNOWN)
-        return result, code
+        return _decision(graphs.decide_2_isomorphism_bruteforce(
+            _load_graph(config.inputs[0]), _load_graph(config.inputs[1]), config.budget))
     if cmd == "verify-property":
         report = laplacians.verify_property(_load_graph(config.inputs[0]), config.tag)
         return report, EXIT_OK if report.passed else EXIT_NEGATIVE
     if cmd == "planarity":
-        result = duality.decide_planarity(_load_graph(config.inputs[0]),
-                                          config.budget, config.seed)
-        code = {"planar": EXIT_OK, "nonplanar": EXIT_NEGATIVE}.get(result.status, EXIT_UNKNOWN)
-        return result, code
+        return _decision(duality.decide_planarity(_load_graph(config.inputs[0]),
+                                                  config.budget, config.seed))
     if cmd == "find-dual":
-        try:
-            cert = duality.construct_abstract_dual(_load_graph(config.inputs[0]),
-                                                   config.budget, config.seed)
-            return cert, EXIT_OK
-        except NonplanarInput as exc:
-            return {"error": {"type": "NonplanarInput", "message": str(exc)}}, EXIT_NEGATIVE
-        except BudgetExceeded as exc:
-            return {"error": {"type": "BudgetExceeded", "message": str(exc)}}, EXIT_UNKNOWN
+        return duality.construct_abstract_dual(_load_graph(config.inputs[0]),
+                                               config.budget, config.seed), EXIT_OK
     if cmd == "verify-dual":
         g1 = _load_graph(config.inputs[0])
         g2 = _load_graph(config.inputs[1])
@@ -280,26 +278,10 @@ def run(config: CliConfig) -> int:
     """Execute one configured invocation; returns the process exit code."""
     try:
         payload, code = _dispatch(config)
-    except (UnknownTag, ValueError) as exc:
-        _emit(serialization.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}), config)
-        return EXIT_USAGE
-    except INPUT_ERRORS as exc:
-        _emit(serialization.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}), config)
-        return EXIT_MALFORMED
-    except (BudgetExceeded, CapExceeded) as exc:
-        _emit(serialization.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}), config)
-        return EXIT_UNKNOWN
-    except LapdualError as exc:
-        _emit(serialization.dumps({"error": {"type": type(exc).__name__,
-                                             "message": str(exc)}}), config)
-        return EXIT_NEGATIVE
-    if isinstance(payload, str):
-        _emit(payload, config)
-    else:
-        _emit(serialization.dumps(payload), config)
+    except (ValueError, LapdualError) as exc:
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = next(code for types, code in ERROR_EXITS if isinstance(exc, types))
+    _emit(payload if isinstance(payload, str) else serialization.dumps(payload), config)
     return code
 
 

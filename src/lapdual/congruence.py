@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
-from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     TwoIsomorphismResult, component_count, components,
+from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, Orientation,
+                     SearchBudget, TwoIsomorphismResult, component_count, components,
                      decide_2_isomorphism_bruteforce, fundamental_circuit_vector,
                      identify_vertices, loopless_isomorphic, maximal_forest,
                      two_isomorphism_candidates)
@@ -478,11 +478,9 @@ class PropertyXReport:
     unreduced_proposition: dict
 
     def condition_statuses(self):
-        s1 = {"congruent": "true", "not_congruent": "false"}.get(
-            self.cond1_reduced_congruence.status, "unknown")
-        s4 = {"two_isomorphic": "true", "not_two_isomorphic": "false"}.get(
-            self.cond4_two_isomorphism.status, "unknown")
-        return (s1, self.cond2_strict_reduced.status, self.cond3_loose_unreduced.status, s4)
+        return tuple(TRI_STATE[c.status] for c in (
+            self.cond1_reduced_congruence, self.cond2_strict_reduced,
+            self.cond3_loose_unreduced, self.cond4_two_isomorphism))
 
 
 def _search_row_equivalent_beta(g1, g2, budget):
@@ -610,13 +608,9 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
     c1, c2 = component_count(g1), component_count(g2)
     rank_ok = (rank(l1) == n1 - c1) and (rank(l2) == n2 - c2)
 
-    s4 = {"two_isomorphic": "true", "not_two_isomorphic": "false"}.get(cond4.status, "unknown")
-    if s4 == "true":
-        rhs = "true" if (n1 == n2 and c1 == c2) else "false"
-    elif s4 == "false":
+    rhs = TRI_STATE[cond4.status]
+    if rhs == "true" and (n1 != n2 or c1 != c2):
         rhs = "false"
-    else:
-        rhs = "unknown"
 
     if cond1.status == CONGRUENT and n1 == n2 and c1 == c2:
         p1 = block_reduction_witness(g1)
@@ -628,8 +622,8 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
         lhs = CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(w))
     else:
         lhs = decide_congruence(l1, l2, budget)
-    lhs_status = {"congruent": "true", "not_congruent": "false"}.get(lhs.status, "unknown")
-    agree = lhs_status == "unknown" or rhs == "unknown" or lhs_status == rhs
+    lhs_status = TRI_STATE[lhs.status]
+    agree = "unknown" in (lhs_status, rhs) or lhs_status == rhs
     return {"laplacian_congruence": lhs, "two_iso_with_counts": rhs,
             "agree": agree, "rank_matches_vertices_minus_components": rank_ok}
 
@@ -647,12 +641,8 @@ def property_x_report(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> PropertyX
     cond1 = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2), budget)
     cond2, cond3 = _search_row_equivalent_beta(g1, g2, budget)
 
-    statuses = []
-    s1 = {"congruent": "true", "not_congruent": "false"}.get(cond1.status, "unknown")
-    s4 = {"two_isomorphic": "true", "not_two_isomorphic": "false"}.get(cond4.status, "unknown")
-    statuses = [s1, cond2.status, cond3.status, s4]
-    decided = [s for s in statuses if s != "unknown"]
-    consistent = len(set(decided)) <= 1
+    decided = {TRI_STATE[c.status] for c in (cond1, cond2, cond3, cond4)} - {"unknown"}
+    consistent = len(decided) <= 1
 
     constructive = _constructive_strict_equivalence(g1, g2, cond1)
     unreduced = _unreduced_proposition(g1, g2, cond1, cond4, budget)

@@ -13,10 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     classify_edges, enumerate_maximal_forests, maximal_forest)
+                     adjacency, circuit_through, classify_edges,
+                     enumerate_maximal_forests, fundamental_circuit_vector,
+                     greedy_forest, maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
@@ -160,6 +163,11 @@ class _Descent:
                 j += 1
             self.apply(i, j, rng.choice((1, -1)))
 
+    def keep(self):
+        """(basis, witness, trace, moves), copied so later moves leave it be."""
+        return ([row[:] for row in self.basis], [row[:] for row in self.witness],
+                self.trace(), tuple(self.moves))
+
     def snapshot(self, budget_exhausted=False):
         rows = [self.dep] + self.basis
         f_hat = IntMatrix.from_rows(rows, cols=self.m)
@@ -174,51 +182,7 @@ class _Descent:
 def _random_forest(g, rng):
     order = list(range(g.num_edges))
     rng.shuffle(order)
-    from .graphs import _UnionFind
-    uf = _UnionFind(g.num_vertices)
-    forest = []
-    for e in order:
-        u, v = g.edges[e]
-        if u != v and uf.union(u, v):
-            forest.append(e)
-    return ForestCertificate.from_forest(g, forest)
-
-
-def _shortest_circuit_through(g, o, e):
-    """Signed circuit vector of a shortest cycle through edge e, or None."""
-    if g.is_loop(e):
-        coords = [0] * g.num_edges
-        coords[e] = -1
-        return tuple(coords)
-    tail, head = o.endpoints(g, e)
-    # BFS from head to tail avoiding e itself
-    parent = {head: None}
-    queue = [head]
-    while queue and tail not in parent:
-        nxt = []
-        for x in queue:
-            for k in range(g.num_edges):
-                if k == e or g.is_loop(k):
-                    continue
-                u, v = g.edges[k]
-                if u == x and v not in parent:
-                    parent[v] = (x, k)
-                    nxt.append(v)
-                elif v == x and u not in parent:
-                    parent[u] = (x, k)
-                    nxt.append(u)
-        queue = nxt
-    if tail not in parent:
-        return None
-    coords = [0] * g.num_edges
-    coords[e] = -1
-    cur = tail
-    while parent[cur] is not None:
-        prev, k = parent[cur]
-        t_k, h_k = o.endpoints(g, k)
-        coords[k] = 1 if (t_k, h_k) == (cur, prev) else -1
-        cur = prev
-    return tuple(coords)
+    return greedy_forest(g, order)
 
 
 def _short_cycle_basis(g, o, f_start):
@@ -229,14 +193,14 @@ def _short_cycle_basis(g, o, f_start):
     the descent from short circuits instead of long fundamental ones usually
     begins almost on the floor.
     """
-    from .congruence import strict_row_equivalence
-
     r = f_start.rows
     if r == 0:
         return None
+    # over every edge, the breadth-first walk closes a shortest circuit
+    adj = adjacency(g, range(g.num_edges))
     candidates = []
     for e in range(g.num_edges):
-        vec = _shortest_circuit_through(g, Orientation.default(g) if o is None else o, e)
+        vec = circuit_through(g, o, e, adj)
         if vec is not None:
             candidates.append(vec)
     candidates.sort(key=lambda v: sum(x * x for x in v))
@@ -289,22 +253,13 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
     rng = random.Random(seed)
     counter = SearchBudget(budget)
 
-    from .congruence import strict_row_equivalence
-
-    def fresh_rows():
-        return ([list(row) for row in f_start.data],
-                [[1 if i == j else 0 for j in range(r)] for i in range(r)])
-
-    basis, witness = fresh_rows()
-    descent = _Descent(basis, witness, f_start.cols, counter)
-    best = ([row[:] for row in descent.basis], [row[:] for row in descent.witness],
-            descent.trace(), ())
+    descent = _Descent(f_start.data, IntMatrix.identity(r).data, f_start.cols, counter)
+    best = descent.keep()
     exhausted = False
     try:
         descent.descend(floor_trace)
         if descent.trace() <= best[2]:
-            best = ([row[:] for row in descent.basis], [row[:] for row in descent.witness],
-                    descent.trace(), tuple(descent.moves))
+            best = descent.keep()
         for hop in range(max_hops):
             if best[2] <= floor_trace or r < 2:
                 break
@@ -313,26 +268,21 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
                 if short is None:
                     continue
                 basis_m, u = short
-                descent = _Descent([list(row) for row in basis_m.data],
-                                   [list(row) for row in u.u.data], f_start.cols, counter)
+                descent = _Descent(basis_m.data, u.u.data, f_start.cols, counter)
                 descent.moves = [("short-basis",)]
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
                 f_alt = flow_matrix(g, o, alt, spec)
                 u = strict_row_equivalence(f_start, f_alt)
-                descent = _Descent([list(row) for row in f_alt.data],
-                                   [list(row) for row in u.u.data], f_start.cols, counter)
+                descent = _Descent(f_alt.data, u.u.data, f_start.cols, counter)
                 descent.moves = [("forest",) + tuple(alt.forest_edges)]
             else:
-                descent = _Descent([row[:] for row in best[0]], [row[:] for row in best[1]],
-                                   f_start.cols, counter)
+                descent = _Descent(best[0], best[1], f_start.cols, counter)
                 descent.moves = list(best[3])
                 descent.shake(rng, 2 + rng.randrange(6))
             descent.descend(floor_trace)
-            trace = descent.trace()
-            if trace <= best[2]:
-                best = ([row[:] for row in descent.basis],
-                        [row[:] for row in descent.witness], trace, tuple(descent.moves))
+            if descent.trace() <= best[2]:
+                best = descent.keep()
     except BudgetExceeded:
         exhausted = True
     final = _Descent(best[0], best[1], f_start.cols, SearchBudget(1 << 62))
@@ -390,11 +340,7 @@ class PlanarityResult:
 def _simplified_adjacency(g: MultiGraph):
     """Loop-free simple adjacency sets, then iterated removal of degree <= 1
     vertices; minor witnesses survive both reductions."""
-    adj = {v: set() for v in range(g.num_vertices)}
-    for u, v in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = neighbour_sets(g)
     changed = True
     while changed:
         changed = False
@@ -528,20 +474,10 @@ def _find_minor(adj, target, budget: SearchBudget):
         return False
 
     if place(0, 0):
-        rev = {i: v for v, i in pos.items()}
-        sets = []
-        for k in range(b):
-            mask = blocks[k][0]
-            members = []
-            i = 0
-            while mask:
-                if mask & 1:
-                    members.append(rev[i])
-                mask >>= 1
-                i += 1
-            sets.append(tuple(sorted(members)))
-        return KuratowskiEvidence("K5" if target == "K5" else "K3,3",
-                                  tuple(sets))
+        # positions follow the sorted vertex order, so members come out sorted
+        sets = tuple(tuple(v for v in vertices if blocks[k][0] >> pos[v] & 1)
+                     for k in range(b))
+        return KuratowskiEvidence("K5" if target == "K5" else "K3,3", sets)
     return None
 
 
@@ -558,11 +494,7 @@ def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
         if not s or s & seen or not all(0 <= v < g.num_vertices for v in s):
             return False
         seen |= s
-    adj = {v: set() for v in range(g.num_vertices)}
-    for u, v in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = neighbour_sets(g)
     for s in sets:
         stack = [next(iter(s))]
         reached = {stack[0]}
@@ -614,7 +546,6 @@ def _gf2_cycle_space(g: MultiGraph):
     o = Orientation.default(g)
     basis = []
     for e in f.cotree_edges:
-        from .graphs import fundamental_circuit_vector
         vec = fundamental_circuit_vector(g, o, f, e)
         mask = 0
         for k, x in enumerate(vec):
@@ -633,10 +564,7 @@ def _girth(g: MultiGraph):
         if (min(u, v), max(u, v)) in seen:
             return 2
         seen.add((min(u, v), max(u, v)))
-    adj = {v: set() for v in range(g.num_vertices)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = neighbour_sets(g)
     best = None
     for root in range(g.num_vertices):
         dist = {root: 0}
@@ -833,7 +761,6 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertific
     if result.status == UNKNOWN:
         raise BudgetExceeded(result.note or "planarity search exhausted its budget")
     cert = result.certificate
-    from .congruence import strict_row_equivalence
     fm = flow_matrix(g)
     n_dual = reduced_incidence(cert.dual_graph, cert.dual_orientation)
     u = strict_row_equivalence(fm, n_dual)

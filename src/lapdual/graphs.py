@@ -9,9 +9,11 @@ aligned across operations.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CapExceeded, EmptyOrFullSet, NotCotreeEdge
+from .errors import (BudgetExceeded, CapExceeded, EmptyOrFullSet, NotCotreeEdge,
+                     NotMaximalForest)
 
 EdgeVector = tuple  # length-m integer vector indexed by edge
 
@@ -125,14 +127,16 @@ def is_connected(g: MultiGraph) -> bool:
     return component_count(g) <= 1
 
 
+def greedy_forest(g: MultiGraph, order) -> ForestCertificate:
+    """Maximal forest that keeps every edge of `order` joining two trees so far."""
+    uf = _UnionFind(g.num_vertices)
+    forest = [k for k in order if not g.is_loop(k) and uf.union(*g.edges[k])]
+    return ForestCertificate.from_forest(g, forest)
+
+
 def maximal_forest(g: MultiGraph) -> ForestCertificate:
     """Greedy maximal forest: scan edges by ascending index, keep merges."""
-    uf = _UnionFind(g.num_vertices)
-    forest = []
-    for k, (u, v) in enumerate(g.edges):
-        if u != v and uf.union(u, v):
-            forest.append(k)
-    return ForestCertificate.from_forest(g, forest)
+    return greedy_forest(g, range(g.num_edges))
 
 
 def is_maximal_forest(g: MultiGraph, edge_set) -> bool:
@@ -181,42 +185,68 @@ def count_maximal_forests(g: MultiGraph, cap=100000) -> int:
     return len(enumerate_maximal_forests(g, cap))
 
 
+def adjacency(g: MultiGraph, edge_ids):
+    """Vertex -> [(neighbour, edge)] over the non-loop edges among `edge_ids`,
+    each list in the order of `edge_ids`."""
+    adj = {}
+    for k in edge_ids:
+        u, v = g.edges[k]
+        if u != v:
+            adj.setdefault(u, []).append((v, k))
+            adj.setdefault(v, []).append((u, k))
+    return adj
+
+
+def neighbour_sets(g: MultiGraph):
+    """Vertex -> set of distinct neighbours, loops dropped."""
+    adj = {v: set() for v in range(g.num_vertices)}
+    for u, v in g.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
+    """Signed circuit vector closing edge e by the first head-to-tail path that
+    a breadth-first walk over `adj` finds without using e, or None.
+
+    Entry -1 at e; path entries are oriented so the vector lies in the kernel
+    of the incidence matrix."""
+    coords = [0] * g.num_edges
+    coords[e] = -1
+    if g.is_loop(e):
+        return tuple(coords)
+    tail, head = o.endpoints(g, e)
+    parent = {head: None}
+    queue = deque([head])
+    while queue and tail not in parent:
+        x = queue.popleft()
+        for y, k in adj.get(x, ()):
+            if k != e and y not in parent:
+                parent[y] = (x, k)
+                queue.append(y)
+    if tail not in parent:
+        return None
+    cur = tail
+    while parent[cur] is not None:
+        prev, k = parent[cur]
+        # the tail->head walk passes k from cur to prev; +1 when that agrees
+        # with k's own direction
+        coords[k] = 1 if o.endpoints(g, k) == (cur, prev) else -1
+        cur = prev
+    return tuple(coords)
+
+
 def fundamental_circuit_vector(g: MultiGraph, o: Orientation, f: ForestCertificate, e: int) -> EdgeVector:
     """Signed circuit vector of cotree edge e: entry -1 at e, forest entries
     oriented so the vector lies in the kernel of the incidence matrix."""
     if e not in f.cotree_edges:
         raise NotCotreeEdge(f"edge {e} is not a cotree edge")
-    coords = [0] * g.num_edges
-    coords[e] = -1
-    if g.is_loop(e):
-        return tuple(coords)
-    # walk the forest path from head(e) to tail(e); with the -1 at e this
-    # closes the unique circuit of forest+e with boundary zero
-    tail, head = o.endpoints(g, e)
-    adj = {}
-    for k in f.forest_edges:
-        u, v = g.edges[k]
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, []).append((u, k))
-    parent = {head: None}
-    stack = [head]
-    while stack:
-        x = stack.pop()
-        if x == tail:
-            break
-        for (y, k) in adj.get(x, ()):
-            if y not in parent:
-                parent[y] = (x, k)
-                stack.append(y)
-    cur = tail
-    while parent[cur] is not None:
-        prev, k = parent[cur]
-        t_k, h_k = o.endpoints(g, k)
-        # the tail->head walk passes k from cur to prev; +1 when that agrees
-        # with k's own direction
-        coords[k] = 1 if (t_k, h_k) == (cur, prev) else -1
-        cur = prev
-    return tuple(coords)
+    circuit = circuit_through(g, o, e, adjacency(g, f.forest_edges))
+    if circuit is None:
+        raise NotMaximalForest(f"the forest does not join the ends of edge {e}")
+    return circuit
 
 
 def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
@@ -239,17 +269,16 @@ def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
 
 
 def classify_edges(g: MultiGraph):
-    """(loops, isthmuses) as sorted tuples; an isthmus is an edge on no circuit."""
+    """(loops, isthmuses) as sorted tuples; an isthmus is an edge on no circuit,
+    that is a forest edge on no fundamental circuit."""
     loops = tuple(e for e in range(g.num_edges) if g.is_loop(e))
-    base = component_count(g)
-    isthmuses = []
-    for e in range(g.num_edges):
-        if g.is_loop(e):
-            continue
-        trimmed = MultiGraph(g.num_vertices, g.edges[:e] + g.edges[e + 1:])
-        if component_count(trimmed) > base:
-            isthmuses.append(e)
-    return loops, tuple(isthmuses)
+    f = maximal_forest(g)
+    o = Orientation.default(g)
+    adj = adjacency(g, f.forest_edges)
+    covered = set()
+    for e in f.cotree_edges:
+        covered.update(k for k, x in enumerate(circuit_through(g, o, e, adj)) if x)
+    return loops, tuple(e for e in f.forest_edges if e not in covered)
 
 
 def enumerate_circuits(g: MultiGraph):
@@ -314,6 +343,16 @@ def loopless_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
         if mapped == e2:
             return True
     return False
+
+
+# Each decider answers in its own wire words; this is their one reading as
+# the tri-state "true" | "false" | "unknown", which reads itself unchanged.
+TRI_STATE = {
+    "congruent": "true", "two_isomorphic": "true", "planar": "true", "true": "true",
+    "not_congruent": "false", "not_two_isomorphic": "false", "nonplanar": "false",
+    "false": "false",
+    "budget_exceeded": "unknown", "unknown": "unknown",
+}
 
 
 @dataclass(frozen=True)

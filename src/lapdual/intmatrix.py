@@ -47,10 +47,6 @@ class IntMatrix:
     def zeros(rows, cols):
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    def __getitem__(self, rc):
-        i, j = rc
-        return self.data[i][j]
-
     def row(self, i):
         return self.data[i]
 
@@ -77,17 +73,6 @@ class IntMatrix:
                          tuple(tuple(a + b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.data, other.data)))
 
-    def sub(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("shape mismatch in sub")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.data, other.data)))
-
-    def neg(self):
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.data))
-
     def scale(self, k):
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(k * a for a in row) for row in self.data))
@@ -97,12 +82,6 @@ class IntMatrix:
         ci = tuple(col_indices)
         return IntMatrix(len(ri), len(ci),
                          tuple(tuple(self.data[i][j] for j in ci) for i in ri))
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack row mismatch")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(ra + rb for ra, rb in zip(self.data, other.data)))
 
     def vstack(self, other):
         if self.cols != other.cols:
@@ -122,9 +101,6 @@ class IntMatrix:
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
-
-    def nonzero_rows(self):
-        return [i for i in range(self.rows) if any(self.data[i])]
 
     def nonzero_columns(self):
         return [j for j in range(self.cols) if any(self.data[i][j] for i in range(self.rows))]

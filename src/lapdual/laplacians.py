@@ -14,7 +14,7 @@ from .errors import (CapExceeded, InvalidReductionSpec, NotMaximalForest,
                      NotUnimodular, UnknownTag)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, classify_edges,
                      components, count_maximal_forests, enumerate_maximal_forests,
-                     fundamental_circuit_vector, is_maximal_forest, maximal_forest)
+                     is_maximal_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss, inverse_unimodular
 
 

@@ -7,6 +7,7 @@ position is the edge index.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import is_dataclass
 
@@ -20,23 +21,36 @@ from .intmatrix import IntMatrix, SnfResult, UnimodularWitness
 from .laplacians import DualLaplacianPair, PropertyReport, ReductionSpec
 
 
+def _reader(what):
+    """Make a JSON reader raise MalformedInput("bad <what> JSON: ...") when the
+    object does not fit its schema."""
+
+    def decorate(read):
+        @functools.wraps(read)
+        def reader(obj):
+            try:
+                return read(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedInput(f"bad {what} JSON: {exc}") from exc
+
+        return reader
+
+    return decorate
+
+
 def graph_to_json(g: MultiGraph) -> dict:
     return {"name": g.name, "num_vertices": g.num_vertices,
             "edges": [[u, v] for u, v in g.edges]}
 
 
+@_reader("graph")
 def graph_from_json(obj) -> MultiGraph:
     if not isinstance(obj, dict):
         raise MalformedInput("graph JSON must be an object")
-    try:
-        name = obj.get("name", "")
-        n = int(obj["num_vertices"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
-        return MultiGraph.from_edges(n, edges, name=str(name))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad graph JSON: {exc}") from exc
+    name = obj.get("name", "")
+    n = int(obj["num_vertices"])
+    edges = [(int(u), int(v)) for u, v in obj["edges"]]
+    return MultiGraph.from_edges(n, edges, name=str(name))
 
 
 def matrix_to_json(a: IntMatrix) -> dict:
@@ -44,148 +58,116 @@ def matrix_to_json(a: IntMatrix) -> dict:
             "data": [[str(x) for x in row] for row in a.data]}
 
 
+@_reader("matrix")
 def matrix_from_json(obj) -> IntMatrix:
     if not isinstance(obj, dict):
         raise MalformedInput("matrix JSON must be an object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = [[int(x) for x in row] for row in obj["data"]]
-        m = IntMatrix.from_rows(data, cols=cols)
-        if m.rows != rows or m.cols != cols:
-            raise MalformedInput("matrix JSON shape mismatch")
-        return m
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad matrix JSON: {exc}") from exc
+    rows = int(obj["rows"])
+    cols = int(obj["cols"])
+    data = [[int(x) for x in row] for row in obj["data"]]
+    m = IntMatrix.from_rows(data, cols=cols)
+    if m.rows != rows or m.cols != cols:
+        raise MalformedInput("matrix JSON shape mismatch")
+    return m
 
 
 def witness_from_json(obj) -> UnimodularWitness:
     return UnimodularWitness(matrix_from_json(obj))
 
 
+@_reader("forest")
 def forest_from_json(obj) -> ForestCertificate:
-    try:
-        return ForestCertificate(tuple(int(e) for e in obj["forest_edges"]),
-                                 tuple(int(e) for e in obj["cotree_edges"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad forest JSON: {exc}") from exc
+    return ForestCertificate(tuple(int(e) for e in obj["forest_edges"]),
+                             tuple(int(e) for e in obj["cotree_edges"]))
 
 
+@_reader("SNF")
 def snf_from_json(obj) -> SnfResult:
-    try:
-        return SnfResult(diag=tuple(int(d) for d in obj["diag"]),
-                         left=witness_from_json(obj["left"]),
-                         right=witness_from_json(obj["right"]))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad SNF JSON: {exc}") from exc
+    return SnfResult(diag=tuple(int(d) for d in obj["diag"]),
+                     left=witness_from_json(obj["left"]),
+                     right=witness_from_json(obj["right"]))
 
 
+@_reader("verdict")
 def verdict_from_json(obj) -> CongruenceVerdict:
-    try:
-        sep = obj.get("separating_invariant")
-        if sep is not None:
-            left = sep["left"]
-            right = sep["right"]
-            if isinstance(left, list):
-                left = tuple(int(x) for x in left)
-                right = tuple(int(x) for x in right)
-            sep = (sep["name"], left, right)
-        witness = obj.get("witness")
-        return CongruenceVerdict(
-            status=obj["status"],
-            witness=witness_from_json(witness) if witness else None,
-            separating_invariant=sep,
-            note=obj.get("note", ""))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad verdict JSON: {exc}") from exc
+    sep = obj.get("separating_invariant")
+    if sep is not None:
+        left = sep["left"]
+        right = sep["right"]
+        if isinstance(left, list):
+            left = tuple(int(x) for x in left)
+            right = tuple(int(x) for x in right)
+        sep = (sep["name"], left, right)
+    witness = obj.get("witness")
+    return CongruenceVerdict(
+        status=obj["status"],
+        witness=witness_from_json(witness) if witness else None,
+        separating_invariant=sep,
+        note=obj.get("note", ""))
 
 
+@_reader("2-isomorphism")
 def two_iso_from_json(obj) -> TwoIsomorphismResult:
-    try:
-        bij = obj.get("bijection")
-        return TwoIsomorphismResult(
-            status=obj["status"],
-            bijection=tuple(int(x) for x in bij) if bij is not None else None,
-            reason=obj.get("reason", ""),
-            nodes_used=int(obj.get("nodes_used", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad 2-isomorphism JSON: {exc}") from exc
+    bij = obj.get("bijection")
+    return TwoIsomorphismResult(
+        status=obj["status"],
+        bijection=tuple(int(x) for x in bij) if bij is not None else None,
+        reason=obj.get("reason", ""),
+        nodes_used=int(obj.get("nodes_used", 0)))
 
 
+@_reader("minor-evidence")
 def evidence_from_json(obj) -> KuratowskiEvidence:
-    try:
-        return KuratowskiEvidence(
-            kind=obj["kind"],
-            branch_sets=tuple(tuple(int(v) for v in s) for s in obj["branch_sets"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad minor-evidence JSON: {exc}") from exc
+    return KuratowskiEvidence(
+        kind=obj["kind"],
+        branch_sets=tuple(tuple(int(v) for v in s) for s in obj["branch_sets"]))
 
 
+@_reader("certificate")
 def certificate_from_json(obj) -> DualCertificate:
     """Rebuild a dual certificate; the dual orientation is always the default
     orientation of the serialized dual graph."""
-    try:
-        dual = graph_from_json(obj["dual_graph"])
-        lap = obj.get("laplacian_witness")
-        return DualCertificate(
-            dual_graph=dual,
-            dual_orientation=Orientation.default(dual),
-            witness_z=witness_from_json(obj["witness_z"]),
-            edge_bijection=tuple(int(x) for x in obj["beta"]),
-            trace=int(obj["trace"]),
-            core_edges=tuple(int(e) for e in obj["core_edges"]),
-            core_forest=forest_from_json(obj["core_forest"]),
-            core_v0=ReductionSpec.of(obj["core_v0"]),
-            laplacian_witness=witness_from_json(lap) if lap else None)
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad certificate JSON: {exc}") from exc
+    dual = graph_from_json(obj["dual_graph"])
+    lap = obj.get("laplacian_witness")
+    return DualCertificate(
+        dual_graph=dual,
+        dual_orientation=Orientation.default(dual),
+        witness_z=witness_from_json(obj["witness_z"]),
+        edge_bijection=tuple(int(x) for x in obj["beta"]),
+        trace=int(obj["trace"]),
+        core_edges=tuple(int(e) for e in obj["core_edges"]),
+        core_forest=forest_from_json(obj["core_forest"]),
+        core_v0=ReductionSpec.of(obj["core_v0"]),
+        laplacian_witness=witness_from_json(lap) if lap else None)
 
 
+@_reader("planarity")
 def planarity_from_json(obj) -> PlanarityResult:
-    try:
-        cert = obj.get("certificate")
-        ev = obj.get("evidence")
-        best = obj.get("best_trace")
-        return PlanarityResult(
-            status=obj["status"],
-            certificate=certificate_from_json(cert) if cert else None,
-            evidence=evidence_from_json(ev) if ev else None,
-            best_trace=int(best) if best is not None else None,
-            note=obj.get("note", ""))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad planarity JSON: {exc}") from exc
+    cert = obj.get("certificate")
+    ev = obj.get("evidence")
+    best = obj.get("best_trace")
+    return PlanarityResult(
+        status=obj["status"],
+        certificate=certificate_from_json(cert) if cert else None,
+        evidence=evidence_from_json(ev) if ev else None,
+        best_trace=int(best) if best is not None else None,
+        note=obj.get("note", ""))
 
 
+@_reader("duality-report")
 def duality_report_from_json(obj) -> DualityReport:
-    try:
-        return DualityReport(ok=bool(obj["ok"]),
-                             forest_size_identity=bool(obj["forest_size_identity"]),
-                             complement_bijection=bool(obj["complement_bijection"]),
-                             forest_counts=tuple(int(x) for x in obj["forest_counts"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad duality-report JSON: {exc}") from exc
+    return DualityReport(ok=bool(obj["ok"]),
+                         forest_size_identity=bool(obj["forest_size_identity"]),
+                         complement_bijection=bool(obj["complement_bijection"]),
+                         forest_counts=tuple(int(x) for x in obj["forest_counts"]))
 
 
+@_reader("dual-Laplacian")
 def dual_pair_from_json(obj) -> DualLaplacianPair:
-    try:
-        return DualLaplacianPair(reduced=matrix_from_json(obj["reduced"]),
-                                 unreduced=matrix_from_json(obj["unreduced"]),
-                                 witness=witness_from_json(obj["witness"]),
-                                 gram_base=matrix_from_json(obj["gram_base"]))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad dual-Laplacian JSON: {exc}") from exc
+    return DualLaplacianPair(reduced=matrix_from_json(obj["reduced"]),
+                             unreduced=matrix_from_json(obj["unreduced"]),
+                             witness=witness_from_json(obj["witness"]),
+                             gram_base=matrix_from_json(obj["gram_base"]))
 
 
 def to_jsonable(value):

@@ -69,6 +69,14 @@ def test_check_congruence_exit_codes(files, capsys, tmp_path):
     assert json.loads(out)["separating_invariant"]["name"] == "det"
     code, _ = run(capsys, "check-congruence", str(a), str(a))
     assert code == 0
+    # same genus invariants, different classes: no decision either way
+    c = tmp_path / "c.json"
+    d = tmp_path / "d.json"
+    c.write_text(json.dumps({"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "23"]]}))
+    d.write_text(json.dumps({"rows": 2, "cols": 2, "data": [["2", "1"], ["1", "12"]]}))
+    code, out = run(capsys, "check-congruence", str(c), str(d))
+    assert code == 2
+    assert json.loads(out)["status"] == "unknown"
 
 
 def test_explicit_forest_and_v0_reproduce_golden_flow(files, capsys):
@@ -114,6 +122,20 @@ def test_find_dual_nonplanar_exit(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "NonplanarInput"
     code, out = run(capsys, "planarity", str(p), "--budget", "200000")
     assert code == 1
+
+
+def test_exhausted_budget_exits_unknown(capsys, tmp_path):
+    # at budget 1 neither the descent nor the minor search can finish on K5
+    k5 = {"name": "K5", "num_vertices": 5,
+          "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
+    p = tmp_path / "k5.json"
+    p.write_text(json.dumps(k5))
+    code, out = run(capsys, "planarity", str(p), "--budget", "1")
+    assert code == 2
+    assert json.loads(out)["status"] == "unknown"
+    code, out = run(capsys, "find-dual", str(p), "--budget", "1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
 
 def test_verify_dual_with_explicit_beta(files, capsys, tmp_path):

@@ -89,6 +89,18 @@ def test_congruence_unknown_for_separated_genus():
     assert verdict.witness is None
 
 
+def test_indefinite_pair_resolved_by_move_search():
+    # indefinite input skips the definite-core isometry search; the bounded
+    # elementary-move search is the only path that can find this witness
+    a = IntMatrix.from_rows([[1, 0], [0, -1]])
+    b = IntMatrix.from_rows([[0, -1], [-1, -1]])
+    assert congruence_invariants(a) == congruence_invariants(b)
+    verdict = decide_congruence(a, b, budget=10**4)
+    assert verdict.status == "congruent"
+    w = verdict.witness.u
+    assert w.mul(a).mul(w.transpose()) == b
+
+
 def test_congruence_follows_random_witness():
     rng = random.Random(3)
     for _ in range(15):
@@ -135,8 +147,8 @@ def wall_clock_guard(seconds):
 
 
 def test_congruence_of_relabelled_grid_returns():
-    # the short-vector range for x - 1/2 with nothing left to spend is empty;
-    # it used to send the range search walking away from its answer forever
+    # here the short-vector search meets a coordinate range (x - 1/2)^2 <= 0
+    # that holds no integer; it must come back empty, not search forever
     grid = MultiGraph.from_edges(6, [(0, 3), (0, 1), (1, 4), (1, 2), (2, 5), (3, 4), (4, 5)])
     perm = list(range(6))
     random.Random(1).shuffle(perm)

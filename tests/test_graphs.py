@@ -3,8 +3,8 @@ import random
 import pytest
 
 from lapdual import (CapExceeded, EmptyOrFullSet, ForestCertificate, MultiGraph,
-                     NotCotreeEdge, Orientation, classify_edges, components,
-                     cut_vector, decide_2_isomorphism_bruteforce,
+                     NotCotreeEdge, NotMaximalForest, Orientation, classify_edges,
+                     components, cut_vector, decide_2_isomorphism_bruteforce,
                      enumerate_circuits, enumerate_maximal_forests,
                      fundamental_circuit_vector, identify_vertices,
                      loopless_isomorphic, maximal_forest, permute_vertices)
@@ -85,6 +85,13 @@ def test_fundamental_circuit_rejects_forest_edge(k3):
     f = maximal_forest(k3)
     with pytest.raises(NotCotreeEdge):
         fundamental_circuit_vector(k3, Orientation.default(k3), f, 0)
+
+
+def test_fundamental_circuit_rejects_non_spanning_forest():
+    g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
+    f = ForestCertificate.from_forest(g, [0])
+    with pytest.raises(NotMaximalForest):
+        fundamental_circuit_vector(g, Orientation.default(g), f, 1)
 
 
 def test_cut_vector_k3(k3):
