@@ -128,7 +128,8 @@ def is_connected(g: MultiGraph) -> bool:
 
 
 def greedy_forest(g: MultiGraph, order) -> ForestCertificate:
-    """Maximal forest that keeps every edge of `order` joining two trees so far."""
+    """Forest of the edges that join two trees so far when scanned in `order`;
+    maximal when `order` lists every edge."""
     uf = _UnionFind(g.num_vertices)
     forest = [k for k in order if not g.is_loop(k) and uf.union(*g.edges[k])]
     return ForestCertificate.from_forest(g, forest)
