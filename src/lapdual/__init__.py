@@ -30,9 +30,9 @@ from .congruence import (CongruenceVerdict, PropertyXReport,
                          strict_row_equivalence)
 from .duality import (DualCertificate, DualityReport, KuratowskiEvidence,
                       PlanarityResult, SuperbaseState, construct_abstract_dual,
-                      decide_planarity, kuratowski_oracle, lemma_center_recover,
-                      maclane_oracle, superbase_trace_minimize,
-                      verify_abstract_dual, verify_kuratowski_evidence)
+                      decide_planarity, lemma_center_recover,
+                      superbase_trace_minimize, verify_abstract_dual,
+                      verify_kuratowski_evidence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -117,8 +117,10 @@ def _spec_of(config, g):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
+    # argparse runs a string default through `type` when the flag is absent,
+    # so a non-integer LAPDUAL_BUDGET is a usage error like a bad --budget
     common.add_argument("--budget", type=int,
-                        default=int(os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET)),
+                        default=os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
                         help="elementary steps allowed for searches")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized restarts")
     common.add_argument("--out", help="write the JSON/DOT result to this path")

@@ -1,11 +1,17 @@
 """Abstract duality and planarity through superbase traces.
 
 A graph is planar exactly when its flow lattice has a superbase whose Gram
-trace hits twice the number of non-isthmus edges.  The descent here hunts for
-such a superbase; when it succeeds, the optimized matrix is itself the
-incidence matrix of an abstract dual, which is recovered explicitly and
-shipped as a certificate.  Failure to descend is never treated as
-nonplanarity: that verdict comes only from an independent minor search.
+trace hits twice the number of non-isthmus edges.  `decide_planarity` finds
+that superbase outright: a left-right planarity test (de Fraysseix and
+Rosenstiehl, as laid out by Brandes 2009) embeds the stripped core, and the
+consistently oriented face boundaries of the embedding are such a superbase.
+It is shipped as the incidence matrix of an abstract dual, recovered
+explicitly.  On a nonplanar core the test's edge deletions leave a K5 or
+K3,3 subdivision, whose branch sets are verified and returned instead.
+
+`superbase_trace_minimize` is the paper's own route to the same superbase,
+a descent on the trace; it stays as public API and the tests cross-check it
+against the embedding.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     adjacency, circuit_through, classify_edges,
-                     enumerate_maximal_forests, fundamental_circuit_vector,
-                     greedy_forest, maximal_forest, neighbour_sets)
+                     adjacency, circuit_through, classify_edges, components,
+                     enumerate_maximal_forests, greedy_forest, maximal_forest,
+                     neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
@@ -337,150 +343,6 @@ class PlanarityResult:
     note: str = ""
 
 
-def _simplified_adjacency(g: MultiGraph):
-    """Loop-free simple adjacency sets, then iterated removal of degree <= 1
-    vertices; minor witnesses survive both reductions."""
-    adj = neighbour_sets(g)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if len(adj[v]) <= 1:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-    return adj
-
-
-def _connected_subsets(vertices, nbr_of, budget: SearchBudget):
-    """All connected vertex subsets as bitmasks over `vertices` positions.
-
-    Standard banned-set enumeration: the branch that includes a frontier
-    vertex runs first, after which that vertex is excluded from every later
-    sibling branch, so each connected set is produced exactly once.
-    """
-    n = len(vertices)
-    pos = {v: i for i, v in enumerate(vertices)}
-    nbr = [0] * n
-    for v in vertices:
-        mask = 0
-        for w in nbr_of[v]:
-            mask |= 1 << pos[w]
-        nbr[pos[v]] = mask
-    out = []
-
-    def grow(mask, nbhd, frontier, banned, allowed):
-        budget.spend()
-        out.append((mask, nbhd))
-        while frontier:
-            vbit = frontier & -frontier
-            v = vbit.bit_length() - 1
-            frontier &= ~vbit
-            new_mask = mask | vbit
-            child_frontier = ((frontier | (nbr[v] & allowed))
-                              & ~new_mask & ~banned)
-            grow(new_mask, nbhd | nbr[v], child_frontier, banned, allowed)
-            banned |= vbit
-
-    full = (1 << n) - 1
-    for s in range(n):
-        allowed = full & ~((1 << (s + 1)) - 1)
-        grow(1 << s, nbr[s], nbr[s] & allowed, 0, allowed)
-    return out, pos
-
-
-def _find_minor(adj, target, budget: SearchBudget):
-    """Complete branch-set search for a K5 or K3,3 model in a simple graph.
-
-    Blocks are drawn from the precomputed connected subsets; symmetric blocks
-    are forced into increasing minimum-vertex order and every required
-    adjacency is checked as soon as both endpoints are placed.
-    """
-    vertices = sorted(adj)
-    if target == "K5":
-        b = 5
-        place_order = [0, 1, 2, 3, 4]
-        required = {(i, j) for i in range(5) for j in range(i + 1, 5)}
-        chains = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    else:
-        b = 6
-        place_order = [0, 3, 1, 4, 2, 5]
-        required = {(i, j) for i in range(3) for j in range(3, 6)}
-        chains = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3)]
-    if len(vertices) < b:
-        return None
-    n = len(vertices)
-    subsets, pos = _connected_subsets(vertices, adj, budget)
-    # a model never needs a branch set so large that the other blocks cannot
-    # fit, nor one whose outside neighborhood is smaller than its degree in
-    # the target pattern
-    min_degree = b - 1 if target == "K5" else 3
-    subsets = [(mask, nbhd) for (mask, nbhd) in subsets
-               if bin(mask).count("1") <= n - b + 1
-               and bin(nbhd & ~mask).count("1") >= min_degree]
-    subsets.sort(key=lambda t: (bin(t[0]).count("1"), t[0]))
-    sizes = {mask: bin(mask).count("1") for mask, _ in subsets}
-    blocks = [None] * b
-
-    def low_bit(mask):
-        return (mask & -mask)
-
-    def place(step, used):
-        budget.spend()
-        if step == b:
-            return True
-        k = place_order[step]
-        placed = [place_order[i] for i in range(step)]
-        room = n - bin(used).count("1")
-        for mask, nbhd in subsets:
-            if mask & used:
-                continue
-            if sizes[mask] > room - (b - step - 1):
-                break  # sorted by size: everything later is too big as well
-            ok = True
-            for (lo, hi) in chains:
-                if hi == k and blocks[lo] is not None and not low_bit(mask) > low_bit(blocks[lo][0]):
-                    ok = False
-                    break
-                if lo == k and blocks[hi] is not None and not low_bit(blocks[hi][0]) > low_bit(mask):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            feasible = True
-            for other in placed:
-                pair = (min(other, k), max(other, k))
-                if pair in required and not (blocks[other][1] & mask):
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            blocks[k] = (mask, nbhd)
-            new_used = used | mask
-            # every placed block still needs one fresh vertex per unplaced
-            # required partner; partners are disjoint, so the free part of
-            # its neighborhood must be at least that large
-            for i in placed + [k]:
-                unplaced = sum(1 for j in range(b)
-                               if blocks[j] is None and j != i
-                               and (min(i, j), max(i, j)) in required)
-                if unplaced and bin(blocks[i][1] & ~new_used).count("1") < unplaced:
-                    feasible = False
-                    break
-            if feasible and place(step + 1, new_used):
-                return True
-            blocks[k] = None
-        return False
-
-    if place(0, 0):
-        # positions follow the sorted vertex order, so members come out sorted
-        sets = tuple(tuple(v for v in vertices if blocks[k][0] >> pos[v] & 1)
-                     for k in range(b))
-        return KuratowskiEvidence("K5" if target == "K5" else "K3,3", sets)
-    return None
-
-
 def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
     """Branch sets must be disjoint, connected in g, and pairwise adjacent in
     the target pattern."""
@@ -517,164 +379,424 @@ def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
     return all(touching(sets[i], sets[j]) for i, j in pairs)
 
 
-def kuratowski_oracle(g: MultiGraph, budget=10**6) -> PlanarityResult:
-    """Independent planarity ground truth by exhaustive K5/K3,3 minor search
-    on the simplified graph; sound in both directions when it completes."""
-    adj = _simplified_adjacency(g)
-    n_eff = len(adj)
-    m_eff = sum(len(s) for s in adj.values()) // 2
-    if n_eff <= 4 or m_eff <= 8:
-        return PlanarityResult(PLANAR, note="too small to contain a forbidden minor")
-    if n_eff > 13:
-        return PlanarityResult(UNKNOWN, note="simplified graph too large for the minor search")
-    counter = SearchBudget(budget)
-    try:
-        ev = _find_minor(adj, "K5", counter)
-        if ev is not None:
-            return PlanarityResult(NONPLANAR, evidence=ev)
-        ev = _find_minor(adj, "K33", counter)
-        if ev is not None:
-            return PlanarityResult(NONPLANAR, evidence=ev)
-        return PlanarityResult(PLANAR, note="minor searches exhausted")
-    except BudgetExceeded:
-        return PlanarityResult(UNKNOWN, note=f"minor search budget {budget} exhausted")
+class _LeftRight:
+    """Left-right planarity test of a simple graph on vertices 0..n-1.
 
+    Three depth-first passes, each iterative so that depth never meets the
+    recursion limit: the constructor orients the graph along a DFS tree and
+    computes lowpoints and nesting depths; `planar` runs the constraint stack
+    of conflicting return edges; `rotation` fixes the side of every back edge
+    and lays out a plane embedding.  Every half-edge step spends one unit of
+    `budget`.  A conflict pair is a list [left low, left high, right low,
+    right high] of edge ids, None marking an empty interval.
+    """
 
-def _gf2_cycle_space(g: MultiGraph):
-    """Bitmask basis of the binary cycle space (fundamental circuits)."""
-    f = maximal_forest(g)
-    o = Orientation.default(g)
-    basis = []
-    for e in f.cotree_edges:
-        vec = fundamental_circuit_vector(g, o, f, e)
-        mask = 0
-        for k, x in enumerate(vec):
-            if x % 2:
-                mask |= 1 << k
-        basis.append(mask)
-    return basis
+    def __init__(self, n, edges, budget: SearchBudget):
+        m = len(edges)
+        self.n = n
+        self.budget = budget
+        self.adj = [[] for _ in range(n)]
+        for k, (u, v) in enumerate(edges):
+            self.adj[u].append((v, k))
+            self.adj[v].append((u, k))
+        self.tail = [None] * m
+        self.head = [None] * m
+        self.height = [None] * n
+        self.parent_edge = [None] * n
+        self.lowpt = [0] * m
+        self.lowpt2 = [0] * m
+        self.nesting = [0] * m
+        self.out = [[] for _ in range(n)]  # oriented edges leaving each vertex
+        self.roots = []
+        self.ref = [None] * m
+        self.side = [1] * m
+        self.lowpt_edge = [None] * m
+        self.stack_bottom = [None] * m
+        self.stack = []  # conflict pairs
+        self._orient()
 
+    def _orient(self):
+        height, parent_edge = self.height, self.parent_edge
+        nxt = [0] * self.n
+        for root in range(self.n):
+            if height[root] is not None:
+                continue
+            height[root] = 0
+            self.roots.append(root)
+            path = [root]
+            while path:
+                v = path[-1]
+                if nxt[v] == len(self.adj[v]):
+                    path.pop()
+                    if parent_edge[v] is not None:
+                        self._settle(parent_edge[v])
+                    continue
+                w, k = self.adj[v][nxt[v]]
+                nxt[v] += 1
+                self.budget.spend()
+                if self.tail[k] is not None:
+                    continue  # met again from its other end
+                self.tail[k], self.head[k] = v, w
+                self.out[v].append(k)
+                self.lowpt[k] = self.lowpt2[k] = height[v]
+                if height[w] is None:  # tree edge
+                    parent_edge[w] = k
+                    height[w] = height[v] + 1
+                    path.append(w)
+                else:  # back edge to an ancestor
+                    self.lowpt[k] = height[w]
+                    self._settle(k)
+        for edges in self.out:
+            edges.sort(key=self.nesting.__getitem__)
 
-def _girth(g: MultiGraph):
-    """Shortest circuit length: 1 with a loop, 2 with parallels, else BFS."""
-    if any(u == v for u, v in g.edges):
-        return 1
-    seen = set()
-    for u, v in g.edges:
-        if (min(u, v), max(u, v)) in seen:
-            return 2
-        seen.add((min(u, v), max(u, v)))
-    adj = neighbour_sets(g)
-    best = None
-    for root in range(g.num_vertices):
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in adj[x]:
-                    if y == parent[x]:
-                        continue
-                    if y in dist:
-                        cycle = dist[x] + dist[y] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-                    else:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        nxt.append(y)
-            queue = nxt
-    return best
+    def _settle(self, k):
+        """Nesting depth of the finished edge k, and its lowpoints passed up
+        to the tree edge into its tail."""
+        lowpt, lowpt2 = self.lowpt, self.lowpt2
+        v = self.tail[k]
+        self.nesting[k] = 2 * lowpt[k] + (lowpt2[k] < self.height[v])
+        e = self.parent_edge[v]
+        if e is None:
+            return
+        if lowpt[k] < lowpt[e]:
+            lowpt2[e] = min(lowpt[e], lowpt2[k])
+            lowpt[e] = lowpt[k]
+        elif lowpt[k] > lowpt[e]:
+            lowpt2[e] = min(lowpt2[e], lowpt[k])
+        else:
+            lowpt2[e] = min(lowpt2[e], lowpt2[k])
 
-
-def maclane_oracle(g: MultiGraph, budget=10**6):
-    """True/False/None: does the binary cycle space admit a basis in which
-    every edge appears at most twice?  None means the search gave up."""
-    basis = _gf2_cycle_space(g)
-    r = len(basis)
-    if r == 0:
+    def planar(self):
+        head, height, lowpt = self.head, self.height, self.lowpt
+        nxt = [0] * self.n
+        started = [False] * len(head)
+        for root in self.roots:
+            path = [root]
+            while path:
+                v = path[-1]
+                e = self.parent_edge[v]
+                out = self.out[v]
+                while nxt[v] < len(out):
+                    ei = out[nxt[v]]
+                    if not started[ei]:
+                        started[ei] = True
+                        self.budget.spend()
+                        self.stack_bottom[ei] = self.stack[-1] if self.stack else None
+                        if ei == self.parent_edge[head[ei]]:
+                            break  # descend; ei is integrated on the way back
+                        self.lowpt_edge[ei] = ei
+                        self.stack.append([None, None, ei, ei])
+                    if lowpt[ei] < height[v]:  # ei has return edges
+                        if ei == out[0]:
+                            self.lowpt_edge[e] = self.lowpt_edge[ei]
+                        elif not self._add_constraints(ei, e):
+                            return False
+                    nxt[v] += 1
+                if nxt[v] < len(out):
+                    path.append(head[out[nxt[v]]])
+                    continue
+                path.pop()
+                if e is not None:
+                    self._remove_back_edges(e)
         return True
-    if r > 14:
-        return None
-    _, isthmuses = classify_edges(g)
-    non_isthmus = [e for e in range(g.num_edges) if e not in set(isthmuses)]
-    slots = 2 * len(non_isthmus)
-    girth = _girth(g)
-    if girth is not None and girth * (r + 1) > slots:
-        return False
 
-    # all nonzero cycle vectors, lightest first
-    vectors = []
-    for coeffs in range(1, 1 << r):
-        v = 0
-        c = coeffs
-        i = 0
-        while c:
-            if c & 1:
-                v ^= basis[i]
-            c >>= 1
-            i += 1
-        vectors.append(v)
-    vectors = sorted(set(vectors), key=lambda v: (bin(v).count("1"), v))
-    weights = [bin(v).count("1") for v in vectors]
-    counter = SearchBudget(budget)
-    counts = [0] * g.num_edges
-    echelon = {}  # pivot bit -> reduced vector
+    def _conflicting(self, pair, i, b):
+        """Interval i (0 left, 2 right) of pair holds a return edge that
+        ends above the lowpoint of edge b."""
+        high = pair[i + 1]
+        return high is not None and self.lowpt[high] > self.lowpt[b]
 
-    def reduce(v):
-        w = v
-        while w:
-            piv = w & -w
-            if piv not in echelon:
-                return w
-            w ^= echelon[piv]
-        return 0
+    def _lowest(self, pair):
+        if pair[0] is None:
+            return self.lowpt[pair[2]]
+        if pair[2] is None:
+            return self.lowpt[pair[0]]
+        return min(self.lowpt[pair[0]], self.lowpt[pair[2]])
 
-    def feasible_tail(depth, start):
-        remaining = r - depth
-        if remaining == 0:
-            return True
-        if start >= len(vectors):
-            return False
-        capacity = sum(2 - counts[e] for e in non_isthmus)
-        return weights[start] * remaining <= capacity
+    def _extend(self, pair, i, low, high):
+        """Chain the interval [low, high] below interval i of pair."""
+        if pair[i] is None:
+            pair[i + 1] = high
+        else:
+            self.ref[pair[i]] = high
+        pair[i] = low
 
-    def search(depth, start):
-        counter.spend()
-        if depth == r:
-            # augmented element fixes parity; need every count in {1, 2}
-            return all(counts[e] in (1, 2) for e in non_isthmus)
-        for idx in range(start, len(vectors)):
-            v = vectors[idx]
-            if not feasible_tail(depth, idx):
+    def _add_constraints(self, ei, e):
+        """Merge the return edges of ei with those of its earlier siblings;
+        False when the two sides cannot keep them apart."""
+        stack, lowpt = self.stack, self.lowpt
+        p = [None, None, None, None]
+        while True:  # the return edges of ei all go right
+            q = stack.pop()
+            if q[0] is not None:
+                q[:] = q[2:] + q[:2]
+            if q[0] is not None:
                 return False
-            bad = False
-            vv = v
-            touched = []
-            while vv:
-                e = (vv & -vv).bit_length() - 1
-                vv &= vv - 1
-                counts[e] += 1
-                touched.append(e)
-                if counts[e] > 2:
-                    bad = True
-            if not bad:
-                w = reduce(v)
-                if w:
-                    piv = w & -w
-                    echelon[piv] = w
-                    if search(depth + 1, idx + 1):
-                        return True
-                    del echelon[piv]
-            for e in touched:
-                counts[e] -= 1
-        return False
+            if lowpt[q[2]] > lowpt[e]:
+                self._extend(p, 2, q[2], q[3])
+            else:  # returns to the lowpoint of e: same side as lowpt_edge[e]
+                self.ref[q[2]] = self.lowpt_edge[e]
+            if (stack[-1] if stack else None) is self.stack_bottom[ei]:
+                break
+        # earlier siblings' return edges that conflict with ei go left
+        while stack and (self._conflicting(stack[-1], 0, ei)
+                         or self._conflicting(stack[-1], 2, ei)):
+            q = stack.pop()
+            if self._conflicting(q, 2, ei):
+                q[:] = q[2:] + q[:2]
+            if self._conflicting(q, 2, ei):
+                return False
+            if q[2] is not None:
+                self._extend(p, 2, q[2], q[3])
+            self._extend(p, 0, q[0], q[1])
+        if p != [None, None, None, None]:
+            stack.append(p)
+        return True
 
-    try:
-        return search(0, 0)
-    except BudgetExceeded:
+    def _remove_back_edges(self, e):
+        """Drop the return edges that end at the tail u of e, then give e
+        the side of its highest remaining return edge."""
+        stack, ref, side, head = self.stack, self.ref, self.side, self.head
+        u = self.tail[e]
+        while stack and self._lowest(stack[-1]) == self.height[u]:
+            p = stack.pop()
+            if p[0] is not None:
+                side[p[0]] = -1
+        if stack:
+            p = stack[-1]
+            for i in (0, 2):
+                while p[i + 1] is not None and head[p[i + 1]] == u:
+                    p[i + 1] = ref[p[i + 1]]
+                if p[i + 1] is None and p[i] is not None:  # just emptied
+                    ref[p[i]] = p[2 - i]
+                    side[p[i]] = -1
+                    p[i] = None
+        if self.lowpt[e] < self.height[u]:  # e has return edges
+            high_left, high_right = stack[-1][1], stack[-1][3]
+            if high_left is not None and (high_right is None
+                                          or self.lowpt[high_left] > self.lowpt[high_right]):
+                ref[e] = high_left
+            else:
+                ref[e] = high_right
+
+    def _sign(self, e):
+        """Side of e, resolving its reference chain on the way."""
+        chain = []
+        k = e
+        while self.ref[k] is not None:
+            chain.append(k)
+            k = self.ref[k]
+        for k in reversed(chain):
+            self.side[k] *= self.side[self.ref[k]]
+            self.ref[k] = None
+        return self.side[e]
+
+    def rotation(self):
+        """Clockwise neighbour order around each vertex of a plane
+        embedding; call only after `planar` returned True."""
+        head, out = self.head, self.out
+        for k in range(len(head)):
+            self.nesting[k] *= self._sign(k)
+        for edges in out:
+            edges.sort(key=self.nesting.__getitem__)
+        cw = [{} for _ in range(self.n)]
+        ccw = [{} for _ in range(self.n)]
+        for v, edges in enumerate(out):
+            ring = [head[k] for k in edges]
+            for i, w in enumerate(ring):
+                cw[v][w] = ring[(i + 1) % len(ring)]
+                ccw[v][w] = ring[i - 1]
+
+        def insert_after(v, anchor, w):
+            if anchor is None:
+                cw[v][w] = ccw[v][w] = w
+                return
+            after = cw[v][anchor]
+            cw[v][anchor], cw[v][w] = w, after
+            ccw[v][after], ccw[v][w] = w, anchor
+
+        # a back edge into w from below w's child c goes clockwise right
+        # after c when on the right, else counter-clockwise before the
+        # leftmost edge placed so far
+        left_ref = [None] * self.n
+        right_ref = [None] * self.n
+        nxt = [0] * self.n
+        for root in self.roots:
+            path = [root]
+            while path:
+                v = path[-1]
+                if nxt[v] == len(out[v]):
+                    path.pop()
+                    continue
+                k = out[v][nxt[v]]
+                nxt[v] += 1
+                self.budget.spend()
+                w = head[k]
+                if k == self.parent_edge[w]:
+                    # the parent goes first, ahead of w's own edges
+                    insert_after(w, ccw[w][head[out[w][0]]] if out[w] else None, v)
+                    left_ref[v] = right_ref[v] = w
+                    path.append(w)
+                elif self.side[k] == 1:
+                    insert_after(w, right_ref[w], v)
+                else:
+                    insert_after(w, ccw[w][left_ref[w]], v)
+                    left_ref[w] = v
+        rings = []
+        for v in range(self.n):
+            ring = []
+            if cw[v]:
+                start = w = next(iter(cw[v]))
+                while True:
+                    ring.append(w)
+                    w = cw[v][w]
+                    if w == start:
+                        break
+            rings.append(ring)
+        return rings
+
+
+def _face_basis(core: MultiGraph, cotree, budget: SearchBudget):
+    """Face boundaries of a plane embedding of the loopless, bridgeless core,
+    as sparse signed edge vectors {edge: +-1} all walked the same way round,
+    less one face in each component; None when the core is nonplanar.
+
+    Each edge lies on two faces, once in each direction, so the rows span the
+    flow lattice, and with the dropped faces summed into the dependent row
+    they make a superbase of trace exactly 2m.  The face dropped is the first
+    with the most `cotree` edges: when the fundamental circuits of the forest
+    are faces, the rows left are exactly those circuits.  Parallel copies of
+    an edge are embedded side by side, in opposite orders at their two ends."""
+    copies = {}
+    for e, (u, v) in enumerate(core.edges):
+        copies.setdefault((min(u, v), max(u, v)), []).append(e)
+    lr = _LeftRight(core.num_vertices, sorted(copies), budget)
+    if not lr.planar():
         return None
+    rings = []
+    for v, nbrs in enumerate(lr.rotation()):
+        ring = []
+        for w in nbrs:
+            bundle = copies[(min(v, w), max(v, w))]
+            ring.extend(bundle if v < w else reversed(bundle))
+        rings.append(ring)
+    where = [{e: i for i, e in enumerate(ring)} for ring in rings]
+    comps = components(core)
+    comp_of = {v: c for c, vs in enumerate(comps) for v in vs}
+    cotree = set(cotree)
+    faces = []  # (component, face)
+    seen = set()  # darts (vertex, edge leaving it)
+    for v, ring in enumerate(rings):
+        for e in ring:
+            if (v, e) in seen:
+                continue
+            row = {}
+            x, k = v, e
+            while (x, k) not in seen:
+                budget.spend()
+                seen.add((x, k))
+                a, b = core.edges[k]
+                row[k] = 1 if x == a else -1
+                y = b if x == a else a
+                x, k = y, rings[y][where[y][k] - 1]
+            faces.append((comp_of[v], row))
+    faces_in = [0] * len(comps)
+    dropped = {}  # component -> (cotree edges, index) of the face it drops
+    for i, (c, row) in enumerate(faces):
+        faces_in[c] += 1
+        weight = len(cotree.intersection(row))
+        if c not in dropped or weight > dropped[c][0]:
+            dropped[c] = (weight, i)
+    edges_in = [0] * len(comps)
+    for u, _ in core.edges:
+        edges_in[comp_of[u]] += 1
+    if any(edges_in[c] and faces_in[c] != edges_in[c] - len(vs) + 2
+           for c, vs in enumerate(comps)):
+        raise AssertionError("the embedding fails Euler's formula")
+    drop = {i for _, i in dropped.values()}
+    return [row for i, (_, row) in enumerate(faces) if i not in drop]
+
+
+def _suppressed(core: MultiGraph):
+    """The core's simple graph with vertices of degree at most 1 deleted and
+    vertices of degree 2 suppressed, as {(a, b): inner path from a to b} with
+    a < b.  Of parallel paths one is kept, so the result stays simple; it is
+    planar exactly when the core is."""
+    nbrs = neighbour_sets(core)
+    paths = {(a, b): () for a in nbrs for b in nbrs[a] if a < b}
+
+    def path(a, b):
+        inner = paths[(min(a, b), max(a, b))]
+        return inner if a < b else inner[::-1]
+
+    todo = list(nbrs)
+    while todo:
+        v = todo.pop()
+        if v not in nbrs or len(nbrs[v]) > 2:
+            continue
+        ends = sorted(nbrs.pop(v))
+        joined = None
+        if len(ends) == 2 and ends[1] not in nbrs[ends[0]]:
+            joined = path(ends[0], v) + (v,) + path(v, ends[1])
+        for w in ends:
+            nbrs[w].discard(v)
+            del paths[(min(v, w), max(v, w))]
+        if joined is None:
+            todo.extend(ends)
+        else:
+            a, b = ends
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+            paths[(a, b)] = joined
+    return paths
+
+
+def _kuratowski_subdivision(core: MultiGraph, budget: SearchBudget) -> KuratowskiEvidence:
+    """Branch sets of a K5 or K3,3 subdivision inside a nonplanar core.
+
+    Deleting, one at a time, each edge of the suppressed graph that leaves it
+    nonplanar ends in an edge-minimal nonplanar graph: a Kuratowski
+    subdivision.  Its vertices of degree 3 or more are the branch vertices,
+    and each inner path vertex joins the branch set its path starts from."""
+    paths = _suppressed(core)
+    keep = sorted(paths)
+    for edge in sorted(paths):
+        trial = [x for x in keep if x != edge]
+        budget.spend()
+        if not _LeftRight(core.num_vertices, trial, budget).planar():
+            keep = trial
+    nbrs = {}
+    for a, b in keep:
+        walk = (a,) + paths[(a, b)] + (b,)
+        for x, y in zip(walk, walk[1:]):
+            nbrs.setdefault(x, []).append(y)
+            nbrs.setdefault(y, []).append(x)
+    branch = sorted(v for v, ws in nbrs.items() if len(ws) >= 3)
+    owner = {b: b for b in branch}
+    joined = {b: set() for b in branch}
+    for b in branch:
+        for x in nbrs[b]:
+            prev, cur = b, x
+            while cur not in joined:
+                owner.setdefault(cur, b)
+                prev, cur = cur, next(y for y in nbrs[cur] if y != prev)
+            joined[b].add(cur)
+    if len(branch) == 5:
+        kind, order = "K5", branch
+    elif len(branch) == 6:
+        # the two sides of K3,3 by 2-colouring its branch vertices
+        colour = {branch[0]: 0}
+        queue = [branch[0]]
+        for x in queue:
+            for y in sorted(joined[x]):
+                if y not in colour:
+                    colour[y] = 1 - colour[x]
+                    queue.append(y)
+        kind, order = "K3,3", sorted(branch, key=lambda b: (colour[b], b))
+    else:
+        raise AssertionError(f"edge-minimal nonplanar graph has {len(branch)} branch vertices")
+    return KuratowskiEvidence(kind, tuple(
+        tuple(sorted(v for v, b in owner.items() if b == root)) for root in order))
 
 
 def _strip_for_planarity(g: MultiGraph):
@@ -685,12 +807,12 @@ def _strip_for_planarity(g: MultiGraph):
     return core, core_edges, loops, isthmuses
 
 
-def _border_top_witness(v: UnimodularWitness) -> UnimodularWitness:
+def _border_top_witness(v: IntMatrix) -> UnimodularWitness:
     """[[1, -column sums of V], [0, V]]; carries the zero-row-topped flow
-    matrix onto the optimized superbase."""
-    r = v.u.rows
-    top = [1] + [-sum(v.u.data[i][j] for i in range(r)) for j in range(r)]
-    rows = [top] + [[0] + list(v.u.data[i]) for i in range(r)]
+    matrix onto the superbase whose basis rows are V times it."""
+    r = v.rows
+    top = [1] + [-sum(v.data[i][j] for i in range(r)) for j in range(r)]
+    rows = [top] + [[0] + list(v.data[i]) for i in range(r)]
     return UnimodularWitness(IntMatrix.from_rows(rows, cols=r + 1))
 
 
@@ -719,34 +841,37 @@ def _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z, trace_core,
 
 
 def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
-    """Certified planarity: descend on the stripped core's superbase trace and
-    recover a dual on success; otherwise fall back to the minor search.
+    """Certified planarity of g by a left-right embedding of its stripped core.
 
-    A planar verdict always carries a DualCertificate; a nonplanar verdict
-    always carries verified Kuratowski evidence."""
+    A planar verdict carries a DualCertificate whose superbase is the
+    embedding's face boundaries; a nonplanar verdict carries verified
+    Kuratowski branch sets.  Each half-edge step of the embedding's walks
+    and each planarity test of the extraction spends one unit of `budget`;
+    running out gives `unknown`.  `seed` does not affect the result."""
     core, core_edges, loops, isthmuses = _strip_for_planarity(g)
     core_forest = maximal_forest(core)
+    counter = SearchBudget(budget)
+    try:
+        faces = _face_basis(core, core_forest.cotree_edges, counter)
+        evidence = _kuratowski_subdivision(core, counter) if faces is None else None
+    except BudgetExceeded:
+        return PlanarityResult(UNKNOWN, note=f"planarity search budget {budget} exhausted")
+    if evidence is not None:
+        if not verify_kuratowski_evidence(g, evidence):
+            raise AssertionError("Kuratowski evidence failed verification")
+        return PlanarityResult(NONPLANAR, evidence=evidence)
     core_v0 = default_reduction_spec(core)
-    state = superbase_trace_minimize(core, None, core_forest, core_v0,
-                                     budget=budget, seed=seed)
-    target = 2 * core.num_edges
-    if state.trace == target:
-        fm = flow_matrix(core, None, core_forest, core_v0)
-        a = IntMatrix.zeros(1, fm.cols).vstack(fm)
-        z = _border_top_witness(state.basis_witness)
-        dual_core, _ = lemma_center_recover(a, z)
-        cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
-                              state.trace, core_forest, core_v0)
-        return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
-    fallback = kuratowski_oracle(core, budget)
-    if fallback.status == NONPLANAR:
-        if not verify_kuratowski_evidence(g, fallback.evidence):
-            raise AssertionError("minor evidence failed verification")
-        return PlanarityResult(NONPLANAR, evidence=fallback.evidence,
-                               best_trace=state.trace + 2 * len(loops))
-    note = "descent missed the planar bound" if fallback.status == PLANAR \
-        else fallback.note
-    return PlanarityResult(UNKNOWN, best_trace=state.trace + 2 * len(loops), note=note)
+    fm = flow_matrix(core, None, core_forest, core_v0)
+    # row j of fm has -1 in its own cotree column and 0 in the others, so
+    # these coefficients carry fm onto the faces
+    u = IntMatrix.from_rows([[-face.get(e, 0) for e in core_forest.cotree_edges]
+                             for face in faces], cols=fm.rows)
+    a = IntMatrix.zeros(1, fm.cols).vstack(fm)
+    z = _border_top_witness(u)
+    dual_core, _ = lemma_center_recover(a, z)
+    cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
+                          2 * core.num_edges, core_forest, core_v0)
+    return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
 
 
 def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertificate:

@@ -1,7 +1,9 @@
 """Shared graphs, generators and independent oracles for the test suite."""
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -200,3 +202,19 @@ def random_unimodular(rng, n, steps=12):
         else:
             rows[i], rows[j] = rows[j], rows[i]
     return IntMatrix.from_rows(rows, cols=n)
+
+
+@contextlib.contextmanager
+def wall_clock_guard(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+
+    def alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

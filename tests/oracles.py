@@ -1,0 +1,318 @@
+"""Brute-force planarity oracles: an exhaustive K5/K3,3 minor search and a
+MacLane cycle-basis search.
+
+They decide planarity by routes independent of the left-right embedding in
+`lapdual.duality`, so the tests use them as voters against it.  Both are
+exponential and meant for graphs of about a dozen vertices.
+"""
+
+from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, KuratowskiEvidence,
+                             PlanarityResult)
+from lapdual.errors import BudgetExceeded
+from lapdual.graphs import (MultiGraph, Orientation, SearchBudget,
+                            classify_edges, fundamental_circuit_vector,
+                            maximal_forest, neighbour_sets)
+
+
+def _simplified_adjacency(g: MultiGraph):
+    """Loop-free simple adjacency sets, then iterated removal of degree <= 1
+    vertices; minor witnesses survive both reductions."""
+    adj = neighbour_sets(g)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if len(adj[v]) <= 1:
+                for w in adj[v]:
+                    adj[w].discard(v)
+                del adj[v]
+                changed = True
+    return adj
+
+
+def _connected_subsets(vertices, nbr_of, budget: SearchBudget):
+    """All connected vertex subsets as bitmasks over `vertices` positions.
+
+    Standard banned-set enumeration: the branch that includes a frontier
+    vertex runs first, after which that vertex is excluded from every later
+    sibling branch, so each connected set is produced exactly once.
+    """
+    n = len(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    nbr = [0] * n
+    for v in vertices:
+        mask = 0
+        for w in nbr_of[v]:
+            mask |= 1 << pos[w]
+        nbr[pos[v]] = mask
+    out = []
+
+    def grow(mask, nbhd, frontier, banned, allowed):
+        budget.spend()
+        out.append((mask, nbhd))
+        while frontier:
+            vbit = frontier & -frontier
+            v = vbit.bit_length() - 1
+            frontier &= ~vbit
+            new_mask = mask | vbit
+            child_frontier = ((frontier | (nbr[v] & allowed))
+                              & ~new_mask & ~banned)
+            grow(new_mask, nbhd | nbr[v], child_frontier, banned, allowed)
+            banned |= vbit
+
+    full = (1 << n) - 1
+    for s in range(n):
+        allowed = full & ~((1 << (s + 1)) - 1)
+        grow(1 << s, nbr[s], nbr[s] & allowed, 0, allowed)
+    return out, pos
+
+
+def _find_minor(adj, target, budget: SearchBudget):
+    """Complete branch-set search for a K5 or K3,3 model in a simple graph.
+
+    Blocks are drawn from the precomputed connected subsets; symmetric blocks
+    are forced into increasing minimum-vertex order and every required
+    adjacency is checked as soon as both endpoints are placed.
+    """
+    vertices = sorted(adj)
+    if target == "K5":
+        b = 5
+        place_order = [0, 1, 2, 3, 4]
+        required = {(i, j) for i in range(5) for j in range(i + 1, 5)}
+        chains = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    else:
+        b = 6
+        place_order = [0, 3, 1, 4, 2, 5]
+        required = {(i, j) for i in range(3) for j in range(3, 6)}
+        chains = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3)]
+    if len(vertices) < b:
+        return None
+    n = len(vertices)
+    subsets, pos = _connected_subsets(vertices, adj, budget)
+    # a model never needs a branch set so large that the other blocks cannot
+    # fit, nor one whose outside neighborhood is smaller than its degree in
+    # the target pattern
+    min_degree = b - 1 if target == "K5" else 3
+    subsets = [(mask, nbhd) for (mask, nbhd) in subsets
+               if bin(mask).count("1") <= n - b + 1
+               and bin(nbhd & ~mask).count("1") >= min_degree]
+    subsets.sort(key=lambda t: (bin(t[0]).count("1"), t[0]))
+    sizes = {mask: bin(mask).count("1") for mask, _ in subsets}
+    blocks = [None] * b
+
+    def low_bit(mask):
+        return (mask & -mask)
+
+    def place(step, used):
+        budget.spend()
+        if step == b:
+            return True
+        k = place_order[step]
+        placed = [place_order[i] for i in range(step)]
+        room = n - bin(used).count("1")
+        for mask, nbhd in subsets:
+            if mask & used:
+                continue
+            if sizes[mask] > room - (b - step - 1):
+                break  # sorted by size: everything later is too big as well
+            ok = True
+            for (lo, hi) in chains:
+                if hi == k and blocks[lo] is not None and not low_bit(mask) > low_bit(blocks[lo][0]):
+                    ok = False
+                    break
+                if lo == k and blocks[hi] is not None and not low_bit(blocks[hi][0]) > low_bit(mask):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            feasible = True
+            for other in placed:
+                pair = (min(other, k), max(other, k))
+                if pair in required and not (blocks[other][1] & mask):
+                    feasible = False
+                    break
+            if not feasible:
+                continue
+            blocks[k] = (mask, nbhd)
+            new_used = used | mask
+            # every placed block still needs one fresh vertex per unplaced
+            # required partner; partners are disjoint, so the free part of
+            # its neighborhood must be at least that large
+            for i in placed + [k]:
+                unplaced = sum(1 for j in range(b)
+                               if blocks[j] is None and j != i
+                               and (min(i, j), max(i, j)) in required)
+                if unplaced and bin(blocks[i][1] & ~new_used).count("1") < unplaced:
+                    feasible = False
+                    break
+            if feasible and place(step + 1, new_used):
+                return True
+            blocks[k] = None
+        return False
+
+    if place(0, 0):
+        # positions follow the sorted vertex order, so members come out sorted
+        sets = tuple(tuple(v for v in vertices if blocks[k][0] >> pos[v] & 1)
+                     for k in range(b))
+        return KuratowskiEvidence("K5" if target == "K5" else "K3,3", sets)
+    return None
+
+
+def kuratowski_oracle(g: MultiGraph, budget=10**6) -> PlanarityResult:
+    """Independent planarity ground truth by exhaustive K5/K3,3 minor search
+    on the simplified graph; sound in both directions when it completes."""
+    adj = _simplified_adjacency(g)
+    n_eff = len(adj)
+    m_eff = sum(len(s) for s in adj.values()) // 2
+    if n_eff <= 4 or m_eff <= 8:
+        return PlanarityResult(PLANAR, note="too small to contain a forbidden minor")
+    if n_eff > 13:
+        return PlanarityResult(UNKNOWN, note="simplified graph too large for the minor search")
+    counter = SearchBudget(budget)
+    try:
+        ev = _find_minor(adj, "K5", counter)
+        if ev is not None:
+            return PlanarityResult(NONPLANAR, evidence=ev)
+        ev = _find_minor(adj, "K33", counter)
+        if ev is not None:
+            return PlanarityResult(NONPLANAR, evidence=ev)
+        return PlanarityResult(PLANAR, note="minor searches exhausted")
+    except BudgetExceeded:
+        return PlanarityResult(UNKNOWN, note=f"minor search budget {budget} exhausted")
+
+
+def _gf2_cycle_space(g: MultiGraph):
+    """Bitmask basis of the binary cycle space (fundamental circuits)."""
+    f = maximal_forest(g)
+    o = Orientation.default(g)
+    basis = []
+    for e in f.cotree_edges:
+        vec = fundamental_circuit_vector(g, o, f, e)
+        mask = 0
+        for k, x in enumerate(vec):
+            if x % 2:
+                mask |= 1 << k
+        basis.append(mask)
+    return basis
+
+
+def _girth(g: MultiGraph):
+    """Shortest circuit length: 1 with a loop, 2 with parallels, else BFS."""
+    if any(u == v for u, v in g.edges):
+        return 1
+    seen = set()
+    for u, v in g.edges:
+        if (min(u, v), max(u, v)) in seen:
+            return 2
+        seen.add((min(u, v), max(u, v)))
+    adj = neighbour_sets(g)
+    best = None
+    for root in range(g.num_vertices):
+        dist = {root: 0}
+        parent = {root: None}
+        queue = [root]
+        while queue:
+            nxt = []
+            for x in queue:
+                for y in adj[x]:
+                    if y == parent[x]:
+                        continue
+                    if y in dist:
+                        cycle = dist[x] + dist[y] + 1
+                        if best is None or cycle < best:
+                            best = cycle
+                    else:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        nxt.append(y)
+            queue = nxt
+    return best
+
+
+def maclane_oracle(g: MultiGraph, budget=10**6):
+    """True/False/None: does the binary cycle space admit a basis in which
+    every edge appears at most twice?  None means the search gave up."""
+    basis = _gf2_cycle_space(g)
+    r = len(basis)
+    if r == 0:
+        return True
+    if r > 14:
+        return None
+    _, isthmuses = classify_edges(g)
+    non_isthmus = [e for e in range(g.num_edges) if e not in set(isthmuses)]
+    slots = 2 * len(non_isthmus)
+    girth = _girth(g)
+    if girth is not None and girth * (r + 1) > slots:
+        return False
+
+    # all nonzero cycle vectors, lightest first
+    vectors = []
+    for coeffs in range(1, 1 << r):
+        v = 0
+        c = coeffs
+        i = 0
+        while c:
+            if c & 1:
+                v ^= basis[i]
+            c >>= 1
+            i += 1
+        vectors.append(v)
+    vectors = sorted(set(vectors), key=lambda v: (bin(v).count("1"), v))
+    weights = [bin(v).count("1") for v in vectors]
+    counter = SearchBudget(budget)
+    counts = [0] * g.num_edges
+    echelon = {}  # pivot bit -> reduced vector
+
+    def reduce(v):
+        w = v
+        while w:
+            piv = w & -w
+            if piv not in echelon:
+                return w
+            w ^= echelon[piv]
+        return 0
+
+    def feasible_tail(depth, start):
+        remaining = r - depth
+        if remaining == 0:
+            return True
+        if start >= len(vectors):
+            return False
+        capacity = sum(2 - counts[e] for e in non_isthmus)
+        return weights[start] * remaining <= capacity
+
+    def search(depth, start):
+        counter.spend()
+        if depth == r:
+            # augmented element fixes parity; need every count in {1, 2}
+            return all(counts[e] in (1, 2) for e in non_isthmus)
+        for idx in range(start, len(vectors)):
+            v = vectors[idx]
+            if not feasible_tail(depth, idx):
+                return False
+            bad = False
+            vv = v
+            touched = []
+            while vv:
+                e = (vv & -vv).bit_length() - 1
+                vv &= vv - 1
+                counts[e] += 1
+                touched.append(e)
+                if counts[e] > 2:
+                    bad = True
+            if not bad:
+                w = reduce(v)
+                if w:
+                    piv = w & -w
+                    echelon[piv] = w
+                    if search(depth + 1, idx + 1):
+                        return True
+                    del echelon[piv]
+            for e in touched:
+                counts[e] -= 1
+        return False
+
+    try:
+        return search(0, 0)
+    except BudgetExceeded:
+        return None

@@ -125,7 +125,7 @@ def test_find_dual_nonplanar_exit(capsys, tmp_path):
 
 
 def test_exhausted_budget_exits_unknown(capsys, tmp_path):
-    # at budget 1 neither the descent nor the minor search can finish on K5
+    # at budget 1 the embedding cannot take its first steps on K5
     k5 = {"name": "K5", "num_vertices": 5,
           "edges": [[i, j] for i in range(5) for j in range(i + 1, 5)]}
     p = tmp_path / "k5.json"
@@ -208,6 +208,17 @@ def test_budget_env_override(files, capsys, monkeypatch):
     assert json.loads(out)["status"] == "budget_exceeded"
 
 
+def test_non_integer_budget_env_is_usage_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("LAPDUAL_BUDGET", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["laplacian", files["k3"]])
+    assert err.value.code == 64
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit flag still wins over the environment
+    code, _ = run(capsys, "laplacian", files["k3"], "--budget", "5")
+    assert code == 0
+
+
 def test_cli_config_drives_run(files, tmp_path):
     from lapdual.cli import CliConfig, run
     out = tmp_path / "out.json"
@@ -243,8 +254,7 @@ def test_json_round_trips():
 def test_emitted_objects_reparse_exactly():
     # the wire formats reconstruct the exact in-memory objects
     from lapdual import (decide_2_isomorphism_bruteforce, decide_congruence,
-                         decide_planarity, kuratowski_oracle,
-                         reduced_laplacian, smith_normal_form,
+                         decide_planarity, reduced_laplacian, smith_normal_form,
                          verify_abstract_dual)
     from lapdual.laplacians import laplacian, reduced_dual_laplacian
     from lapdual.serialization import (dual_pair_from_json,
@@ -277,7 +287,7 @@ def test_emitted_objects_reparse_exactly():
                                   res.certificate.edge_bijection)
     assert duality_report_from_json(to_jsonable(report)) == report
 
-    evidence = kuratowski_oracle(k5).evidence
+    evidence = nonplanar.evidence
     assert evidence_from_json(to_jsonable(evidence)) == evidence
 
 

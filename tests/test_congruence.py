@@ -1,7 +1,5 @@
-import contextlib
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +13,8 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
 from lapdual.congruence import _floor_sqrt_shifted, block_reduction_witness
 from lapdual.laplacians import ReductionSpec, reduced_dual_laplacian
 
-from conftest import random_connected_multigraph, random_unimodular
+from conftest import (random_connected_multigraph, random_unimodular,
+                      wall_clock_guard)
 
 
 def quadrupled(g):
@@ -128,22 +127,6 @@ def test_congruence_requires_symmetry():
     with pytest.raises(NotSymmetric):
         decide_congruence(IntMatrix.from_rows([[0, 1], [2, 0]]),
                           IntMatrix.identity(2))
-
-
-@contextlib.contextmanager
-def wall_clock_guard(seconds):
-    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
-
-    def alarm(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_congruence_of_relabelled_grid_returns():

@@ -6,13 +6,13 @@ from lapdual import (ForestCertificate, IntMatrix, MultiGraph, NonplanarInput,
                      Orientation, RowSumNonzero, ShapeMismatch, TraceTooLarge,
                      UnimodularWitness, classify_edges, construct_abstract_dual,
                      count_maximal_forests, decide_planarity, hnf_nonzero_part,
-                     incidence, kuratowski_oracle, lemma_center_recover,
-                     loopless_isomorphic, maclane_oracle, maximal_forest,
-                     superbase_matrix, superbase_trace_minimize,
+                     incidence, lemma_center_recover, loopless_isomorphic,
+                     maximal_forest, superbase_matrix, superbase_trace_minimize,
                      verify_abstract_dual, verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
 
 from conftest import cycle_graph, random_connected_multigraph
+from oracles import _connected_subsets, kuratowski_oracle, maclane_oracle
 
 
 def identity_witness(n):
@@ -241,7 +241,6 @@ def test_maclane_handles_loops_and_multi():
 
 def test_connected_subset_enumeration_matches_bruteforce():
     import itertools as it
-    from lapdual.duality import _connected_subsets
     from lapdual.graphs import SearchBudget
 
     rng = random.Random(0)
