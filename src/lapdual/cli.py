@@ -3,6 +3,9 @@
 Reads graph/matrix JSON, dispatches one subcommand, prints one JSON document
 (or DOT text) and exits with: 0 success or affirmative decision, 1 negative
 decision, 2 unknown (budget ran out), 64 usage error, 65 malformed input.
+
+Only `_dispatch` and `run` import library layers, and only those the
+subcommand runs, so `--help` and usage errors load none of them.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import sys
 
 from dataclasses import dataclass
 
-from . import congruence, duality, graphs, laplacians, serialization
-from .errors import (BudgetExceeded, CapExceeded, EmptyOrFullSet,
+from .errors import (PROPERTY_TAGS, BudgetExceeded, CapExceeded, EmptyOrFullSet,
                      InvalidReductionSpec, LapdualError, LoopCountMismatch,
                      MalformedInput, NotCotreeEdge, NotMaximalForest, NotSquare,
                      NotSymmetric, NotUnimodular, RowSumNonzero, ShapeMismatch,
@@ -94,27 +96,6 @@ def _load_json(path):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_graph(path):
-    return serialization.graph_from_json(_load_json(path))
-
-
-def _load_matrix(path):
-    return serialization.matrix_from_json(_load_json(path))
-
-
-def _forest_of(config, g):
-    if config.forest is None or config.forest == "auto":
-        return graphs.maximal_forest(g)
-    edges = _parse_index_tokens(config.forest, "e")
-    return graphs.ForestCertificate.from_forest(g, edges)
-
-
-def _spec_of(config, g):
-    if config.v0 is None or config.v0 == "auto":
-        return laplacians.default_reduction_spec(g)
-    return laplacians.ReductionSpec.of(_parse_index_tokens(config.v0, "v"))
-
-
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     # argparse runs a string default through `type` when the flag is absent,
@@ -164,7 +145,7 @@ def build_parser():
     p = sub.add_parser("verify-property", parents=[common],
                        help="check one Laplacian property tag")
     p.add_argument("tag", metavar="TAG",
-                   help="one of: " + ", ".join(laplacians.PROPERTY_TAGS))
+                   help="one of: " + ", ".join(PROPERTY_TAGS))
     p.add_argument("graph")
 
     graph_cmd("planarity", "certified planarity decision")
@@ -182,58 +163,75 @@ def build_parser():
     return parser
 
 
-def _decision(result):
-    return result, DECISION_EXITS[graphs.TRI_STATE[result.status]]
-
-
 def _dispatch(config: CliConfig):
-    """Returns (payload, exit_code); payload may be a raw string for DOT."""
+    """Returns (payload, exit_code); payload may be a raw string for DOT.
+
+    Reading an input loads serialization, which brings graphs, intmatrix and
+    laplacians; only the commands that run congruence or duality load them."""
+    from . import graphs, laplacians, serialization
+
+    def graph(i=0):
+        return serialization.graph_from_json(_load_json(config.inputs[i]))
+
+    def matrix(i=0):
+        return serialization.matrix_from_json(_load_json(config.inputs[i]))
+
+    def forest(g):
+        if config.forest is None or config.forest == "auto":
+            return graphs.maximal_forest(g)
+        edges = _parse_index_tokens(config.forest, "e")
+        return graphs.ForestCertificate.from_forest(g, edges)
+
+    def spec(g):
+        if config.v0 is None or config.v0 == "auto":
+            return laplacians.default_reduction_spec(g)
+        return laplacians.ReductionSpec.of(_parse_index_tokens(config.v0, "v"))
+
+    def decision(result):
+        return result, DECISION_EXITS[graphs.TRI_STATE[result.status]]
+
     cmd = config.command
     if cmd == "laplacian":
-        return laplacians.laplacian(_load_graph(config.inputs[0])), EXIT_OK
+        return laplacians.laplacian(graph()), EXIT_OK
     if cmd == "reduced-laplacian":
-        g = _load_graph(config.inputs[0])
-        return laplacians.reduced_laplacian(g, _spec_of(config, g)), EXIT_OK
+        g = graph()
+        return laplacians.reduced_laplacian(g, spec(g)), EXIT_OK
     if cmd == "incidence":
-        g = _load_graph(config.inputs[0])
+        g = graph()
         if config.v0 is None:
             return laplacians.incidence(g), EXIT_OK
-        return laplacians.reduced_incidence(g, None, _spec_of(config, g)), EXIT_OK
+        return laplacians.reduced_incidence(g, None, spec(g)), EXIT_OK
     if cmd == "cut-block":
-        g = _load_graph(config.inputs[0])
-        return laplacians.cut_block(g, None, _forest_of(config, g),
-                                    _spec_of(config, g)), EXIT_OK
+        g = graph()
+        return laplacians.cut_block(g, None, forest(g), spec(g)), EXIT_OK
     if cmd == "flow-matrix":
-        g = _load_graph(config.inputs[0])
-        return laplacians.flow_matrix(g, None, _forest_of(config, g),
-                                      _spec_of(config, g)), EXIT_OK
+        g = graph()
+        return laplacians.flow_matrix(g, None, forest(g), spec(g)), EXIT_OK
     if cmd == "dual-laplacian":
-        g = _load_graph(config.inputs[0])
-        pair = laplacians.reduced_dual_laplacian(g, None, _forest_of(config, g),
-                                                 _spec_of(config, g))
-        return pair, EXIT_OK
+        g = graph()
+        return laplacians.reduced_dual_laplacian(g, None, forest(g), spec(g)), EXIT_OK
     if cmd == "snf":
         from .intmatrix import smith_normal_form
-        return smith_normal_form(_load_matrix(config.inputs[0])), EXIT_OK
+        return smith_normal_form(matrix()), EXIT_OK
     if cmd == "check-congruence":
-        return _decision(congruence.decide_congruence(_load_matrix(config.inputs[0]),
-                                                      _load_matrix(config.inputs[1]),
-                                                      config.budget))
+        from . import congruence
+        return decision(congruence.decide_congruence(matrix(0), matrix(1), config.budget))
     if cmd == "check-2iso":
-        return _decision(graphs.decide_2_isomorphism_bruteforce(
-            _load_graph(config.inputs[0]), _load_graph(config.inputs[1]), config.budget))
+        return decision(graphs.decide_2_isomorphism_bruteforce(graph(0), graph(1),
+                                                               config.budget))
     if cmd == "verify-property":
-        report = laplacians.verify_property(_load_graph(config.inputs[0]), config.tag)
+        report = laplacians.verify_property(graph(), config.tag)
         return report, EXIT_OK if report.passed else EXIT_NEGATIVE
     if cmd == "planarity":
-        return _decision(duality.decide_planarity(_load_graph(config.inputs[0]),
-                                                  config.budget, config.seed))
+        from . import duality
+        return decision(duality.decide_planarity(graph(), config.budget, config.seed))
     if cmd == "find-dual":
-        return duality.construct_abstract_dual(_load_graph(config.inputs[0]),
-                                               config.budget, config.seed), EXIT_OK
+        from . import duality
+        return duality.construct_abstract_dual(graph(), config.budget, config.seed), EXIT_OK
     if cmd == "verify-dual":
-        g1 = _load_graph(config.inputs[0])
-        g2 = _load_graph(config.inputs[1])
+        from . import duality
+        g1 = graph(0)
+        g2 = graph(1)
         if config.beta == "identity":
             beta = tuple(range(g1.num_edges))
         else:
@@ -241,7 +239,7 @@ def _dispatch(config: CliConfig):
         report = duality.verify_abstract_dual(g1, g2, beta)
         return report, EXIT_OK if report.ok else EXIT_NEGATIVE
     if cmd == "emit-dot":
-        return serialization.emit_dot(_load_graph(config.inputs[0])), EXIT_OK
+        return serialization.emit_dot(graph()), EXIT_OK
     raise AssertionError(f"unhandled command {cmd}")
 
 
@@ -278,6 +276,8 @@ def config_from_args(args) -> CliConfig:
 
 def run(config: CliConfig) -> int:
     """Execute one configured invocation; returns the process exit code."""
+    from . import serialization
+
     try:
         payload, code = _dispatch(config)
     except (ValueError, LapdualError) as exc:

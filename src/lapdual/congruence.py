@@ -401,12 +401,18 @@ class _SignedUnionFind:
         self.sign = [1] * n  # sign relative to parent
 
     def find(self, x):
-        if self.parent[x] == x:
-            return x, 1
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
+        """(root, sign of x relative to it); compresses the path walked, so
+        a chain of any length needs no recursion."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        s = 1
+        for y in reversed(path):  # nearest the root first
+            s *= self.sign[y]
+            self.sign[y] = s
+            self.parent[y] = x
+        return x, s
 
     def relate(self, x, y, s):
         """Impose sign(x) = s * sign(y); returns False on contradiction."""

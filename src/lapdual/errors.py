@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the property tags that
+UnknownTag guards, kept here so the CLI help can list them without loading a
+layer."""
 
 
 class LapdualError(Exception):
@@ -51,6 +53,11 @@ class BudgetExceeded(LapdualError):
 
 class UnknownTag(LapdualError):
     pass
+
+
+# the tags `laplacians.verify_property` accepts
+PROPERTY_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI",
+                 "I*", "II*", "IV*", "V*", "VI*", "VII*", "VIII*", "IX*")
 
 
 class LoopCountMismatch(LapdualError):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (CapExceeded, InvalidReductionSpec, NotMaximalForest,
-                     NotUnimodular, UnknownTag)
+from .errors import (PROPERTY_TAGS, CapExceeded, InvalidReductionSpec,
+                     NotMaximalForest, NotUnimodular, UnknownTag)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, classify_edges,
                      components, count_maximal_forests, enumerate_maximal_forests,
                      is_maximal_forest, maximal_forest)
@@ -257,10 +257,6 @@ class PropertyReport:
     tag: str
     passed: bool
     details: dict
-
-
-PROPERTY_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI",
-                 "I*", "II*", "IV*", "V*", "VI*", "VII*", "VIII*", "IX*")
 
 
 def _append_edges(g, extra):

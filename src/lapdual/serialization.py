@@ -11,14 +11,11 @@ import functools
 import json
 from dataclasses import is_dataclass
 
-from .congruence import CongruenceVerdict, PropertyXReport
-from .duality import (DualCertificate, DualityReport, KuratowskiEvidence,
-                      PlanarityResult, SuperbaseState)
 from .errors import MalformedInput
 from .graphs import (ForestCertificate, MultiGraph, Orientation,
                      TwoIsomorphismResult)
 from .intmatrix import IntMatrix, SnfResult, UnimodularWitness
-from .laplacians import DualLaplacianPair, PropertyReport, ReductionSpec
+from .laplacians import DualLaplacianPair, ReductionSpec
 
 
 def _reader(what):
@@ -90,6 +87,7 @@ def snf_from_json(obj) -> SnfResult:
 
 @_reader("verdict")
 def verdict_from_json(obj) -> CongruenceVerdict:
+    from .congruence import CongruenceVerdict
     sep = obj.get("separating_invariant")
     if sep is not None:
         left = sep["left"]
@@ -118,6 +116,7 @@ def two_iso_from_json(obj) -> TwoIsomorphismResult:
 
 @_reader("minor-evidence")
 def evidence_from_json(obj) -> KuratowskiEvidence:
+    from .duality import KuratowskiEvidence
     return KuratowskiEvidence(
         kind=obj["kind"],
         branch_sets=tuple(tuple(int(v) for v in s) for s in obj["branch_sets"]))
@@ -127,6 +126,7 @@ def evidence_from_json(obj) -> KuratowskiEvidence:
 def certificate_from_json(obj) -> DualCertificate:
     """Rebuild a dual certificate; the dual orientation is always the default
     orientation of the serialized dual graph."""
+    from .duality import DualCertificate
     dual = graph_from_json(obj["dual_graph"])
     lap = obj.get("laplacian_witness")
     return DualCertificate(
@@ -143,6 +143,7 @@ def certificate_from_json(obj) -> DualCertificate:
 
 @_reader("planarity")
 def planarity_from_json(obj) -> PlanarityResult:
+    from .duality import PlanarityResult
     cert = obj.get("certificate")
     ev = obj.get("evidence")
     best = obj.get("best_trace")
@@ -156,6 +157,7 @@ def planarity_from_json(obj) -> PlanarityResult:
 
 @_reader("duality-report")
 def duality_report_from_json(obj) -> DualityReport:
+    from .duality import DualityReport
     return DualityReport(ok=bool(obj["ok"]),
                          forest_size_identity=bool(obj["forest_size_identity"]),
                          complement_bijection=bool(obj["complement_bijection"]),
@@ -170,84 +172,89 @@ def dual_pair_from_json(obj) -> DualLaplacianPair:
                              gram_base=matrix_from_json(obj["gram_base"]))
 
 
+def _verdict_json(v):
+    sep = v.separating_invariant
+    return {"status": v.status,
+            "witness": matrix_to_json(v.witness.u) if v.witness else None,
+            "separating_invariant": None if sep is None else
+            {"name": sep[0], "left": to_jsonable(sep[1]), "right": to_jsonable(sep[2])},
+            "note": v.note}
+
+
+def _certificate_json(c):
+    return {"dual_graph": graph_to_json(c.dual_graph),
+            "witness_z": matrix_to_json(c.witness_z.u),
+            "beta": list(c.edge_bijection),
+            "trace": c.trace,
+            "core_edges": list(c.core_edges),
+            "core_forest": to_jsonable(c.core_forest),
+            "core_v0": to_jsonable(c.core_v0),
+            "laplacian_witness": matrix_to_json(c.laplacian_witness.u)
+            if c.laplacian_witness else None}
+
+
+def _property_x_json(r):
+    return {"cond1": to_jsonable(r.cond1_reduced_congruence),
+            "cond2": {"status": r.cond2_strict_reduced.status},
+            "cond3": {"status": r.cond3_loose_unreduced.status},
+            "cond4": to_jsonable(r.cond4_two_isomorphism),
+            "consistent": r.consistent,
+            "constructive_ok": r.constructive.get("ok"),
+            "unreduced_agree": r.unreduced_proposition.get("agree")}
+
+
+# wire form of each result class, by class name: the congruence and duality
+# classes are matched without importing their layers, which a value of such a
+# class has loaded already
+_TO_JSON = {
+    "IntMatrix": matrix_to_json,
+    "UnimodularWitness": lambda w: matrix_to_json(w.u),
+    "MultiGraph": graph_to_json,
+    "Orientation": lambda o: [bool(b) for b in o.reversed],
+    "ForestCertificate": lambda f: {"forest_edges": list(f.forest_edges),
+                                    "cotree_edges": list(f.cotree_edges)},
+    "ReductionSpec": lambda spec: list(spec.v0),
+    "SnfResult": lambda r: {"diag": [str(d) for d in r.diag],
+                            "left": matrix_to_json(r.left.u),
+                            "right": matrix_to_json(r.right.u)},
+    "CongruenceVerdict": _verdict_json,
+    "TwoIsomorphismResult": lambda r: {"status": r.status,
+                                       "bijection": list(r.bijection) if r.bijection else None,
+                                       "reason": r.reason, "nodes_used": r.nodes_used},
+    "KuratowskiEvidence": lambda ev: {"kind": ev.kind,
+                                      "branch_sets": [list(s) for s in ev.branch_sets]},
+    "DualCertificate": _certificate_json,
+    "PlanarityResult": lambda r: {"status": r.status,
+                                  "certificate": to_jsonable(r.certificate),
+                                  "evidence": to_jsonable(r.evidence),
+                                  "best_trace": r.best_trace,
+                                  "note": r.note},
+    "SuperbaseState": lambda st: {"f_hat": matrix_to_json(st.f_hat),
+                                  "gram": matrix_to_json(st.gram),
+                                  "trace": st.trace,
+                                  "move_log": [list(mv) for mv in st.move_log],
+                                  "budget_exhausted": st.budget_exhausted},
+    "DualLaplacianPair": lambda p: {"reduced": matrix_to_json(p.reduced),
+                                    "unreduced": matrix_to_json(p.unreduced),
+                                    "witness": matrix_to_json(p.witness.u),
+                                    "gram_base": matrix_to_json(p.gram_base)},
+    "PropertyReport": lambda r: {"tag": r.tag, "passed": r.passed,
+                                 "details": {k: to_jsonable(v) for k, v in r.details.items()}},
+    "PropertyXReport": _property_x_json,
+    "DualityReport": lambda r: {"ok": r.ok,
+                                "forest_size_identity": r.forest_size_identity,
+                                "complement_bijection": r.complement_bijection,
+                                "forest_counts": list(r.forest_counts)},
+}
+
+
 def to_jsonable(value):
     """Best-effort conversion of result objects into JSON-ready structures."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, IntMatrix):
-        return matrix_to_json(value)
-    if isinstance(value, UnimodularWitness):
-        return matrix_to_json(value.u)
-    if isinstance(value, MultiGraph):
-        return graph_to_json(value)
-    if isinstance(value, Orientation):
-        return [bool(b) for b in value.reversed]
-    if isinstance(value, ForestCertificate):
-        return {"forest_edges": list(value.forest_edges),
-                "cotree_edges": list(value.cotree_edges)}
-    if isinstance(value, ReductionSpec):
-        return list(value.v0)
-    if isinstance(value, SnfResult):
-        return {"diag": [str(d) for d in value.diag],
-                "left": matrix_to_json(value.left.u),
-                "right": matrix_to_json(value.right.u)}
-    if isinstance(value, CongruenceVerdict):
-        sep = value.separating_invariant
-        return {"status": value.status,
-                "witness": matrix_to_json(value.witness.u) if value.witness else None,
-                "separating_invariant": None if sep is None else
-                {"name": sep[0], "left": to_jsonable(sep[1]), "right": to_jsonable(sep[2])},
-                "note": value.note}
-    if isinstance(value, TwoIsomorphismResult):
-        return {"status": value.status,
-                "bijection": list(value.bijection) if value.bijection else None,
-                "reason": value.reason, "nodes_used": value.nodes_used}
-    if isinstance(value, KuratowskiEvidence):
-        return {"kind": value.kind,
-                "branch_sets": [list(s) for s in value.branch_sets]}
-    if isinstance(value, DualCertificate):
-        return {"dual_graph": graph_to_json(value.dual_graph),
-                "witness_z": matrix_to_json(value.witness_z.u),
-                "beta": list(value.edge_bijection),
-                "trace": value.trace,
-                "core_edges": list(value.core_edges),
-                "core_forest": to_jsonable(value.core_forest),
-                "core_v0": to_jsonable(value.core_v0),
-                "laplacian_witness": matrix_to_json(value.laplacian_witness.u)
-                if value.laplacian_witness else None}
-    if isinstance(value, PlanarityResult):
-        return {"status": value.status,
-                "certificate": to_jsonable(value.certificate),
-                "evidence": to_jsonable(value.evidence),
-                "best_trace": value.best_trace,
-                "note": value.note}
-    if isinstance(value, SuperbaseState):
-        return {"f_hat": matrix_to_json(value.f_hat),
-                "gram": matrix_to_json(value.gram),
-                "trace": value.trace,
-                "move_log": [list(mv) for mv in value.move_log],
-                "budget_exhausted": value.budget_exhausted}
-    if isinstance(value, DualLaplacianPair):
-        return {"reduced": matrix_to_json(value.reduced),
-                "unreduced": matrix_to_json(value.unreduced),
-                "witness": matrix_to_json(value.witness.u),
-                "gram_base": matrix_to_json(value.gram_base)}
-    if isinstance(value, (PropertyReport,)):
-        return {"tag": value.tag, "passed": value.passed,
-                "details": {k: to_jsonable(v) for k, v in value.details.items()}}
-    if isinstance(value, PropertyXReport):
-        return {"cond1": to_jsonable(value.cond1_reduced_congruence),
-                "cond2": {"status": value.cond2_strict_reduced.status},
-                "cond3": {"status": value.cond3_loose_unreduced.status},
-                "cond4": to_jsonable(value.cond4_two_isomorphism),
-                "consistent": value.consistent,
-                "constructive_ok": value.constructive.get("ok"),
-                "unreduced_agree": value.unreduced_proposition.get("agree")}
-    if isinstance(value, DualityReport):
-        return {"ok": value.ok,
-                "forest_size_identity": value.forest_size_identity,
-                "complement_bijection": value.complement_bijection,
-                "forest_counts": list(value.forest_counts)}
+    convert = _TO_JSON.get(type(value).__name__)
+    if convert is not None:
+        return convert(value)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

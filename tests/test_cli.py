@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -295,3 +296,18 @@ def test_emitted_graph_json_reparses(files, capsys):
     code, out = run(capsys, "find-dual", files["ex2"])
     dual = graph_from_json(json.loads(out)["dual_graph"])
     assert dual.num_edges == 9
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [(["--help"], "help.txt"),
+                                          (["verify-property", "--help"],
+                                           "verify_property_help.txt")])
+def test_help_text_matches_golden(argv, golden, capsys, monkeypatch):
+    # argparse wraps help at the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

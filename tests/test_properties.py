@@ -22,6 +22,7 @@ from lapdual import (IntMatrix, MultiGraph, Orientation, UnimodularWitness,
                      verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, cut_block, flow_gram, flow_matrix
 
+from conftest import wall_clock_guard
 from oracles import kuratowski_oracle, maclane_oracle
 
 EXECUTED = Counter()
@@ -328,17 +329,25 @@ def test_loop_and_isthmus_insertion_invariance(g):
 # ---------------------------------------------------------------- congruence
 
 @prop_settings("test_congruence_verdicts_replay")
-@given(data=st.data(), g=multigraphs(max_n=4, max_m=6))
+@given(data=st.data(), g=multigraphs(max_n=6, max_m=10))
 def test_congruence_verdicts_replay(data, g):
     EXECUTED["test_congruence_verdicts_replay"] += 1
     a = reduced_laplacian(g)
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(("unimodular", "relabelled", "independent")))
+    if kind == "unimodular":
         u = data.draw(unimodular(a.rows))
         b = u.mul(a).mul(u.transpose())
+    elif kind == "relabelled":
+        perm = data.draw(st.permutations(range(g.num_vertices)))
+        b = reduced_laplacian(permute_vertices(g, perm))
     else:
-        h = data.draw(multigraphs(max_n=4, max_m=6))
+        h = data.draw(multigraphs(max_n=6, max_m=10))
         b = reduced_laplacian(h)
-    verdict = decide_congruence(a, b, budget=10**5)
+    # a hang in the search must fail the test, not stall the suite
+    with wall_clock_guard(20):
+        verdict = decide_congruence(a, b, budget=10**5)
+    if kind != "independent":
+        assert verdict.status != "not_congruent"
     if verdict.status == "congruent":
         w = verdict.witness.u
         assert w.mul(a).mul(w.transpose()) == b
