@@ -149,20 +149,14 @@ def is_maximal_forest(g: MultiGraph, edge_set) -> bool:
     return len(set(edge_set)) == g.num_vertices - component_count(g)
 
 
-def enumerate_maximal_forests(g: MultiGraph, cap=100000):
-    """All maximal forests, lexicographic by edge-index set.
-
-    Intended for desk scale; raises CapExceeded past `cap` results.
-    """
+def iter_maximal_forests(g: MultiGraph):
+    """Yield every maximal forest, lexicographic by edge-index set."""
     target = g.num_vertices - component_count(g)
     non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
-    results = []
 
     def extend(start, uf, chosen):
         if len(chosen) == target:
-            results.append(ForestCertificate.from_forest(g, chosen))
-            if len(results) > cap:
-                raise CapExceeded(f"more than {cap} maximal forests")
+            yield ForestCertificate.from_forest(g, chosen)
             return
         remaining = target - len(chosen)
         for idx in range(start, len(non_loops)):
@@ -175,10 +169,20 @@ def enumerate_maximal_forests(g: MultiGraph, cap=100000):
                 child.parent = uf.parent.copy()
                 child.union(u, v)
                 chosen.append(e)
-                extend(idx + 1, child, chosen)
+                yield from extend(idx + 1, child, chosen)
                 chosen.pop()
 
-    extend(0, _UnionFind(g.num_vertices), [])
+    return extend(0, _UnionFind(g.num_vertices), [])
+
+
+def enumerate_maximal_forests(g: MultiGraph, cap=100000):
+    """All maximal forests, lexicographic by edge-index set.
+
+    Intended for desk scale; raises CapExceeded past `cap` results.
+    """
+    results = list(itertools.islice(iter_maximal_forests(g), cap + 1))
+    if len(results) > cap:
+        raise CapExceeded(f"more than {cap} maximal forests")
     return results
 
 

@@ -2,7 +2,9 @@
 
 Column permutations are never materialized: every edge-indexed matrix keeps
 its columns in ascending edge order, and block formulas are assembled by
-writing each column into its edge position directly.
+writing each column into its edge position directly.  The flow matrix is
+read off the forest, one fundamental circuit per cotree edge, and the cut
+block is its forest columns transposed; nothing inverts the forest block.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from dataclasses import dataclass
 
 from .errors import (PROPERTY_TAGS, CapExceeded, InvalidReductionSpec,
                      NotMaximalForest, NotUnimodular, UnknownTag)
-from .graphs import (ForestCertificate, MultiGraph, Orientation, classify_edges,
-                     components, count_maximal_forests, enumerate_maximal_forests,
-                     is_maximal_forest, maximal_forest)
-from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss, inverse_unimodular
+from .graphs import (ForestCertificate, MultiGraph, Orientation, adjacency,
+                     circuit_through, classify_edges, components,
+                     count_maximal_forests, is_maximal_forest,
+                     iter_maximal_forests, maximal_forest)
+from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,13 @@ def _require_maximal_forest(g, f):
         raise NotMaximalForest("forest and cotree do not partition the edge set")
 
 
-def cut_block(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
-              spec: ReductionSpec = None) -> IntMatrix:
-    """Fundamental-cut block: rows indexed by forest edges, columns by cotree
-    edges, both ascending; the inverse reduced forest incidence applied to the
-    cotree columns."""
+def flow_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
+                spec: ReductionSpec = None) -> IntMatrix:
+    """Fundamental-circuit matrix: one row per cotree edge (ascending), with
+    -1 in its own column and its signed forest path in the forest columns.
+
+    Each row is read off one walk of the forest.  `spec` is validated but
+    changes nothing: the rows lie in the kernel of every reduced incidence."""
     if o is None:
         o = Orientation.default(g)
     if f is None:
@@ -109,31 +114,21 @@ def cut_block(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
     if spec is None:
         spec = default_reduction_spec(g)
     _require_maximal_forest(g, f)
-    n_red = incidence(g, o)
     spec.validate(g)
-    kept = spec.kept_vertices(g)
-    forest_cols = n_red.submatrix(kept, f.forest_edges)
-    cotree_cols = n_red.submatrix(kept, f.cotree_edges)
-    return inverse_unimodular(forest_cols).mul(cotree_cols)
+    adj = adjacency(g, f.forest_edges)
+    return IntMatrix.from_rows((circuit_through(g, o, e, adj) for e in f.cotree_edges),
+                               cols=g.num_edges)
 
 
-def flow_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
-                spec: ReductionSpec = None) -> IntMatrix:
-    """Fundamental-circuit matrix: one row per cotree edge (ascending), with
-    -1 in its own column and the transposed cut block in the forest columns."""
-    if o is None:
-        o = Orientation.default(g)
+def cut_block(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
+              spec: ReductionSpec = None) -> IntMatrix:
+    """Fundamental-cut block C: rows indexed by forest edges, columns by cotree
+    edges, both ascending; the flow matrix's forest columns, transposed.  The
+    reduced incidence's forest columns times C are its cotree columns."""
     if f is None:
         f = maximal_forest(g)
-    c = cut_block(g, o, f, spec)
-    rows = []
-    for j, e in enumerate(f.cotree_edges):
-        row = [0] * g.num_edges
-        row[e] = -1
-        for i, k in enumerate(f.forest_edges):
-            row[k] = c.data[i][j]
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=g.num_edges)
+    fm = flow_matrix(g, o, f, spec)
+    return fm.submatrix(range(fm.rows), f.forest_edges).transpose()
 
 
 def superbase_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
@@ -264,8 +259,8 @@ def _append_edges(g, extra):
 
 
 def _second_forest(g):
-    forests = enumerate_maximal_forests(g, cap=4096)
-    return forests[1] if len(forests) > 1 else forests[0]
+    forests = list(itertools.islice(iter_maximal_forests(g), 2))
+    return forests[-1]
 
 
 def _alternate_spec(g):

@@ -272,6 +272,12 @@ def test_verify_property_on_awkward_graphs():
             assert verify_property(g, tag).passed, (g.edges, tag)
 
 
+@pytest.mark.parametrize("tag", ["VIII*", "IX*"])
+def test_forest_change_properties_on_k7(tag):
+    # K7 has 16,807 maximal forests; only the first two are needed
+    assert verify_property(complete_graph(7), tag).passed
+
+
 def test_verify_property_unknown_tag(k3):
     with pytest.raises(UnknownTag):
         verify_property(k3, "III*")

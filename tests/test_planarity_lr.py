@@ -189,6 +189,17 @@ def test_large_inputs_stay_below_the_recursion_limit():
     assert verify_kuratowski_evidence(crossing, result.evidence)
 
 
+def test_nested_chords_get_a_certificate():
+    # the certificate must cost far less than a cubic pass over the
+    # 399 × 399 forest block, which alone overruns the guard
+    n = 400
+    g = cycle_with_chords(n, [(i, n - 1 - i) for i in range(1, 40)])
+    with wall_clock_guard(10):
+        result = decide_planarity(g)
+        assert result.status == "planar"
+        assert result.certificate.replay_core(g)
+
+
 @pytest.mark.parametrize("budget", [0, 1, 20])
 def test_small_budget_gives_unknown(k5, budget):
     result = decide_planarity(k5, budget=budget)

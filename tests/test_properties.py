@@ -240,20 +240,21 @@ def test_incidence_forest_factorization(data, pair):
     EXECUTED["test_incidence_forest_factorization"] += 1
     g, o = pair
     spec = random_spec(g, data.draw(st.booleans()))
-    f = maximal_forest(g)
     n_red = reduced_incidence(g, o, spec)
-    forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
-    c = cut_block(g, o, f, spec)
-    # the forest block times (identity | cut block) rebuilds every column
-    rebuilt = [[0] * g.num_edges for _ in range(n_red.rows)]
-    for i, e in enumerate(f.forest_edges):
-        for v in range(n_red.rows):
-            rebuilt[v][e] = forest_block.data[v][i]
-    for j, e in enumerate(f.cotree_edges):
-        for v in range(n_red.rows):
-            rebuilt[v][e] = sum(forest_block.data[v][i] * c.data[i][j]
-                                for i in range(c.rows))
-    assert IntMatrix.from_rows(rebuilt, cols=g.num_edges) == n_red
+    any_forest = data.draw(st.sampled_from(enumerate_maximal_forests(g, cap=4096)))
+    for f in (maximal_forest(g), any_forest):
+        forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
+        c = cut_block(g, o, f, spec)
+        # the forest block times (identity | cut block) rebuilds every column
+        rebuilt = [[0] * g.num_edges for _ in range(n_red.rows)]
+        for i, e in enumerate(f.forest_edges):
+            for v in range(n_red.rows):
+                rebuilt[v][e] = forest_block.data[v][i]
+        for j, e in enumerate(f.cotree_edges):
+            for v in range(n_red.rows):
+                rebuilt[v][e] = sum(forest_block.data[v][i] * c.data[i][j]
+                                    for i in range(c.rows))
+        assert IntMatrix.from_rows(rebuilt, cols=g.num_edges) == n_red, f
 
 
 @prop_settings("test_flow_rows_circuits_and_orthogonality")
