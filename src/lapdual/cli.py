@@ -166,9 +166,10 @@ def build_parser():
 def _dispatch(config: CliConfig):
     """Returns (payload, exit_code); payload may be a raw string for DOT.
 
-    Reading an input loads serialization, which brings graphs, intmatrix and
-    laplacians; only the commands that run congruence or duality load them."""
-    from . import graphs, laplacians, serialization
+    Reading an input loads serialization and graphs, which is all emit-dot
+    and check-2iso run.  Every other command loads laplacians and intmatrix;
+    only the commands that run congruence or duality load those layers."""
+    from . import graphs, serialization
 
     def graph(i=0):
         return serialization.graph_from_json(_load_json(config.inputs[i]))
@@ -191,6 +192,13 @@ def _dispatch(config: CliConfig):
         return result, DECISION_EXITS[graphs.TRI_STATE[result.status]]
 
     cmd = config.command
+    if cmd == "emit-dot":
+        return serialization.emit_dot(graph()), EXIT_OK
+    if cmd == "check-2iso":
+        return decision(graphs.decide_2_isomorphism_bruteforce(graph(0), graph(1),
+                                                               config.budget))
+    from . import laplacians
+
     if cmd == "laplacian":
         return laplacians.laplacian(graph()), EXIT_OK
     if cmd == "reduced-laplacian":
@@ -216,9 +224,6 @@ def _dispatch(config: CliConfig):
     if cmd == "check-congruence":
         from . import congruence
         return decision(congruence.decide_congruence(matrix(0), matrix(1), config.budget))
-    if cmd == "check-2iso":
-        return decision(graphs.decide_2_isomorphism_bruteforce(graph(0), graph(1),
-                                                               config.budget))
     if cmd == "verify-property":
         report = laplacians.verify_property(graph(), config.tag)
         return report, EXIT_OK if report.passed else EXIT_NEGATIVE
@@ -238,8 +243,6 @@ def _dispatch(config: CliConfig):
             beta = tuple(_parse_index_tokens(config.beta, "e"))
         report = duality.verify_abstract_dual(g1, g2, beta)
         return report, EXIT_OK if report.ok else EXIT_NEGATIVE
-    if cmd == "emit-dot":
-        return serialization.emit_dot(graph()), EXIT_OK
     raise AssertionError(f"unhandled command {cmd}")
 
 
@@ -263,7 +266,7 @@ def config_from_args(args) -> CliConfig:
     names = _POSITIONALS.get(args.command, ("graph",))
     return CliConfig(
         command=args.command,
-        inputs=tuple(getattr(args, name) for name in names),
+        inputs=tuple([getattr(args, name) for name in names]),
         budget=args.budget,
         seed=args.seed,
         forest=getattr(args, "forest", None),

@@ -112,27 +112,33 @@ def short_vectors(a: IntMatrix, bound: int, budget: SearchBudget):
         return []
     lower, d = _ldl(a)
     out = []
-    coords = [0] * n
-
-    def recurse(k, remaining):
-        budget.spend()
-        if k < 0:
-            if any(coords):
-                out.append(tuple(coords))
-            return
-        c = sum(lower[j][k] * coords[j] for j in range(k + 1, n))
-        if d[k] == 0:
-            return
-        t = remaining / d[k]
-        hi = _floor_sqrt_shifted(t, c)
-        lo = -_floor_sqrt_shifted(t, -c)
-        for x in range(lo, hi + 1):
-            coords[k] = x
-            recurse(k - 1, remaining - d[k] * (x + c) * (x + c))
-        coords[k] = 0
-
-    recurse(n - 1, Fraction(bound))
+    _short_vectors_from(n - 1, Fraction(bound), lower, d, [0] * n, out, budget)
     return out
+
+
+def _short_vectors_from(k, remaining, lower, d, coords, out, budget):
+    """Fix coords[k] and, recursively, the coordinates below it, appending
+    each nonzero vector that fits in `remaining` to `out`.
+
+    A module-level function, not a closure: a closure calling itself refers
+    to itself through its own cell, and that cycle would keep every vector
+    alive until the cyclic collector runs."""
+    budget.spend()
+    if k < 0:
+        if any(coords):
+            out.append(tuple(coords))
+        return
+    c = sum(lower[j][k] * coords[j] for j in range(k + 1, len(coords)))
+    if d[k] == 0:
+        return
+    t = remaining / d[k]
+    hi = _floor_sqrt_shifted(t, c)
+    lo = -_floor_sqrt_shifted(t, -c)
+    for x in range(lo, hi + 1):
+        coords[k] = x
+        _short_vectors_from(k - 1, remaining - d[k] * (x + c) * (x + c),
+                            lower, d, coords, out, budget)
+    coords[k] = 0
 
 
 def gram_length_reduce(a: IntMatrix):
@@ -178,29 +184,33 @@ def _pd_isometry(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
     a_rows = [list(row) for row in a.data]
     for v in vectors:
         budget.spend()
-        image = tuple(sum(a_rows[i][k] * v[k] for k in range(r)) for i in range(r))
+        image = tuple([sum(a_rows[i][k] * v[k] for k in range(r)) for i in range(r)])
         gram_cache[v] = image
         q = sum(v[i] * image[i] for i in range(r))
         by_norm.setdefault(q, []).append(v)
 
     chosen = []
-
-    def backtrack(i):
-        budget.spend()
-        if i == r:
-            return True
-        for v in by_norm.get(b.data[i][i], ()):
-            if all(sum(u[k] * gram_cache[v][k] for k in range(r)) == b.data[i][j]
-                   for j, u in enumerate(chosen)):
-                chosen.append(v)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if backtrack(0):
+    if _extend_isometry(0, chosen, b, by_norm, gram_cache, budget):
         return IntMatrix.from_rows(chosen, cols=r)
     return None
+
+
+def _extend_isometry(i, chosen, b, by_norm, gram_cache, budget):
+    """Extend the images `chosen` of rows 0..i-1 to all of b's rows; False
+    when no extension exists.  Module level for the reason _short_vectors_from
+    is."""
+    budget.spend()
+    r = b.rows
+    if i == r:
+        return True
+    for v in by_norm.get(b.data[i][i], ()):
+        if all(sum(u[k] * gram_cache[v][k] for k in range(r)) == b.data[i][j]
+               for j, u in enumerate(chosen)):
+            chosen.append(v)
+            if _extend_isometry(i + 1, chosen, b, by_norm, gram_cache, budget):
+                return True
+            chosen.pop()
+    return False
 
 
 def _psd_kernel_split(a: IntMatrix):
@@ -244,7 +254,7 @@ def _apply_move(m, move):
         rows[i], rows[j] = rows[j], rows[i]
         for r in rows:
             r[i], r[j] = r[j], r[i]
-    return tuple(tuple(r) for r in rows)
+    return tuple([tuple(r) for r in rows])
 
 
 def _move_matrix(move, n):
@@ -454,7 +464,7 @@ def _resolve_orientation_signs(g1, g2, beta):
                 return None
             if not uf.relate(y, anchor, w[y] // val):
                 return None
-    return tuple(uf.value(y) for y in range(m))
+    return tuple([uf.value(y) for y in range(m)])
 
 
 def _apply_beta_and_signs(matrix: IntMatrix, beta, signs) -> IntMatrix:
@@ -484,9 +494,9 @@ class PropertyXReport:
     unreduced_proposition: dict
 
     def condition_statuses(self):
-        return tuple(TRI_STATE[c.status] for c in (
+        return tuple([TRI_STATE[c.status] for c in (
             self.cond1_reduced_congruence, self.cond2_strict_reduced,
-            self.cond3_loose_unreduced, self.cond4_two_isomorphism))
+            self.cond3_loose_unreduced, self.cond4_two_isomorphism)])
 
 
 def _search_row_equivalent_beta(g1, g2, budget):
@@ -525,7 +535,8 @@ def _search_row_equivalent_beta(g1, g2, budget):
 def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     """Replay the constructive direction: from a congruence witness between the
     reduced Laplacians, identify each V0 to a point, border the witness, and
-    recover the second graph from the transformed incidence matrix."""
+    recover the second graph from the transformed incidence matrix.  A graph
+    without vertices has no V0 to identify, so nothing is replayed."""
     from .duality import lemma_center_recover
 
     if verdict.status != CONGRUENT:
@@ -538,6 +549,8 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
         u = verdict.witness.u
     spec1 = default_reduction_spec(g1)
     spec2 = default_reduction_spec(g2)
+    if not spec1.v0 or not spec2.v0:
+        return {"attempted": False}
     g1p = identify_vertices(g1, spec1.v0)
     g2p = identify_vertices(g2, spec2.v0)
     k = u.rows

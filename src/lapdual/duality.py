@@ -319,7 +319,7 @@ class DualCertificate:
     laplacian_witness: UnimodularWitness = None
 
     def core_graph(self, g: MultiGraph) -> MultiGraph:
-        return MultiGraph(g.num_vertices, tuple(g.edges[e] for e in self.core_edges))
+        return MultiGraph(g.num_vertices, tuple([g.edges[e] for e in self.core_edges]))
 
     def replay_core(self, g: MultiGraph) -> bool:
         """Re-derive the bordered flow matrix of the stripped core and check
@@ -795,15 +795,15 @@ def _kuratowski_subdivision(core: MultiGraph, budget: SearchBudget) -> Kuratowsk
         kind, order = "K3,3", sorted(branch, key=lambda b: (colour[b], b))
     else:
         raise AssertionError(f"edge-minimal nonplanar graph has {len(branch)} branch vertices")
-    return KuratowskiEvidence(kind, tuple(
-        tuple(sorted(v for v, b in owner.items() if b == root)) for root in order))
+    return KuratowskiEvidence(kind, tuple([
+        tuple(sorted(v for v, b in owner.items() if b == root)) for root in order]))
 
 
 def _strip_for_planarity(g: MultiGraph):
     loops, isthmuses = classify_edges(g)
     skip = set(loops) | set(isthmuses)
-    core_edges = tuple(e for e in range(g.num_edges) if e not in skip)
-    core = MultiGraph(g.num_vertices, tuple(g.edges[e] for e in core_edges))
+    core_edges = tuple([e for e in range(g.num_edges) if e not in skip])
+    core = MultiGraph(g.num_vertices, tuple([g.edges[e] for e in core_edges]))
     return core, core_edges, loops, isthmuses
 
 

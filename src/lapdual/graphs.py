@@ -33,7 +33,7 @@ class MultiGraph:
 
     @staticmethod
     def from_edges(num_vertices, edges, name=""):
-        return MultiGraph(num_vertices, tuple((int(u), int(v)) for u, v in edges), name)
+        return MultiGraph(num_vertices, tuple([(int(u), int(v)) for u, v in edges]), name)
 
     @property
     def num_edges(self):
@@ -52,12 +52,12 @@ class Orientation:
 
     @staticmethod
     def default(g: MultiGraph):
-        return Orientation(tuple(False for _ in g.edges))
+        return Orientation((False,) * g.num_edges)
 
     @staticmethod
     def from_flips(g: MultiGraph, flipped_edges):
         flipped = set(flipped_edges)
-        return Orientation(tuple(k in flipped for k in range(g.num_edges)))
+        return Orientation(tuple([k in flipped for k in range(g.num_edges)]))
 
     def endpoints(self, g: MultiGraph, e):
         """(tail, head) of edge e under this orientation."""
@@ -84,7 +84,7 @@ class ForestCertificate:
         if forest and not (0 <= forest[0] and forest[-1] < g.num_edges):
             raise ValueError("forest edge index out of range")
         chosen = set(forest)
-        cotree = tuple(e for e in range(g.num_edges) if e not in chosen)
+        cotree = tuple([e for e in range(g.num_edges) if e not in chosen])
         return ForestCertificate(forest, cotree)
 
 
@@ -153,26 +153,32 @@ def iter_maximal_forests(g: MultiGraph):
     """Yield every maximal forest, lexicographic by edge-index set."""
     target = g.num_vertices - component_count(g)
     non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
+    return _extend_forest(g, non_loops, target, 0, _UnionFind(g.num_vertices), [])
 
-    def extend(start, uf, chosen):
-        if len(chosen) == target:
-            yield ForestCertificate.from_forest(g, chosen)
-            return
-        remaining = target - len(chosen)
-        for idx in range(start, len(non_loops)):
-            if len(non_loops) - idx < remaining:
-                break
-            e = non_loops[idx]
-            u, v = g.edges[e]
-            if uf.find(u) != uf.find(v):
-                child = _UnionFind(0)
-                child.parent = uf.parent.copy()
-                child.union(u, v)
-                chosen.append(e)
-                yield from extend(idx + 1, child, chosen)
-                chosen.pop()
 
-    return extend(0, _UnionFind(g.num_vertices), [])
+def _extend_forest(g, non_loops, target, start, uf, chosen):
+    """Yield every maximal forest that adds edges from non_loops[start:] to
+    `chosen`, whose trees `uf` holds.
+
+    A module-level function, not a closure: a closure calling itself refers
+    to itself through its own cell, and that cycle would keep its state alive
+    until the cyclic collector runs."""
+    if len(chosen) == target:
+        yield ForestCertificate.from_forest(g, chosen)
+        return
+    remaining = target - len(chosen)
+    for idx in range(start, len(non_loops)):
+        if len(non_loops) - idx < remaining:
+            break
+        e = non_loops[idx]
+        u, v = g.edges[e]
+        if uf.find(u) != uf.find(v):
+            child = _UnionFind(0)
+            child.parent = uf.parent.copy()
+            child.union(u, v)
+            chosen.append(e)
+            yield from _extend_forest(g, non_loops, target, idx + 1, child, chosen)
+            chosen.pop()
 
 
 def enumerate_maximal_forests(g: MultiGraph, cap=100000):
@@ -276,14 +282,14 @@ def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
 def classify_edges(g: MultiGraph):
     """(loops, isthmuses) as sorted tuples; an isthmus is an edge on no circuit,
     that is a forest edge on no fundamental circuit."""
-    loops = tuple(e for e in range(g.num_edges) if g.is_loop(e))
+    loops = tuple([e for e in range(g.num_edges) if g.is_loop(e)])
     f = maximal_forest(g)
     o = Orientation.default(g)
     adj = adjacency(g, f.forest_edges)
     covered = set()
     for e in f.cotree_edges:
         covered.update(k for k, x in enumerate(circuit_through(g, o, e, adj)) if x)
-    return loops, tuple(e for e in f.forest_edges if e not in covered)
+    return loops, tuple([e for e in f.forest_edges if e not in covered])
 
 
 def enumerate_circuits(g: MultiGraph):
@@ -312,7 +318,7 @@ def enumerate_circuits(g: MultiGraph):
 def permute_vertices(g: MultiGraph, perm) -> MultiGraph:
     """Relabel vertices: old vertex v becomes perm[v]."""
     return MultiGraph(g.num_vertices,
-                      tuple((perm[u], perm[v]) for u, v in g.edges), g.name)
+                      tuple([(perm[u], perm[v]) for u, v in g.edges]), g.name)
 
 
 def identify_vertices(g: MultiGraph, vertex_set) -> MultiGraph:
@@ -329,7 +335,7 @@ def identify_vertices(g: MultiGraph, vertex_set) -> MultiGraph:
         else:
             remap[v] = nxt
             nxt += 1
-    return MultiGraph(nxt, tuple((remap[u], remap[v]) for u, v in g.edges), g.name)
+    return MultiGraph(nxt, tuple([(remap[u], remap[v]) for u, v in g.edges]), g.name)
 
 
 def loopless_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
@@ -408,33 +414,30 @@ def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBud
         return
     circuit_set2 = set(circuits2)
     by_edge1 = [[c for c in circuits1 if e in c and max(c) == e] for e in range(m)]
+    yield from _extend_bijection(0, [None] * m, [False] * m, fp1, fp2, by_edge1,
+                                 circuit_set2, budget)
 
-    mapping = [None] * m
-    used = [False] * m
 
-    def closed_circuits_ok(e):
+def _extend_bijection(e, mapping, used, fp1, fp2, by_edge1, circuit_set2, budget):
+    """Yield every circuit-preserving completion of `mapping` from edge e on;
+    `used` marks the images taken.  Module level for the reason _extend_forest
+    is."""
+    budget.spend()
+    m = len(mapping)
+    if e == m:
+        yield tuple(mapping)
+        return
+    for t in range(m):
+        if used[t] or fp2[t] != fp1[e]:
+            continue
+        mapping[e] = t
+        used[t] = True
         # circuits whose largest edge is e are fully assigned now
-        for c in by_edge1[e]:
-            if tuple(sorted(mapping[x] for x in c)) not in circuit_set2:
-                return False
-        return True
-
-    def backtrack(e):
-        budget.spend()
-        if e == m:
-            yield tuple(mapping)
-            return
-        for t in range(m):
-            if used[t] or fp2[t] != fp1[e]:
-                continue
-            mapping[e] = t
-            used[t] = True
-            if closed_circuits_ok(e):
-                yield from backtrack(e + 1)
-            mapping[e] = None
-            used[t] = False
-
-    yield from backtrack(0)
+        if all(tuple(sorted(mapping[x] for x in c)) in circuit_set2 for c in by_edge1[e]):
+            yield from _extend_bijection(e + 1, mapping, used, fp1, fp2, by_edge1,
+                                         circuit_set2, budget)
+        mapping[e] = None
+        used[t] = False
 
 
 def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> TwoIsomorphismResult:

@@ -4,10 +4,17 @@ Everything here works on arbitrary-precision Python ints; normal-form
 intermediates and determinant pivots grow far beyond 64 bits even on small
 inputs, so no fixed-width arithmetic is used anywhere.  Rationals appear
 only inside ``inertia`` and never cross an API boundary.
+
+Rows are built at their final size: from a list, or by a builtin that sizes
+its own result, never as ``tuple(<generator>)``.  A generator has no length,
+so CPython grows such a tuple from a small one and frees it onto the free
+list of its final size; each call then strands one small block until the
+next full collection, and a long-lived caller's memory grows with its calls.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +39,7 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows, cols=None):
         """Build from an iterable of row iterables; `cols` disambiguates 0-row shapes."""
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple([tuple([int(x) for x in row]) for row in rows])
         if data:
             width = len(data[0])
         else:
@@ -41,47 +48,48 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple([tuple([1 if i == j else 0 for j in range(n)])
+                                      for i in range(n)]))
 
     @staticmethod
     def zeros(rows, cols):
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
     def row(self, i):
         return self.data[i]
 
     def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple([row[j] for row in self.data])
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        if not self.rows:
+            return IntMatrix(self.cols, 0, ((),) * self.cols)
+        return IntMatrix(self.cols, self.rows, tuple(list(zip(*self.data))))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = other.transpose().data
+        cols = other.transpose().data
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                               for row in self.data))
+                         tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
+                                for row in self.data]))
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("shape mismatch in add")
         return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.data, other.data)))
+                         tuple([tuple([a + b for a, b in zip(ra, rb)])
+                                for ra, rb in zip(self.data, other.data)]))
 
     def scale(self, k):
         return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * a for a in row) for row in self.data))
+                         tuple([tuple([k * a for a in row]) for row in self.data]))
 
     def submatrix(self, row_indices, col_indices):
         ri = tuple(row_indices)
         ci = tuple(col_indices)
         return IntMatrix(len(ri), len(ci),
-                         tuple(tuple(self.data[i][j] for j in ci) for i in ri))
+                         tuple([tuple([self.data[i][j] for j in ci]) for i in ri]))
 
     def vstack(self, other):
         if self.cols != other.cols:
@@ -317,7 +325,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             negate_col(t)
         t += 1
 
-    diag = tuple(m[i][i] for i in range(limit))
+    diag = tuple([m[i][i] for i in range(limit)])
     return SnfResult(
         diag=diag,
         left=UnimodularWitness(IntMatrix.from_rows(left, cols=a.rows)),

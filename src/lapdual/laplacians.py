@@ -136,7 +136,7 @@ def superbase_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate 
     """Flow matrix with the dependent row (negative of the row sum) on top, so
     all rows sum to the zero vector."""
     fm = flow_matrix(g, o, f, spec)
-    dep = tuple(-sum(fm.data[i][j] for i in range(fm.rows)) for j in range(fm.cols))
+    dep = tuple([-sum(col) for col in fm.transpose().data])
     return IntMatrix(fm.rows + 1, fm.cols, (dep,) + fm.data)
 
 
@@ -145,14 +145,14 @@ def border_last(r: IntMatrix) -> IntMatrix:
     sums = [sum(row) for row in r.data]
     corner = sum(sums)
     rows = [row + (-s,) for row, s in zip(r.data, sums)]
-    rows.append(tuple(-s for s in sums) + (corner,))
+    rows.append(tuple([-s for s in sums]) + (corner,))
     return IntMatrix.from_rows(rows, cols=r.cols + 1)
 
 
 def border_first(r: IntMatrix) -> IntMatrix:
     sums = [sum(row) for row in r.data]
     corner = sum(sums)
-    rows = [(corner,) + tuple(-s for s in sums)]
+    rows = [(corner,) + tuple([-s for s in sums])]
     for row, s in zip(r.data, sums):
         rows.append((-s,) + row)
     return IntMatrix.from_rows(rows, cols=r.cols + 1)
@@ -283,7 +283,7 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     if tag == "II":
         with_loop = _append_edges(g, [(0, 0)]) if g.num_vertices else g
         stripped = MultiGraph(g.num_vertices,
-                              tuple(e for e in g.edges if e[0] != e[1]), g.name)
+                              tuple([e for e in g.edges if e[0] != e[1]]), g.name)
         ok = laplacian(with_loop) == lap == laplacian(stripped)
         return PropertyReport(tag, ok, {"laplacian": lap})
 
@@ -353,8 +353,7 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
         if g.num_edges > 9:
             raise CapExceeded("property X check enumerates edge bijections; m <= 9")
         from .congruence import property_x_report
-        relabel = tuple(g.edges[(k + 1) % g.num_edges] for k in range(g.num_edges)) \
-            if g.num_edges else ()
+        relabel = g.edges[1:] + g.edges[:1]
         other = MultiGraph(g.num_vertices, relabel, g.name)
         report = property_x_report(g, other, budget=200000)
         ok = report.consistent and report.condition_statuses() == ("true",) * 4

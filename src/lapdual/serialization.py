@@ -3,6 +3,9 @@
 Matrix entries are serialized as decimal strings uniformly so that arbitrary
 precision survives any JSON reader; graphs are 0-based edge lists whose list
 position is the edge index.
+
+Only the graph layer is imported up front: each reader imports the class it
+builds, so reading and drawing a graph loads no matrix layer.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from dataclasses import is_dataclass
 from .errors import MalformedInput
 from .graphs import (ForestCertificate, MultiGraph, Orientation,
                      TwoIsomorphismResult)
-from .intmatrix import IntMatrix, SnfResult, UnimodularWitness
-from .laplacians import DualLaplacianPair, ReductionSpec
 
 
 def _reader(what):
@@ -59,6 +60,7 @@ def matrix_to_json(a: IntMatrix) -> dict:
 def matrix_from_json(obj) -> IntMatrix:
     if not isinstance(obj, dict):
         raise MalformedInput("matrix JSON must be an object")
+    from .intmatrix import IntMatrix
     rows = int(obj["rows"])
     cols = int(obj["cols"])
     data = [[int(x) for x in row] for row in obj["data"]]
@@ -69,18 +71,20 @@ def matrix_from_json(obj) -> IntMatrix:
 
 
 def witness_from_json(obj) -> UnimodularWitness:
+    from .intmatrix import UnimodularWitness
     return UnimodularWitness(matrix_from_json(obj))
 
 
 @_reader("forest")
 def forest_from_json(obj) -> ForestCertificate:
-    return ForestCertificate(tuple(int(e) for e in obj["forest_edges"]),
-                             tuple(int(e) for e in obj["cotree_edges"]))
+    return ForestCertificate(tuple([int(e) for e in obj["forest_edges"]]),
+                             tuple([int(e) for e in obj["cotree_edges"]]))
 
 
 @_reader("SNF")
 def snf_from_json(obj) -> SnfResult:
-    return SnfResult(diag=tuple(int(d) for d in obj["diag"]),
+    from .intmatrix import SnfResult
+    return SnfResult(diag=tuple([int(d) for d in obj["diag"]]),
                      left=witness_from_json(obj["left"]),
                      right=witness_from_json(obj["right"]))
 
@@ -93,8 +97,8 @@ def verdict_from_json(obj) -> CongruenceVerdict:
         left = sep["left"]
         right = sep["right"]
         if isinstance(left, list):
-            left = tuple(int(x) for x in left)
-            right = tuple(int(x) for x in right)
+            left = tuple([int(x) for x in left])
+            right = tuple([int(x) for x in right])
         sep = (sep["name"], left, right)
     witness = obj.get("witness")
     return CongruenceVerdict(
@@ -109,7 +113,7 @@ def two_iso_from_json(obj) -> TwoIsomorphismResult:
     bij = obj.get("bijection")
     return TwoIsomorphismResult(
         status=obj["status"],
-        bijection=tuple(int(x) for x in bij) if bij is not None else None,
+        bijection=tuple([int(x) for x in bij]) if bij is not None else None,
         reason=obj.get("reason", ""),
         nodes_used=int(obj.get("nodes_used", 0)))
 
@@ -119,7 +123,7 @@ def evidence_from_json(obj) -> KuratowskiEvidence:
     from .duality import KuratowskiEvidence
     return KuratowskiEvidence(
         kind=obj["kind"],
-        branch_sets=tuple(tuple(int(v) for v in s) for s in obj["branch_sets"]))
+        branch_sets=tuple([tuple([int(v) for v in s]) for s in obj["branch_sets"]]))
 
 
 @_reader("certificate")
@@ -127,15 +131,16 @@ def certificate_from_json(obj) -> DualCertificate:
     """Rebuild a dual certificate; the dual orientation is always the default
     orientation of the serialized dual graph."""
     from .duality import DualCertificate
+    from .laplacians import ReductionSpec
     dual = graph_from_json(obj["dual_graph"])
     lap = obj.get("laplacian_witness")
     return DualCertificate(
         dual_graph=dual,
         dual_orientation=Orientation.default(dual),
         witness_z=witness_from_json(obj["witness_z"]),
-        edge_bijection=tuple(int(x) for x in obj["beta"]),
+        edge_bijection=tuple([int(x) for x in obj["beta"]]),
         trace=int(obj["trace"]),
-        core_edges=tuple(int(e) for e in obj["core_edges"]),
+        core_edges=tuple([int(e) for e in obj["core_edges"]]),
         core_forest=forest_from_json(obj["core_forest"]),
         core_v0=ReductionSpec.of(obj["core_v0"]),
         laplacian_witness=witness_from_json(lap) if lap else None)
@@ -161,11 +166,12 @@ def duality_report_from_json(obj) -> DualityReport:
     return DualityReport(ok=bool(obj["ok"]),
                          forest_size_identity=bool(obj["forest_size_identity"]),
                          complement_bijection=bool(obj["complement_bijection"]),
-                         forest_counts=tuple(int(x) for x in obj["forest_counts"]))
+                         forest_counts=tuple([int(x) for x in obj["forest_counts"]]))
 
 
 @_reader("dual-Laplacian")
 def dual_pair_from_json(obj) -> DualLaplacianPair:
+    from .laplacians import DualLaplacianPair
     return DualLaplacianPair(reduced=matrix_from_json(obj["reduced"]),
                              unreduced=matrix_from_json(obj["unreduced"]),
                              witness=witness_from_json(obj["witness"]),
@@ -203,9 +209,8 @@ def _property_x_json(r):
             "unreduced_agree": r.unreduced_proposition.get("agree")}
 
 
-# wire form of each result class, by class name: the congruence and duality
-# classes are matched without importing their layers, which a value of such a
-# class has loaded already
+# wire form of each result class, by class name: classes are matched without
+# importing their layers, which a value of such a class has loaded already
 _TO_JSON = {
     "IntMatrix": matrix_to_json,
     "UnimodularWitness": lambda w: matrix_to_json(w.u),

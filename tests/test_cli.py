@@ -102,6 +102,14 @@ def test_verify_property_pass_and_unknown_tag(files, capsys):
     assert json.loads(out)["error"]["type"] == "UnknownTag"
 
 
+def test_verify_property_x_on_the_empty_graph(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"num_vertices": 0, "edges": []}')
+    code, out = run(capsys, "verify-property", "X", str(empty))
+    assert code == 0
+    assert json.loads(out)["details"]["report"]["consistent"] is True
+
+
 def test_find_dual_then_verify(files, capsys, tmp_path):
     code, out = run(capsys, "find-dual", files["ex2"])
     assert code == 0

@@ -231,6 +231,16 @@ def test_property_x_negative_pair():
     assert report.consistent
 
 
+def test_property_x_on_the_empty_graph():
+    # no vertex, so no V0 to identify: the constructive replay is skipped
+    empty = MultiGraph(0, ())
+    report = property_x_report(empty, empty)
+    assert report.condition_statuses() == ("true", "true", "true", "true")
+    assert report.consistent
+    assert report.constructive == {"attempted": False}
+    assert report.unreduced_proposition["agree"]
+
+
 def test_property_x_rejects_loop_mismatch(k3):
     loopy = MultiGraph.from_edges(3, list(k3.edges) + [(0, 0)])
     with pytest.raises(LoopCountMismatch):
