@@ -23,10 +23,10 @@ from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     adjacency, circuit_through, classify_edges, components,
-                     enumerate_maximal_forests, greedy_forest, maximal_forest,
-                     neighbour_sets)
-from .intmatrix import IntMatrix, UnimodularWitness
+                     adjacency, circuit_through, classify_edges, component_count,
+                     components, fundamental_circuits, greedy_forest,
+                     in_cut_space, maximal_forest, neighbour_sets)
+from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
                          reduced_laplacian)
@@ -915,25 +915,28 @@ class DualityReport:
     forest_counts: tuple
 
 
-def verify_abstract_dual(g1: MultiGraph, g2: MultiGraph, beta, cap=200000) -> DualityReport:
-    """Enumerate both maximal-forest families and check that beta carries the
-    first family onto the complements of the second."""
+def verify_abstract_dual(g1: MultiGraph, g2: MultiGraph, beta) -> DualityReport:
+    """Check that beta carries the maximal forests of g1 onto the complements
+    of the maximal forests of g2, that is the cycle matroid of g1 onto the
+    dual of that of g2.
+
+    Both matroids are binary, so that holds exactly when beta carries the
+    GF(2) cycle space of g1 onto the cut space of g2: when the forest sizes
+    satisfy n2 - c2 = m - (n1 - c1) and every fundamental circuit of g1 maps
+    to a cut of g2.  The forest counts come from Kirchhoff's theorem."""
     m = g1.num_edges
     if g2.num_edges != m:
         raise ShapeMismatch("abstract duals need equal edge counts")
     beta = tuple(beta)
     if sorted(beta) != list(range(m)):
         raise ShapeMismatch("beta is not an edge bijection")
-    forests1 = enumerate_maximal_forests(g1, cap)
-    forests2 = enumerate_maximal_forests(g2, cap)
-    size1 = len(forests1[0].forest_edges) if forests1 else 0
-    size2 = len(forests2[0].forest_edges) if forests2 else 0
+    size1 = g1.num_vertices - component_count(g1)
+    size2 = g2.num_vertices - component_count(g2)
     size_ok = size2 == m - size1
-    family2 = set(frozenset(f.forest_edges) for f in forests2)
-    all_edges = frozenset(range(m))
-    mapped = set(all_edges - frozenset(beta[e] for e in f.forest_edges) for f in forests1)
-    complement_ok = mapped == family2 and len(forests1) == len(forests2)
-    return DualityReport(ok=size_ok and complement_ok,
+    complement_ok = size_ok and in_cut_space(
+        g2, [[beta[k] for k in c] for c in fundamental_circuits(g1).values()])
+    return DualityReport(ok=complement_ok,
                          forest_size_identity=size_ok,
                          complement_bijection=complement_ok,
-                         forest_counts=(len(forests1), len(forests2)))
+                         forest_counts=(det_bareiss(reduced_laplacian(g1)),
+                                        det_bareiss(reduced_laplacian(g2))))

@@ -1,9 +1,17 @@
-"""Multigraphs with stable edge indices, forests, circuits, cuts and the
-brute-force combinatorial oracles used to verify everything else.
+"""Multigraphs with stable edge indices, forests, circuits and cuts, and the
+GF(2) cycle-space tests that decide 2-isomorphism and abstract duality.
 
 Edges are unordered pairs; loops and parallel edges are allowed.  Edge k
 keeps index k for the life of the object, so matrices indexed by edges stay
 aligned across operations.
+
+A graph's cycle matroid is binary, so its GF(2) cycle space (the edge sets
+of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
+Theory*, ch. 9).  An edge bijection is a cycle-matroid isomorphism exactly
+when it carries the fundamental circuits of a maximal forest into the other
+graph's cycle space and the forest sizes n - c agree, which takes O(m*n)
+parity tests.  The exhaustive forest and circuit enumerators stay for the
+property checks and the tests that cross-check against them.
 """
 
 from __future__ import annotations
@@ -89,12 +97,17 @@ class ForestCertificate:
 
 
 class _UnionFind:
+    """Union by size without path compression, so `undo` can take back the
+    latest merge still standing; backtracking searches merge and undo in
+    stack order."""
+
     def __init__(self, n):
         self.parent = list(range(n))
+        self.size = [1] * n
+        self.merged = []  # attached roots, latest last
 
     def find(self, x):
         while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
         return x
 
@@ -102,10 +115,18 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if rb < ra:
+        if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.merged.append(rb)
         return True
+
+    def undo(self):
+        rb = self.merged.pop()
+        ra = self.parent[rb]
+        self.parent[rb] = rb
+        self.size[ra] -= self.size[rb]
 
 
 def components(g: MultiGraph):
@@ -153,32 +174,28 @@ def iter_maximal_forests(g: MultiGraph):
     """Yield every maximal forest, lexicographic by edge-index set."""
     target = g.num_vertices - component_count(g)
     non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
-    return _extend_forest(g, non_loops, target, 0, _UnionFind(g.num_vertices), [])
+    return _extend_forest(g, non_loops, target)
 
 
-def _extend_forest(g, non_loops, target, start, uf, chosen):
-    """Yield every maximal forest that adds edges from non_loops[start:] to
-    `chosen`, whose trees `uf` holds.
-
-    A module-level function, not a closure: a closure calling itself refers
-    to itself through its own cell, and that cycle would keep its state alive
-    until the cyclic collector runs."""
-    if len(chosen) == target:
-        yield ForestCertificate.from_forest(g, chosen)
-        return
-    remaining = target - len(chosen)
-    for idx in range(start, len(non_loops)):
-        if len(non_loops) - idx < remaining:
-            break
-        e = non_loops[idx]
-        u, v = g.edges[e]
-        if uf.find(u) != uf.find(v):
-            child = _UnionFind(0)
-            child.parent = uf.parent.copy()
-            child.union(u, v)
-            chosen.append(e)
-            yield from _extend_forest(g, non_loops, target, idx + 1, child, chosen)
-            chosen.pop()
+def _extend_forest(g, non_loops, target):
+    """Iterative backtrack behind iter_maximal_forests.  `chosen` holds
+    positions in non_loops; the scan takes the next edge that joins two
+    trees while enough edges remain to finish, and dropping an edge undoes
+    its merge, so the depth is bounded by memory, not the recursion limit."""
+    trees = _UnionFind(g.num_vertices)
+    chosen = []
+    idx = 0
+    while True:
+        while len(chosen) < target and len(non_loops) - idx >= target - len(chosen):
+            if trees.union(*g.edges[non_loops[idx]]):
+                chosen.append(idx)
+            idx += 1
+        if len(chosen) == target:
+            yield ForestCertificate.from_forest(g, [non_loops[i] for i in chosen])
+        if not chosen:
+            return
+        idx = chosen.pop() + 1
+        trees.undo()
 
 
 def enumerate_maximal_forests(g: MultiGraph, cap=100000):
@@ -279,17 +296,66 @@ def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
     return tuple(coords)
 
 
-def classify_edges(g: MultiGraph):
-    """(loops, isthmuses) as sorted tuples; an isthmus is an edge on no circuit,
-    that is a forest edge on no fundamental circuit."""
-    loops = tuple([e for e in range(g.num_edges) if g.is_loop(e)])
+def fundamental_circuits(g: MultiGraph):
+    """Cotree edge -> the sorted edge indices of its fundamental circuit in
+    maximal_forest(g).  That forest is greedy by index, so the forest edges
+    before a cotree edge already join its ends: the edge is the largest in
+    its circuit."""
     f = maximal_forest(g)
     o = Orientation.default(g)
     adj = adjacency(g, f.forest_edges)
-    covered = set()
-    for e in f.cotree_edges:
-        covered.update(k for k, x in enumerate(circuit_through(g, o, e, adj)) if x)
-    return loops, tuple([e for e in f.forest_edges if e not in covered])
+    return {e: tuple([k for k, x in enumerate(circuit_through(g, o, e, adj)) if x])
+            for e in f.cotree_edges}
+
+
+def _odd_vertices(g: MultiGraph, edge_ids):
+    """Vertices of odd degree in the edges `edge_ids`; empty exactly when
+    they lie in the GF(2) cycle space."""
+    odd = set()
+    for k in edge_ids:
+        u, v = g.edges[k]
+        if u != v:
+            odd ^= {u, v}
+    return odd
+
+
+def in_cut_space(g: MultiGraph, edge_sets) -> bool:
+    """Whether every edge set is a cut of g, a GF(2) sum of vertex stars.
+
+    Each set 2-colours g along maximal_forest(g): a forest edge changes
+    colour exactly when it is in the set.  The set is a cut exactly when
+    every edge then agrees, in the set exactly when its ends differ."""
+    adj = adjacency(g, maximal_forest(g).forest_edges)
+    walk = []  # forest edges (x, y, k), each y reached from x after x itself
+    seen = set()
+    for root in range(g.num_vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, k in adj.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    walk.append((x, y, k))
+                    stack.append(y)
+    for edge_set in edge_sets:
+        chosen = set(edge_set)
+        colour = [False] * g.num_vertices
+        for x, y, k in walk:
+            colour[y] = colour[x] ^ (k in chosen)
+        if any((k in chosen) != (colour[u] != colour[v]) for k, (u, v) in enumerate(g.edges)):
+            return False
+    return True
+
+
+def classify_edges(g: MultiGraph):
+    """(loops, isthmuses) as sorted tuples; an isthmus is an edge on no circuit,
+    that is an edge on no fundamental circuit."""
+    loops = tuple([e for e in range(g.num_edges) if g.is_loop(e)])
+    covered = set().union(*fundamental_circuits(g).values())
+    return loops, tuple([e for e in range(g.num_edges) if e not in covered])
 
 
 def enumerate_circuits(g: MultiGraph):
@@ -374,14 +440,6 @@ class TwoIsomorphismResult:
     nodes_used: int = 0
 
 
-def _edge_fingerprints(g, circuits):
-    sizes = [[] for _ in range(g.num_edges)]
-    for c in circuits:
-        for e in c:
-            sizes[e].append(len(c))
-    return [tuple(sorted(s)) for s in sizes]
-
-
 class SearchBudget:
     """Mutable node counter shared by the backtracking searches."""
 
@@ -395,54 +453,105 @@ class SearchBudget:
             raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
 
 
-def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBudget):
-    """Yield circuit-preserving edge bijections g1 -> g2 by pruned backtracking.
+def _shortest_circuits(g: MultiGraph):
+    """(length, number) of the shortest circuits through each edge, an
+    invariant of the cycle matroid: (1, 1) for a loop, (0, 0) for an
+    isthmus, else one breadth-first count of the shortest paths that join
+    the edge's ends without it."""
+    adj = adjacency(g, range(g.num_edges))
+    out = []
+    for e, (a, b) in enumerate(g.edges):
+        if a == b:
+            out.append((1, 1))
+            continue
+        dist, paths = {a: 0}, {a: 1}
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            if b in dist and dist[x] >= dist[b]:
+                break  # every path into b is counted
+            for y, k in adj[x]:
+                if k == e:
+                    continue
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    paths[y] = paths[x]
+                    queue.append(y)
+                elif dist[y] == dist[x] + 1:
+                    paths[y] += paths[x]
+        out.append((dist[b] + 1, paths[b]) if b in dist else (0, 0))
+    return out
 
-    Circuit preservation is exactly cycle-matroid isomorphism, so every yield
-    carries maximal forests onto maximal forests; callers re-verify anyway.
+
+def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBudget):
+    """Yield every cycle-matroid isomorphism g1 -> g2 (edge k of g1 ->
+    bijection[k]), lexicographically, by an iterative backtrack that spends
+    one budget unit per node entered.
+
+    Edges are assigned in index order and targets tried in ascending order,
+    restricted to edges with the same shortest-circuit profile.  A forest
+    edge of maximal_forest(g1) must map to an edge joining two trees of the
+    images of the earlier forest edges; a cotree edge must close the images
+    of the rest of its fundamental circuit, which are all earlier edges, into
+    an even subgraph of g2.  The forest restricted to a prefix is a maximal
+    forest of the prefix, so a prefix passes both exactly when it is an
+    isomorphism of the restrictions: no true isomorphism is ever pruned.
     """
     m = g1.num_edges
     if m != g2.num_edges:
         return
-    circuits1 = enumerate_circuits(g1)
-    circuits2 = enumerate_circuits(g2)
-    if sorted(map(len, circuits1)) != sorted(map(len, circuits2)):
+    profile1, profile2 = _shortest_circuits(g1), _shortest_circuits(g2)
+    if sorted(profile1) != sorted(profile2):
         return
-    fp1 = _edge_fingerprints(g1, circuits1)
-    fp2 = _edge_fingerprints(g2, circuits2)
-    if sorted(fp1) != sorted(fp2):
-        return
-    circuit_set2 = set(circuits2)
-    by_edge1 = [[c for c in circuits1 if e in c and max(c) == e] for e in range(m)]
-    yield from _extend_bijection(0, [None] * m, [False] * m, fp1, fp2, by_edge1,
-                                 circuit_set2, budget)
-
-
-def _extend_bijection(e, mapping, used, fp1, fp2, by_edge1, circuit_set2, budget):
-    """Yield every circuit-preserving completion of `mapping` from edge e on;
-    `used` marks the images taken.  Module level for the reason _extend_forest
-    is."""
+    rest = {e: circuit[:-1] for e, circuit in fundamental_circuits(g1).items()}
+    trees = _UnionFind(g2.num_vertices)  # joined by the forest edges' images
+    mapping, used = [], [False] * m
+    start = 0  # first target to try for edge len(mapping)
     budget.spend()
-    m = len(mapping)
-    if e == m:
-        yield tuple(mapping)
-        return
-    for t in range(m):
-        if used[t] or fp2[t] != fp1[e]:
-            continue
-        mapping[e] = t
-        used[t] = True
-        # circuits whose largest edge is e are fully assigned now
-        if all(tuple(sorted(mapping[x] for x in c)) in circuit_set2 for c in by_edge1[e]):
-            yield from _extend_bijection(e + 1, mapping, used, fp1, fp2, by_edge1,
-                                         circuit_set2, budget)
-        mapping[e] = None
-        used[t] = False
+    while True:
+        e = len(mapping)
+        if e == m:
+            yield tuple(mapping)
+            targets = ()
+        else:
+            targets = range(start, m)
+            if e in rest:
+                odd = _odd_vertices(g2, [mapping[k] for k in rest[e]])
+        for t in targets:
+            if used[t] or profile2[t] != profile1[e]:
+                continue
+            if e in rest:
+                if _odd_vertices(g2, (t,)) != odd:
+                    continue
+            elif not trees.union(*g2.edges[t]):
+                continue
+            mapping.append(t)
+            used[t] = True
+            budget.spend()
+            start = 0
+            break
+        else:
+            if not mapping:
+                return
+            t = mapping.pop()
+            used[t] = False
+            if len(mapping) not in rest:
+                trees.undo()
+            start = t + 1
 
 
 def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> TwoIsomorphismResult:
-    """Search for an edge bijection carrying the maximal-forest family of g1
-    onto that of g2; tri-state so exhaustion is never reported as absence."""
+    """Search for an edge bijection carrying the cycle matroid of g1 onto that
+    of g2; tri-state so exhaustion is never reported as absence.
+
+    Edge, loop and maximal-forest counts (Kirchhoff: the determinant of the
+    reduced Laplacian) and forest sizes (n - c) are compared first.  Each
+    candidate is replayed on the whole graphs: with equal forest sizes it is
+    an isomorphism exactly when every fundamental circuit of g1 maps to an
+    even subgraph of g2."""
+    from .intmatrix import det_bareiss
+    from .laplacians import reduced_laplacian
+
     m = g1.num_edges
     if m != g2.num_edges:
         return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
@@ -450,20 +559,16 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
     loops2 = sum(1 for e in range(m) if g2.is_loop(e))
     if loops1 != loops2:
         return TwoIsomorphismResult("not_two_isomorphic", reason="loop counts differ")
-    forests1 = enumerate_maximal_forests(g1)
-    forests2 = enumerate_maximal_forests(g2)
-    if len(forests1) != len(forests2):
+    if det_bareiss(reduced_laplacian(g1)) != det_bareiss(reduced_laplacian(g2)):
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest counts differ")
-    size1 = len(forests1[0].forest_edges) if forests1 else 0
-    size2 = len(forests2[0].forest_edges) if forests2 else 0
-    if size1 != size2:
+    if g1.num_vertices - component_count(g1) != g2.num_vertices - component_count(g2):
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest sizes differ")
 
-    family2 = set(frozenset(f.forest_edges) for f in forests2)
+    circuits1 = fundamental_circuits(g1).values()
     counter = SearchBudget(budget)
     try:
         for candidate in two_isomorphism_candidates(g1, g2, counter):
-            if all(frozenset(candidate[e] for e in f.forest_edges) in family2 for f in forests1):
+            if not any(_odd_vertices(g2, [candidate[k] for k in c]) for c in circuits1):
                 return TwoIsomorphismResult("two_isomorphic", bijection=candidate,
                                             nodes_used=counter.used)
     except BudgetExceeded:

@@ -1,17 +1,27 @@
-"""Brute-force planarity oracles: an exhaustive K5/K3,3 minor search and a
-MacLane cycle-basis search.
+"""Brute-force oracles for the tests.
 
-They decide planarity by routes independent of the left-right embedding in
-`lapdual.duality`, so the tests use them as voters against it.  Both are
-exponential and meant for graphs of about a dozen vertices.
+Planarity: an exhaustive K5/K3,3 minor search and a MacLane cycle-basis
+search.  They decide planarity by routes independent of the left-right
+embedding in `lapdual.duality`, so the tests use them as voters against it.
+
+2-isomorphism and abstract duality: a backtrack that enumerates every
+circuit of both graphs and checks that each circuit of the first maps to a
+circuit of the second, and deciders that compare whole maximal-forest
+families.  They are independent of the GF(2) cycle-space tests in
+`lapdual.graphs` and `lapdual.duality`, which the tests compare against them.
+
+All of them are exponential and meant for graphs of about a dozen vertices
+or edges.
 """
 
-from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, KuratowskiEvidence,
-                             PlanarityResult)
-from lapdual.errors import BudgetExceeded
+from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, DualityReport,
+                             KuratowskiEvidence, PlanarityResult)
+from lapdual.errors import BudgetExceeded, ShapeMismatch
 from lapdual.graphs import (MultiGraph, Orientation, SearchBudget,
-                            classify_edges, fundamental_circuit_vector,
-                            maximal_forest, neighbour_sets)
+                            TwoIsomorphismResult, classify_edges,
+                            enumerate_circuits, enumerate_maximal_forests,
+                            fundamental_circuit_vector, maximal_forest,
+                            neighbour_sets)
 
 
 def _simplified_adjacency(g: MultiGraph):
@@ -316,3 +326,111 @@ def maclane_oracle(g: MultiGraph, budget=10**6):
         return search(0, 0)
     except BudgetExceeded:
         return None
+
+
+def _edge_fingerprints(g, circuits):
+    sizes = [[] for _ in range(g.num_edges)]
+    for c in circuits:
+        for e in c:
+            sizes[e].append(len(c))
+    return [tuple(sorted(s)) for s in sizes]
+
+
+def two_isomorphism_candidates_oracle(g1: MultiGraph, g2: MultiGraph, budget: SearchBudget):
+    """Yield circuit-preserving edge bijections g1 -> g2 by pruned backtracking.
+
+    Circuit preservation is exactly cycle-matroid isomorphism, so every yield
+    carries maximal forests onto maximal forests; callers re-verify anyway.
+    """
+    m = g1.num_edges
+    if m != g2.num_edges:
+        return
+    circuits1 = enumerate_circuits(g1)
+    circuits2 = enumerate_circuits(g2)
+    if sorted(map(len, circuits1)) != sorted(map(len, circuits2)):
+        return
+    fp1 = _edge_fingerprints(g1, circuits1)
+    fp2 = _edge_fingerprints(g2, circuits2)
+    if sorted(fp1) != sorted(fp2):
+        return
+    circuit_set2 = set(circuits2)
+    by_edge1 = [[c for c in circuits1 if e in c and max(c) == e] for e in range(m)]
+    yield from _extend_bijection(0, [None] * m, [False] * m, fp1, fp2, by_edge1,
+                                 circuit_set2, budget)
+
+
+def _extend_bijection(e, mapping, used, fp1, fp2, by_edge1, circuit_set2, budget):
+    """Yield every circuit-preserving completion of `mapping` from edge e on;
+    `used` marks the images taken."""
+    budget.spend()
+    m = len(mapping)
+    if e == m:
+        yield tuple(mapping)
+        return
+    for t in range(m):
+        if used[t] or fp2[t] != fp1[e]:
+            continue
+        mapping[e] = t
+        used[t] = True
+        # circuits whose largest edge is e are fully assigned now
+        if all(tuple(sorted(mapping[x] for x in c)) in circuit_set2 for c in by_edge1[e]):
+            yield from _extend_bijection(e + 1, mapping, used, fp1, fp2, by_edge1,
+                                         circuit_set2, budget)
+        mapping[e] = None
+        used[t] = False
+
+
+def decide_2_isomorphism_oracle(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> TwoIsomorphismResult:
+    """Search for an edge bijection carrying the maximal-forest family of g1
+    onto that of g2; tri-state so exhaustion is never reported as absence."""
+    m = g1.num_edges
+    if m != g2.num_edges:
+        return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
+    loops1 = sum(1 for e in range(m) if g1.is_loop(e))
+    loops2 = sum(1 for e in range(m) if g2.is_loop(e))
+    if loops1 != loops2:
+        return TwoIsomorphismResult("not_two_isomorphic", reason="loop counts differ")
+    forests1 = enumerate_maximal_forests(g1)
+    forests2 = enumerate_maximal_forests(g2)
+    if len(forests1) != len(forests2):
+        return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest counts differ")
+    size1 = len(forests1[0].forest_edges) if forests1 else 0
+    size2 = len(forests2[0].forest_edges) if forests2 else 0
+    if size1 != size2:
+        return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest sizes differ")
+
+    family2 = set(frozenset(f.forest_edges) for f in forests2)
+    counter = SearchBudget(budget)
+    try:
+        for candidate in two_isomorphism_candidates_oracle(g1, g2, counter):
+            if all(frozenset(candidate[e] for e in f.forest_edges) in family2 for f in forests1):
+                return TwoIsomorphismResult("two_isomorphic", bijection=candidate,
+                                            nodes_used=counter.used)
+    except BudgetExceeded:
+        return TwoIsomorphismResult("budget_exceeded", nodes_used=counter.used)
+    return TwoIsomorphismResult("not_two_isomorphic", reason="search exhausted",
+                                nodes_used=counter.used)
+
+
+def verify_abstract_dual_oracle(g1: MultiGraph, g2: MultiGraph, beta, cap=200000) -> DualityReport:
+    """Enumerate both maximal-forest families and check that beta carries the
+    first family onto the complements of the second."""
+    m = g1.num_edges
+    if g2.num_edges != m:
+        raise ShapeMismatch("abstract duals need equal edge counts")
+    beta = tuple(beta)
+    if sorted(beta) != list(range(m)):
+        raise ShapeMismatch("beta is not an edge bijection")
+    forests1 = enumerate_maximal_forests(g1, cap)
+    forests2 = enumerate_maximal_forests(g2, cap)
+    size1 = len(forests1[0].forest_edges) if forests1 else 0
+    size2 = len(forests2[0].forest_edges) if forests2 else 0
+    size_ok = size2 == m - size1
+    family2 = set(frozenset(f.forest_edges) for f in forests2)
+    all_edges = frozenset(range(m))
+    mapped = set(all_edges - frozenset(beta[e] for e in f.forest_edges) for f in forests1)
+    complement_ok = mapped == family2 and len(forests1) == len(forests2)
+    return DualityReport(ok=size_ok and complement_ok,
+                         forest_size_identity=size_ok,
+                         complement_bijection=complement_ok,
+                         forest_counts=(len(forests1), len(forests2)))

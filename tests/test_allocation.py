@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import lapdual
-from lapdual import (MultiGraph, decide_planarity, permute_vertices, property_x_report,
-                     reduced_laplacian)
+from lapdual import (MultiGraph, decide_2_isomorphism_bruteforce, decide_planarity,
+                     permute_vertices, property_x_report, reduced_laplacian,
+                     verify_abstract_dual)
 
 WARM_UP = 3
 CALLS = 30
@@ -60,6 +61,7 @@ def block_growth(call):
 LAPLACIAN = reduced_laplacian(grid(3, 4))
 GRID = grid(2, 3)
 RELABELLED = permute_vertices(GRID, (5, 3, 4, 1, 2, 0))
+DUAL = decide_planarity(grid(3, 4)).certificate
 REPEATED_CALLS = {
     "planarity-wheel16": lambda: decide_planarity(wheel(16)),
     "planarity-grid3x4": lambda: decide_planarity(grid(3, 4)),
@@ -68,9 +70,11 @@ REPEATED_CALLS = {
     # not 10 wide: tuple(<generator>) starts at 10 slots, so a 10-tuple needs
     # no resize and strands nothing
     "intmatrix-submatrix": lambda: LAPLACIAN.submatrix(range(8), range(3, 11)),
-    # short vectors, the isometry backtrack, forest enumeration and the
-    # 2-isomorphism search
+    # short vectors, the isometry backtrack and the 2-isomorphism search
     "property-x-grid2x3": lambda: property_x_report(GRID, RELABELLED, budget=2 * 10**5),
+    "two-isomorphism-grid2x3": lambda: decide_2_isomorphism_bruteforce(GRID, RELABELLED),
+    "abstract-dual-grid3x4": lambda: verify_abstract_dual(grid(3, 4), DUAL.dual_graph,
+                                                          DUAL.edge_bijection),
 }
 
 

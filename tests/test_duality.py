@@ -11,8 +11,10 @@ from lapdual import (ForestCertificate, IntMatrix, MultiGraph, NonplanarInput,
                      verify_abstract_dual, verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
 
-from conftest import cycle_graph, random_connected_multigraph
-from oracles import _connected_subsets, kuratowski_oracle, maclane_oracle
+from conftest import (cycle_graph, random_connected_multigraph, random_multigraph,
+                      wall_clock_guard)
+from oracles import (_connected_subsets, kuratowski_oracle, maclane_oracle,
+                     verify_abstract_dual_oracle)
 
 
 def identity_witness(n):
@@ -221,6 +223,36 @@ def test_verify_dual_example1_vs_k3(example1, k3):
     # 2-edge forests of K3 under any bijection
     assert verify_abstract_dual(example1, k3, (0, 1, 2)).ok
     assert verify_abstract_dual(example1, k3, (2, 0, 1)).ok
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_dual_matches_the_forest_family_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        g = random_multigraph(rng, max_n=6, max_m=12)
+        other = random_multigraph(rng, max_n=6, max_m=12)
+        while other.num_edges != g.num_edges:
+            other = random_multigraph(rng, max_n=6, max_m=12)
+        beta = list(range(g.num_edges))
+        rng.shuffle(beta)
+        cases = [(other, beta), (g, beta)]
+        result = decide_planarity(g)
+        if result.status == "planar":
+            cases.append((result.certificate.dual_graph, result.certificate.edge_bijection))
+        for h, b in cases:
+            report = verify_abstract_dual(g, h, b)
+            assert report == verify_abstract_dual_oracle(g, h, b)
+            assert report.forest_counts == (count_maximal_forests(g), count_maximal_forests(h))
+
+
+def test_verify_dual_on_a_5x5_grid():
+    grid = MultiGraph.from_edges(25, [(v, v + 1) for v in range(25) if v % 5 < 4] +
+                                 [(v, v + 5) for v in range(20)])
+    cert = decide_planarity(grid).certificate
+    with wall_clock_guard(1):
+        report = verify_abstract_dual(grid, cert.dual_graph, cert.edge_bijection)
+    assert report.ok
+    assert report.forest_counts == (557568000, 557568000)
 
 
 def test_verify_dual_shape_mismatch(k3, k4):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -8,9 +10,12 @@ from lapdual import (CapExceeded, EmptyOrFullSet, ForestCertificate, MultiGraph,
                      enumerate_circuits, enumerate_maximal_forests,
                      fundamental_circuit_vector, identify_vertices,
                      loopless_isomorphic, maximal_forest, permute_vertices)
-from lapdual.graphs import is_maximal_forest
+from lapdual.graphs import (SearchBudget, is_maximal_forest,
+                            two_isomorphism_candidates)
 
-from conftest import complete_graph, random_multigraph
+from conftest import (complete_graph, cycle_graph, random_multigraph,
+                      wall_clock_guard)
+from oracles import decide_2_isomorphism_oracle, two_isomorphism_candidates_oracle
 
 
 def test_components_k3(k3):
@@ -187,6 +192,47 @@ def test_two_isomorphism_budget():
     g = complete_graph(4)
     res = decide_2_isomorphism_bruteforce(g, g, budget=2)
     assert res.status == "budget_exceeded"
+
+
+def oracle_pairs(seed, count=60):
+    """Seeded multigraphs up to 12 edges, with loops, parallels and several
+    components, each paired with a vertex-relabelled, edge-shuffled copy and
+    with an unrelated graph of the same edge count."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        g = random_multigraph(rng, max_n=6, max_m=12)
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges]
+        rng.shuffle(edges)
+        other = random_multigraph(rng, max_n=6, max_m=12)
+        while other.num_edges != g.num_edges:
+            other = random_multigraph(rng, max_n=6, max_m=12)
+        pairs += [(g, MultiGraph.from_edges(g.num_vertices, edges)), (g, other)]
+    return pairs
+
+
+def first_yields(candidates, g1, g2, limit=300):
+    return list(itertools.islice(candidates(g1, g2, SearchBudget(10**6)), limit))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_isomorphism_matches_the_circuit_enumeration_oracle(seed):
+    for g1, g2 in oracle_pairs(seed):
+        assert first_yields(two_isomorphism_candidates, g1, g2) == \
+            first_yields(two_isomorphism_candidates_oracle, g1, g2)
+        ours = decide_2_isomorphism_bruteforce(g1, g2)
+        theirs = decide_2_isomorphism_oracle(g1, g2)
+        assert dataclasses.replace(ours, nodes_used=0) == \
+            dataclasses.replace(theirs, nodes_used=0)
+
+
+def test_two_isomorphism_search_on_a_long_cycle():
+    cycle = cycle_graph(1200)
+    with wall_clock_guard(30):
+        first = next(two_isomorphism_candidates(cycle, cycle, SearchBudget(10**6)))
+    assert first == tuple(range(1200))
 
 
 def test_identify_vertices():

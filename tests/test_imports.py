@@ -94,15 +94,25 @@ def test_help_and_usage_errors_load_no_layer():
     assert loaded_after(code) == {"lapdual.cli", "lapdual.errors"}
 
 
-def test_emit_dot_and_check_2iso_leave_the_matrix_layers_unloaded(tmp_path):
+def test_emit_dot_leaves_the_matrix_layers_unloaded(tmp_path):
     g = tmp_path / "k4.json"
     g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
     code = ("import contextlib, io\nfrom lapdual import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['emit-dot', {str(g)!r}]) == 0\n"
-            f"    assert cli.main(['check-2iso', {str(g)!r}, {str(g)!r}]) == 0")
+            f"    assert cli.main(['emit-dot', {str(g)!r}]) == 0")
     assert loaded_after(code) == {"lapdual.cli", "lapdual.errors", "lapdual.graphs",
                                   "lapdual.serialization"}
+
+
+def test_check_2iso_leaves_congruence_and_duality_unloaded(tmp_path):
+    # the forest counts come from Kirchhoff's theorem, so laplacians and
+    # intmatrix load
+    g = tmp_path / "k4.json"
+    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
+    code = ("import contextlib, io\nfrom lapdual import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['check-2iso', {str(g)!r}, {str(g)!r}]) == 0")
+    assert not loaded_after(code) & {"lapdual.congruence", "lapdual.duality"}
 
 
 def test_graph_commands_leave_congruence_and_duality_unloaded(tmp_path):

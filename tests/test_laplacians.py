@@ -278,6 +278,13 @@ def test_forest_change_properties_on_k7(tag):
     assert verify_property(complete_graph(7), tag).passed
 
 
+@pytest.mark.parametrize("tag", ["VIII*", "IX*"])
+def test_forest_change_properties_on_a_long_path(tag):
+    # forest enumeration goes one level deeper per forest edge: 1,499 here
+    path = MultiGraph.from_edges(1500, [(i, i + 1) for i in range(1499)])
+    assert verify_property(path, tag).passed
+
+
 def test_verify_property_unknown_tag(k3):
     with pytest.raises(UnknownTag):
         verify_property(k3, "III*")
