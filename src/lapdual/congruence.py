@@ -17,13 +17,12 @@ from fractions import Fraction
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
 from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, Orientation,
                      SearchBudget, TwoIsomorphismResult, component_count, components,
-                     decide_2_isomorphism_bruteforce, fundamental_circuit_vector,
-                     identify_vertices, loopless_isomorphic, maximal_forest,
+                     decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest,
                      two_isomorphism_candidates)
 from .intmatrix import (IntMatrix, UnimodularWitness, det_bareiss,
-                        hermite_normal_form, hnf_nonzero_part, inertia,
-                        inverse_unimodular, rank, smith_normal_form)
-from .laplacians import (ReductionSpec, default_reduction_spec, incidence,
+                        hermite_normal_form, inertia, inverse_unimodular, rank,
+                        smith_normal_form)
+from .laplacians import (ReductionSpec, default_reduction_spec, flow_matrix, incidence,
                          laplacian, reduced_incidence, reduced_laplacian)
 
 CONGRUENT = "congruent"
@@ -58,15 +57,6 @@ def congruence_invariants(a: IntMatrix) -> dict:
         "inertia": ine,
         "snf": snf,
     }
-
-
-def _separating_invariant(a, b):
-    inv_a = congruence_invariants(a)
-    inv_b = congruence_invariants(b)
-    for name in ("size", "rank", "det", "inertia", "snf"):
-        if inv_a[name] != inv_b[name]:
-            return (name, inv_a[name], inv_b[name])
-    return None
 
 
 def _ldl(a: IntMatrix):
@@ -318,13 +308,16 @@ def decide_congruence(a: IntMatrix, b: IntMatrix, budget=10**6) -> CongruenceVer
     """
     if not a.is_symmetric() or not b.is_symmetric():
         raise NotSymmetric("congruence is decided for symmetric matrices only")
-    sep = _separating_invariant(a, b)
-    if sep is not None:
-        return CongruenceVerdict(NOT_CONGRUENT, separating_invariant=sep)
     if a == b:
         return CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(IntMatrix.identity(a.rows)))
+    inv_a = congruence_invariants(a)
+    inv_b = congruence_invariants(b)
+    for name in ("size", "rank", "det", "inertia", "snf"):
+        if inv_a[name] != inv_b[name]:
+            return CongruenceVerdict(NOT_CONGRUENT,
+                                     separating_invariant=(name, inv_a[name], inv_b[name]))
 
-    n_pos, n_neg, _ = inertia(a)
+    n_pos, n_neg, _ = inv_a["inertia"]
     counter = SearchBudget(budget)
     try:
         if n_neg == 0 or n_pos == 0:
@@ -391,16 +384,16 @@ def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
 def loose_row_equivalence(a: IntMatrix, b: IntMatrix):
     """(equivalent, witness) where the witness relates the zero-row paddings.
 
-    True iff the rows of a and b generate the same sublattice.
+    True iff the rows of a and b generate the same sublattice, which holds
+    iff the paddings are strictly row equivalent.
     """
     if a.cols != b.cols:
         raise ShapeMismatch("loose row equivalence needs equal column counts")
-    if hnf_nonzero_part(a) != hnf_nonzero_part(b):
-        return False, None
     size = max(a.rows, b.rows)
     pad_a = a.vstack(IntMatrix.zeros(size - a.rows, a.cols))
     pad_b = b.vstack(IntMatrix.zeros(size - b.rows, b.cols))
-    return True, strict_row_equivalence(pad_a, pad_b)
+    witness = strict_row_equivalence(pad_a, pad_b)
+    return witness is not None, witness
 
 
 class _SignedUnionFind:
@@ -448,10 +441,10 @@ def _resolve_orientation_signs(g1, g2, beta):
     f1 = maximal_forest(g1)
     forest2_edges = sorted(beta[e] for e in f1.forest_edges)
     f2 = ForestCertificate.from_forest(g2, forest2_edges)
+    circuits2 = dict(zip(f2.cotree_edges, flow_matrix(g2, o2, f2).data))
     uf = _SignedUnionFind(m)
-    for e in f1.cotree_edges:
-        v = fundamental_circuit_vector(g1, o1, f1, e)
-        w = fundamental_circuit_vector(g2, o2, f2, beta[e])
+    for e, v in zip(f1.cotree_edges, flow_matrix(g1, o1, f1).data):
+        w = circuits2[beta[e]]
         image = {beta[x]: v[x] for x in range(m) if v[x] != 0}
         if set(image) != {y for y in range(m) if w[y] != 0}:
             return None
@@ -535,8 +528,11 @@ def _search_row_equivalent_beta(g1, g2, budget):
 def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     """Replay the constructive direction: from a congruence witness between the
     reduced Laplacians, identify each V0 to a point, border the witness, and
-    recover the second graph from the transformed incidence matrix.  A graph
-    without vertices has no V0 to identify, so nothing is replayed."""
+    recover the second graph from the transformed incidence matrix.  The
+    recovered graph must equal g2 with V0 identified, vertex for vertex, which
+    is checked by comparing labelled Laplacians: O(n^2), with no isomorphism
+    search and no size cap.  A graph without vertices has no V0 to identify,
+    so nothing is replayed."""
     from .duality import lemma_center_recover
 
     if verdict.status != CONGRUENT:
@@ -554,37 +550,28 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     g1p = identify_vertices(g1, spec1.v0)
     g2p = identify_vertices(g2, spec2.v0)
     k = u.rows
-    ones = [1] * k
-    w = IntMatrix.from_rows([[1] + [-1] * k] + [[0] + [1 if i == j else 0 for j in range(k)]
-                                                for i in range(k)], cols=k + 1)
-    x = _embed_corner(u)
-    y = IntMatrix.from_rows([[1] + ones] + [[0] + [1 if i == j else 0 for j in range(k)]
-                                            for i in range(k)], cols=k + 1)
-    z = UnimodularWitness(w.mul(x).mul(y))
+    z = UnimodularWitness(IntMatrix.from_rows(
+        [[1] + [1 - sum(col) for col in u.transpose().data]] + [[0] + list(row) for row in u.data],
+        cols=k + 1))
     a = incidence(g1p)
     recovered, orient = lemma_center_recover(a, z)
     n1_red = a.submatrix(range(1, a.rows), range(a.cols))
     n3 = incidence(recovered, orient)
     n3_red = n3.submatrix(range(1, n3.rows), range(n3.cols))
     strict_ok = u.mul(n1_red) == n3_red
-    iso_ok = loopless_isomorphic(recovered, g2p)
+    # The rows of u are g2's kept vertices in order, so the recovered reduced
+    # Laplacian is u L1 u^T = L2, and a labelled Laplacian determines a
+    # multigraph up to its loops: equal Laplacians mean the same graph.
+    laplacian_ok = laplacian(recovered) == laplacian(g2p)
     return {
         "attempted": True,
         "swapped": swap,
         "z": z,
         "recovered": recovered,
         "strict_row_equivalence_ok": strict_ok,
-        "recovered_isomorphic_to_identified": iso_ok,
-        "ok": strict_ok and iso_ok,
+        "recovered_laplacian_equals_identified": laplacian_ok,
+        "ok": strict_ok and laplacian_ok,
     }
-
-
-def _embed_corner(u: IntMatrix) -> IntMatrix:
-    k = u.rows
-    rows = [[1] + [0] * k]
-    for i in range(k):
-        rows.append([0] + list(u.data[i]))
-    return IntMatrix.from_rows(rows, cols=k + 1)
 
 
 def block_reduction_witness(g: MultiGraph, spec: ReductionSpec = None) -> UnimodularWitness:

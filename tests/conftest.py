@@ -129,6 +129,18 @@ def random_connected_multigraph(rng, max_n=5, max_m=8, allow_loops=True):
     return random_multigraph(rng, max_n, max_m, connected=True, allow_loops=allow_loops)
 
 
+def grid_graph(rows, cols):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return MultiGraph.from_edges(rows * cols, edges)
+
+
 def _canonical_edges(n, edges):
     best = None
     for perm in itertools.permutations(range(n)):

@@ -14,6 +14,8 @@ from lapdual import (MultiGraph, decide_2_isomorphism_bruteforce, decide_planari
                      permute_vertices, property_x_report, reduced_laplacian,
                      verify_abstract_dual)
 
+from conftest import grid_graph
+
 WARM_UP = 3
 CALLS = 30
 # tuple(<generator>) strands one block per tuple built, and a closure that
@@ -27,18 +29,6 @@ def wheel(n):
     rim = list(range(1, n))
     return MultiGraph.from_edges(n, [(0, v) for v in rim] +
                                  [(v, rim[(k + 1) % len(rim)]) for k, v in enumerate(rim)])
-
-
-def grid(rows, cols):
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return MultiGraph.from_edges(rows * cols, edges)
 
 
 def block_growth(call):
@@ -58,13 +48,13 @@ def block_growth(call):
             gc.enable()
 
 
-LAPLACIAN = reduced_laplacian(grid(3, 4))
-GRID = grid(2, 3)
+LAPLACIAN = reduced_laplacian(grid_graph(3, 4))
+GRID = grid_graph(2, 3)
 RELABELLED = permute_vertices(GRID, (5, 3, 4, 1, 2, 0))
-DUAL = decide_planarity(grid(3, 4)).certificate
+DUAL = decide_planarity(grid_graph(3, 4)).certificate
 REPEATED_CALLS = {
     "planarity-wheel16": lambda: decide_planarity(wheel(16)),
-    "planarity-grid3x4": lambda: decide_planarity(grid(3, 4)),
+    "planarity-grid3x4": lambda: decide_planarity(grid_graph(3, 4)),
     "intmatrix-mul": lambda: LAPLACIAN.mul(LAPLACIAN),
     "intmatrix-transpose": LAPLACIAN.transpose,
     # not 10 wide: tuple(<generator>) starts at 10 slots, so a 10-tuple needs
@@ -73,7 +63,7 @@ REPEATED_CALLS = {
     # short vectors, the isometry backtrack and the 2-isomorphism search
     "property-x-grid2x3": lambda: property_x_report(GRID, RELABELLED, budget=2 * 10**5),
     "two-isomorphism-grid2x3": lambda: decide_2_isomorphism_bruteforce(GRID, RELABELLED),
-    "abstract-dual-grid3x4": lambda: verify_abstract_dual(grid(3, 4), DUAL.dual_graph,
+    "abstract-dual-grid3x4": lambda: verify_abstract_dual(grid_graph(3, 4), DUAL.dual_graph,
                                                           DUAL.edge_bijection),
 }
 

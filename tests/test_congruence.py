@@ -6,15 +6,15 @@ import pytest
 
 from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      ShapeMismatch, UnimodularWitness, congruence_invariants,
-                     decide_congruence, incidence, laplacian,
-                     loose_row_equivalence, permute_vertices, property_x_report,
-                     reduced_incidence, reduced_laplacian,
+                     decide_congruence, identify_vertices, incidence, laplacian,
+                     loopless_isomorphic, loose_row_equivalence, permute_vertices,
+                     property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
-from lapdual.congruence import (_floor_sqrt_shifted, _SignedUnionFind,
-                                block_reduction_witness)
-from lapdual.laplacians import ReductionSpec, reduced_dual_laplacian
+from lapdual.congruence import (_constructive_strict_equivalence, _floor_sqrt_shifted,
+                                _SignedUnionFind, block_reduction_witness)
+from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
 
-from conftest import (random_connected_multigraph, random_unimodular,
+from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
                       wall_clock_guard)
 
 
@@ -255,6 +255,77 @@ def test_property_x_duals_are_not_two_isomorphic(example2, example2_dual):
     report = property_x_report(g1, g2, budget=2 * 10**5)
     assert report.condition_statuses() == ("false", "false", "false", "false")
     assert report.consistent
+
+
+def whitney_twisted_pair(seed, n=10):
+    """Two blocks sharing vertices 0 and 1, and the same graph with the second
+    block reattached with 0 and 1 swapped: a Whitney twist, so 2-isomorphic."""
+    rng = random.Random(seed)
+    a = rng.randint(4, n - 2)  # the first block is 0..a-1, the second 0, 1, a..n-1
+    first = [(i, rng.randrange(i)) for i in range(1, a)]
+    first += [tuple(rng.sample(range(a), 2)) for _ in range(2)]
+    ends = [0, 1] + list(range(a, n))
+    second = [(ends[i], ends[rng.randrange(i)]) for i in range(2, len(ends))]
+    second += [tuple(rng.sample(ends, 2)) for _ in range(2)]
+    swap = {0: 1, 1: 0}
+    twisted = [(swap.get(u, u), swap.get(v, v)) for u, v in second]
+    return MultiGraph.from_edges(n, first + second), MultiGraph.from_edges(n, first + twisted)
+
+
+def relabelled_grid_pair():
+    g = grid_graph(3, 4)
+    perm = list(range(12))
+    random.Random(1).shuffle(perm)
+    return g, permute_vertices(g, perm)
+
+
+# ten or more vertices: past the n <= 9 cap of an isomorphism search
+@pytest.mark.parametrize("pair", [relabelled_grid_pair()] +
+                         [whitney_twisted_pair(seed) for seed in range(6)],
+                         ids=["grid3x4"] + [f"twisted{seed}" for seed in range(6)])
+def test_property_x_decides_pairs_past_nine_vertices(pair):
+    with wall_clock_guard(20):
+        report = property_x_report(*pair)
+    assert report.condition_statuses() == ("true", "true", "true", "true")
+    assert report.consistent
+    assert report.constructive["ok"]
+
+
+def test_labelled_laplacian_check_agrees_with_isomorphism():
+    rng = random.Random(12)
+    attempted = 0
+    for _ in range(60):
+        g1 = random_connected_multigraph(rng, max_n=9, max_m=11)
+        perm = list(range(g1.num_vertices))
+        rng.shuffle(perm)
+        g2 = permute_vertices(g1, perm)
+        with wall_clock_guard(20):
+            verdict = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2),
+                                        budget=10**4)
+        if verdict.status != "congruent":
+            continue
+        replay = _constructive_strict_equivalence(g1, g2, verdict)
+        g2p = identify_vertices(g2, default_reduction_spec(g2).v0)
+        assert replay["recovered_laplacian_equals_identified"] == \
+            loopless_isomorphic(replay["recovered"], g2p) == replay["ok"]
+        attempted += 1
+    assert attempted >= 40
+
+
+def test_witness_for_a_relabelled_copy_is_rejected():
+    # the witness is congruent to a relabelling of g2 that fixes V0 = {0};
+    # an isomorphism test would pass the recovered graph, the labelled check
+    # does not
+    g1 = grid_graph(2, 3)
+    g2 = permute_vertices(g1, (0, 2, 1, 5, 4, 3))
+    relabelled = permute_vertices(g2, (0, 1, 2, 3, 5, 4))
+    with wall_clock_guard(20):
+        verdict = decide_congruence(reduced_laplacian(g1), reduced_laplacian(relabelled))
+    replay = _constructive_strict_equivalence(g1, g2, verdict)
+    assert replay["strict_row_equivalence_ok"]
+    assert loopless_isomorphic(replay["recovered"], identify_vertices(g2, (0,)))
+    assert not replay["recovered_laplacian_equals_identified"]
+    assert not replay["ok"]
 
 
 def test_unreduced_proposition_witness(k4):

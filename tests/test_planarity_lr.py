@@ -16,7 +16,7 @@ from lapdual import (MultiGraph, classify_edges, decide_planarity,
 from lapdual.duality import _face_basis
 from lapdual.graphs import SearchBudget
 
-from conftest import wall_clock_guard
+from conftest import grid_graph, wall_clock_guard
 
 
 def nx_planar(g):
@@ -148,18 +148,6 @@ def test_shuffled_icosahedron_is_decided():
     assert result.certificate.dual_graph.num_vertices == 20
 
 
-def grid(k):
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            if j + 1 < k:
-                edges.append((v, v + 1))
-            if i + 1 < k:
-                edges.append((v, v + k))
-    return MultiGraph.from_edges(k * k, edges)
-
-
 def cycle_with_chords(n, chords):
     return MultiGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + chords)
 
@@ -169,7 +157,7 @@ def test_large_inputs_stay_below_the_recursion_limit():
     # raise RecursionError at the default limit
     assert sys.getrecursionlimit() <= 1000
     with wall_clock_guard(60):
-        g = grid(60)
+        g = grid_graph(60, 60)
         faces = _face_basis(g, maximal_forest(g).cotree_edges, SearchBudget(10**6))
         assert len(faces) == g.num_edges - g.num_vertices + 1
         dependent = Counter()
