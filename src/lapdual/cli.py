@@ -4,18 +4,14 @@ Reads graph/matrix JSON, dispatches one subcommand, prints one JSON document
 (or DOT text) and exits with: 0 success or affirmative decision, 1 negative
 decision, 2 unknown (budget ran out), 64 usage error, 65 malformed input.
 
-Only `_dispatch` and `run` import library layers, and only those the
-subcommand runs, so `--help` and usage errors load none of them.
+The front end loads only `argparse`, `os`, `sys` and `errors`.  `_load_json`
+imports `json`, and `_dispatch` and `run` only the layers the subcommand runs,
+so `--help` and usage errors load none of them.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
-
-from dataclasses import dataclass
 
 from .errors import (PROPERTY_TAGS, BudgetExceeded, CapExceeded, EmptyOrFullSet,
                      InvalidReductionSpec, LapdualError, LoopCountMismatch,
@@ -52,23 +48,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
 class CliConfig:
     """One parsed invocation: subcommand, input paths and the shared knobs."""
 
-    command: str
-    inputs: tuple
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    forest: str = None
-    v0: str = None
-    beta: str = "identity"
-    tag: str = None
-    out: str = None
+    __slots__ = ("command", "inputs", "budget", "seed", "forest", "v0", "beta", "tag", "out")
 
-    def __post_init__(self):
-        if self.budget < 0:
+    def __init__(self, command: str, inputs: tuple, budget: int = DEFAULT_BUDGET,
+                 seed: int = 0, forest: str = None, v0: str = None,
+                 beta: str = "identity", tag: str = None, out: str = None):
+        if budget < 0:
             raise ValueError("budget must be nonnegative")
+        self.command = command
+        self.inputs = inputs
+        self.budget = budget
+        self.seed = seed
+        self.forest = forest
+        self.v0 = v0
+        self.beta = beta
+        self.tag = tag
+        self.out = out
 
 
 def _parse_index_tokens(text, prefix):
@@ -87,6 +85,8 @@ def _parse_index_tokens(text, prefix):
 
 
 def _load_json(path):
+    import json
+
     try:
         with open(path) as fh:
             return json.load(fh)

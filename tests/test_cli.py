@@ -228,15 +228,28 @@ def test_non_integer_budget_env_is_usage_error(files, capsys, monkeypatch):
     assert code == 0
 
 
-def test_cli_config_drives_run(files, tmp_path):
+def test_cli_config_drives_run(files, tmp_path, monkeypatch):
     from lapdual.cli import CliConfig, run
     out = tmp_path / "out.json"
     code = run(CliConfig(command="planarity", inputs=(files["ex2"],),
                          seed=0, out=str(out)))
     assert code == 0
     assert json.loads(out.read_text())["status"] == "planar"
+    # the keyword defaults are the parser's defaults: same bytes as main
+    monkeypatch.delenv("LAPDUAL_BUDGET", raising=False)
+    for argv in (["planarity", files["ex2"]], ["dual-laplacian", files["ex2"]]):
+        by_config = tmp_path / "config.json"
+        by_main = tmp_path / "main.json"
+        assert run(CliConfig(command=argv[0], inputs=(argv[1],), out=str(by_config))) == \
+            main(argv + ["--out", str(by_main)])
+        assert by_config.read_bytes() == by_main.read_bytes()
     with pytest.raises(ValueError):
         CliConfig(command="planarity", inputs=("x",), budget=-1)
+    # malformed JSON is reported by the reader's lazily imported json
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(CliConfig(command="laplacian", inputs=(str(bad),), out=str(out))) == 65
+    assert json.loads(out.read_text())["error"]["type"] == "MalformedInput"
 
 
 def test_usage_error_exit():

@@ -37,12 +37,17 @@ SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "dual
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lapdual.__file__)))
 
 
+# stdlib modules of interest: `fractions` comes with the matrix layers; the
+# CLI front end needs none of `dataclasses`, the `inspect` it imports, or `json`
+STDLIB = ("dataclasses", "fractions", "inspect", "json")
+
+
 def loaded_after(code):
-    """The lapdual layers and stdlib modules of interest that a fresh
-    interpreter has loaded after running `code`."""
+    """The lapdual layers and STDLIB modules that a fresh interpreter has
+    loaded after running `code`."""
     probe = (f"{code}\nimport sys\n"
              "print(' '.join(sorted(m for m in sys.modules\n"
-             "                      if m.startswith('lapdual.') or m == 'fractions')))")
+             f"                      if m.startswith('lapdual.') or m in {STDLIB!r})))")
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
@@ -100,8 +105,9 @@ def test_emit_dot_leaves_the_matrix_layers_unloaded(tmp_path):
     code = ("import contextlib, io\nfrom lapdual import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['emit-dot', {str(g)!r}]) == 0")
+    # graphs' dataclasses import inspect; serialization imports json
     assert loaded_after(code) == {"lapdual.cli", "lapdual.errors", "lapdual.graphs",
-                                  "lapdual.serialization"}
+                                  "lapdual.serialization", "dataclasses", "inspect", "json"}
 
 
 def test_check_2iso_leaves_congruence_and_duality_unloaded(tmp_path):
