@@ -17,7 +17,7 @@ against the embedding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
@@ -894,17 +894,7 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertific
     base = flow_gram(g)
     if u.u.mul(base).mul(u.u.transpose()) != reduced_laplacian(cert.dual_graph):
         raise AssertionError("dual Laplacian congruence failed replay")
-    return DualCertificate(
-        dual_graph=cert.dual_graph,
-        dual_orientation=cert.dual_orientation,
-        witness_z=cert.witness_z,
-        edge_bijection=cert.edge_bijection,
-        trace=cert.trace,
-        core_edges=cert.core_edges,
-        core_forest=cert.core_forest,
-        core_v0=cert.core_v0,
-        laplacian_witness=u,
-    )
+    return replace(cert, laplacian_witness=u)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
 Theory*, ch. 9).  An edge bijection is a cycle-matroid isomorphism exactly
 when it carries the fundamental circuits of a maximal forest into the other
 graph's cycle space and the forest sizes n - c agree, which takes O(m*n)
-parity tests.  The exhaustive forest and circuit enumerators stay for the
-property checks and the tests that cross-check against them.
+parity tests.  The exhaustive forest enumerator stays for properties IV*,
+VIII* and IX* of `laplacians.verify_property`; no property check calls the
+circuit enumerator, which stays for the tests that cross-check against it.
 """
 
 from __future__ import annotations

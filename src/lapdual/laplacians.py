@@ -7,12 +7,10 @@ read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass
 
-from .errors import (PROPERTY_TAGS, CapExceeded, InvalidReductionSpec,
+from .errors import (BudgetExceeded, CapExceeded, InvalidReductionSpec,
                      NotMaximalForest, NotUnimodular, UnknownTag)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, adjacency,
                      circuit_through, classify_edges, components,
@@ -229,10 +227,7 @@ def reduction_change_witness(g: MultiGraph, spec_from: ReductionSpec,
     kept_from = spec_from.kept_vertices(g)
     kept_to = spec_to.kept_vertices(g)
     pos_from = {v: i for i, v in enumerate(kept_from)}
-    comp_of = {}
-    for comp in components(g):
-        for v in comp:
-            comp_of[v] = tuple(comp)
+    comp_of = {v: comp for comp in components(g) for v in comp}
     rows = []
     for w in kept_to:
         row = [0] * len(kept_from)
@@ -254,194 +249,196 @@ class PropertyReport:
     details: dict
 
 
-def _append_edges(g, extra):
-    return MultiGraph(g.num_vertices, g.edges + tuple(extra), g.name)
-
-
-def _second_forest(g):
-    forests = list(itertools.islice(iter_maximal_forests(g), 2))
-    return forests[-1]
-
-
 def _alternate_spec(g):
     return ReductionSpec.of(comp[-1] for comp in components(g))
 
 
+def _zero_line_sums(m):
+    return all(sum(row) == 0 for row in m.data) and \
+        all(sum(m.column(j)) == 0 for j in range(m.cols))
+
+
+def _reduction_change(g):
+    """The default and alternate reduction specs, and the witness between them."""
+    spec1, spec2 = default_reduction_spec(g), _alternate_spec(g)
+    return spec1, spec2, reduction_change_witness(g, spec1, spec2)
+
+
+def _forest_change(g):
+    """Two maximal forests, their flow matrices and a row equivalence or None."""
+    from .congruence import strict_row_equivalence
+    f1 = maximal_forest(g)
+    f2 = list(itertools.islice(iter_maximal_forests(g), 2))[-1]
+    fm1, fm2 = flow_matrix(g, None, f1), flow_matrix(g, None, f2)
+    return f1, f2, fm1, fm2, strict_row_equivalence(fm1, fm2)
+
+
+# property checks, one block: each builds only what it reads and returns
+# (passed, details)
+def _check_i(g):
+    lap = laplacian(g)
+    return lap.is_symmetric(), {"laplacian": lap}
+
+def _check_ii(g):
+    lap = laplacian(g)
+    with_loop = MultiGraph(g.num_vertices, g.edges + ((0, 0),), g.name) if g.num_vertices else g
+    stripped = MultiGraph(g.num_vertices, tuple([e for e in g.edges if e[0] != e[1]]), g.name)
+    return laplacian(with_loop) == lap == laplacian(stripped), {"laplacian": lap}
+
+def _check_iii(g):
+    n = g.num_vertices
+    if n > 8:
+        raise CapExceeded("property III check enumerates vertex permutations; n <= 8")
+    lap = laplacian(g)
+    stripped_edges = sorted(tuple(sorted(e)) for e in g.edges if e[0] != e[1])
+    matching, isos = [], []
+    for perm in itertools.permutations(range(n)):
+        if all(lap.data[perm[i]][perm[j]] == lap.data[i][j]
+               for i in range(n) for j in range(n)):
+            matching.append(perm)
+        mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in stripped_edges)
+        if mapped == stripped_edges:
+            isos.append(perm)
+    return matching == isos, {"laplacian_permutations": len(matching),
+                              "loopless_isomorphisms": len(isos)}
+
+def _check_iv(g):
+    lap = laplacian(g)
+    return _zero_line_sums(lap), {"laplacian": lap}
+
+def _check_v(g):
+    trace = laplacian(g).trace()
+    expected = 2 * (g.num_edges - sum(1 for e in range(g.num_edges) if g.is_loop(e)))
+    return trace == expected, {"trace": trace, "expected": expected}
+
+def _check_vi(g):
+    lap = laplacian(g)
+    comps = components(g)
+    owner = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    ok = all(lap.data[i][j] == 0
+             for i in range(g.num_vertices) for j in range(g.num_vertices)
+             if owner[i] != owner[j])
+    return ok, {"components": comps}
+
+def _check_vii(g):
+    spec = default_reduction_spec(g)
+    n_full, n_red = incidence(g), reduced_incidence(g, None, spec)
+    ok = n_full.mul(n_full.transpose()) == laplacian(g) and \
+        n_red.mul(n_red.transpose()) == reduced_laplacian(g, spec)
+    return ok, {"incidence": n_full}
+
+def _check_viii(g):
+    spec1, spec2, u = _reduction_change(g)
+    ok = u.u.mul(reduced_incidence(g, None, spec1)) == reduced_incidence(g, None, spec2)
+    return ok, {"witness": u, "specs": (spec1, spec2)}
+
+def _check_ix(g):
+    spec1, spec2, u = _reduction_change(g)
+    l1 = reduced_laplacian(g, spec1)
+    return u.u.mul(l1).mul(u.u.transpose()) == reduced_laplacian(g, spec2), {"witness": u}
+
+def _check_x(g):
+    from .congruence import property_x_report
+    other = MultiGraph(g.num_vertices, g.edges[1:] + g.edges[:1], g.name)
+    report = property_x_report(g, other, budget=200000)
+    statuses = report.condition_statuses()
+    if report.consistent and "unknown" in statuses and "false" not in statuses:
+        raise BudgetExceeded(f"property X conditions {statuses} at budget 200000")
+    return report.consistent and statuses == ("true",) * 4, {"report": report}
+
+def _check_xi(g):
+    spec, f = default_reduction_spec(g), maximal_forest(g)
+    forest_cols = incidence(g).submatrix(spec.kept_vertices(g), f.forest_edges)
+    gram = cut_gram(g, None, f, spec)
+    ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g, spec)
+    return ok, {"witness": forest_cols}
+
+def _check_i_star(g):
+    pair = reduced_dual_laplacian(g)
+    ok = pair.reduced.is_symmetric() and pair.unreduced.is_symmetric()
+    return ok, {"reduced": pair.reduced}
+
+def _check_ii_star(g):
+    if g.num_vertices == 0:
+        return True, {"note": "empty graph; nothing to attach"}
+    pair = reduced_dual_laplacian(g)
+    grown = MultiGraph(g.num_vertices + 1, g.edges + ((0, g.num_vertices),), g.name)
+    ok = flow_gram(grown) == pair.gram_base
+    isthmuses = classify_edges(g)[1]
+    if isthmuses:
+        e = isthmuses[0]
+        shrunk = MultiGraph(g.num_vertices, g.edges[:e] + g.edges[e + 1:], g.name)
+        ok = ok and flow_gram(shrunk) == pair.gram_base
+    return ok, {"reduced": pair.reduced}
+
+def _check_iv_star(g):
+    pair = reduced_dual_laplacian(g)
+    forest_count = count_maximal_forests(g, cap=200000)
+    ok = _zero_line_sums(pair.unreduced) and det_bareiss(pair.gram_base) == forest_count
+    return ok, {"forest_count": forest_count}
+
+def _check_v_star(g):
+    hat = superbase_matrix(g)
+    tr = hat.mul(hat.transpose()).trace()
+    bound = 2 * (g.num_edges - len(classify_edges(g)[1]))
+    return tr % 2 == 0 and tr >= bound, {"trace": tr, "bound": bound}
+
+def _check_vi_star(g):
+    comps = components(g)
+    if len(comps) <= 1:
+        return True, {"note": "graph already connected"}
+    bridges = [(comps[i][0], comps[i + 1][0]) for i in range(len(comps) - 1)]
+    joined = MultiGraph(g.num_vertices, g.edges + tuple(bridges), g.name)
+    ok = flow_gram(joined) == reduced_dual_laplacian(g).gram_base
+    return ok, {"bridges": bridges}
+
+def _check_vii_star(g):
+    pair = reduced_dual_laplacian(g)
+    fm = flow_matrix(g)
+    hat = superbase_matrix(g)
+    ok = fm.mul(fm.transpose()) == pair.gram_base and \
+        hat.mul(hat.transpose()) == border_first(pair.gram_base)
+    return ok, {"flow_matrix": fm}
+
+def _check_viii_star(g):
+    f1, f2, fm1, fm2, u = _forest_change(g)
+    same_under_spec = flow_matrix(g, None, f1, _alternate_spec(g)) == fm1
+    ok = same_under_spec and u is not None and u.u.mul(fm1) == fm2
+    return ok, {"witness": u, "forests": (f1, f2)}
+
+def _check_ix_star(g):
+    f1, f2, _, _, u = _forest_change(g)
+    if u is None:
+        return False, {"note": "flow matrices not row equivalent"}
+    r1, r2 = flow_gram(g, None, f1), flow_gram(g, None, f2)
+    ok = u.u.mul(r1).mul(u.u.transpose()) == r2
+    hat_u = border_witness_last(u)
+    ok = ok and hat_u.u.mul(border_last(r1)).mul(hat_u.u.transpose()) == border_last(r2)
+    return ok, {"witness": u, "bordered_witness": hat_u}
+
+
+# one check per tag of `errors.PROPERTY_TAGS`, in its order
+_PROPERTY_CHECKS = {
+    "I": _check_i, "II": _check_ii, "III": _check_iii, "IV": _check_iv,
+    "V": _check_v, "VI": _check_vi, "VII": _check_vii, "VIII": _check_viii,
+    "IX": _check_ix, "X": _check_x, "XI": _check_xi,
+    "I*": _check_i_star, "II*": _check_ii_star, "IV*": _check_iv_star,
+    "V*": _check_v_star, "VI*": _check_vi_star, "VII*": _check_vii_star,
+    "VIII*": _check_viii_star, "IX*": _check_ix_star,
+}
+
+
 def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     """Check one of the classical (un)reduced Laplacian facts or its flow-side
-    analogue on the given graph, returning the witnesses used."""
-    if tag not in PROPERTY_TAGS:
+    analogue on the given graph, returning the witnesses used.
+
+    `_PROPERTY_CHECKS` maps each tag to its check.  X, VIII* and IX* load
+    `congruence`, and X also `duality`; the rest load no further layer.  III
+    tries all n! vertex permutations (CapExceeded for n > 8), IV* enumerates
+    up to 200,000 forests, and X raises BudgetExceeded when a condition on
+    the edge-rotated copy stays unknown and none is false."""
+    check = _PROPERTY_CHECKS.get(tag)
+    if check is None:
         raise UnknownTag(f"unknown property tag {tag!r}")
-    o = Orientation.default(g)
-    lap = laplacian(g)
-    loops, isthmuses = classify_edges(g)
-    details = {}
-
-    if tag == "I":
-        return PropertyReport(tag, lap.is_symmetric(), {"laplacian": lap})
-
-    if tag == "II":
-        with_loop = _append_edges(g, [(0, 0)]) if g.num_vertices else g
-        stripped = MultiGraph(g.num_vertices,
-                              tuple([e for e in g.edges if e[0] != e[1]]), g.name)
-        ok = laplacian(with_loop) == lap == laplacian(stripped)
-        return PropertyReport(tag, ok, {"laplacian": lap})
-
-    if tag == "III":
-        n = g.num_vertices
-        if n > 8:
-            raise CapExceeded("property III check enumerates vertex permutations; n <= 8")
-        stripped_edges = sorted(tuple(sorted(e)) for e in g.edges if e[0] != e[1])
-        matching, isos = [], []
-        for perm in itertools.permutations(range(n)):
-            if all(lap.data[perm[i]][perm[j]] == lap.data[i][j]
-                   for i in range(n) for j in range(n)):
-                matching.append(perm)
-            mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in stripped_edges)
-            if mapped == stripped_edges:
-                isos.append(perm)
-        ok = matching == isos
-        return PropertyReport(tag, ok, {"laplacian_permutations": len(matching),
-                                        "loopless_isomorphisms": len(isos)})
-
-    if tag == "IV":
-        ok = all(sum(row) == 0 for row in lap.data) and \
-            all(sum(lap.column(j)) == 0 for j in range(lap.cols))
-        return PropertyReport(tag, ok, {"laplacian": lap})
-
-    if tag == "V":
-        expected = 2 * (g.num_edges - len(loops))
-        return PropertyReport(tag, lap.trace() == expected,
-                              {"trace": lap.trace(), "expected": expected})
-
-    if tag == "VI":
-        comps = components(g)
-        owner = {}
-        for idx, comp in enumerate(comps):
-            for v in comp:
-                owner[v] = idx
-        ok = all(lap.data[i][j] == 0
-                 for i in range(g.num_vertices) for j in range(g.num_vertices)
-                 if owner[i] != owner[j])
-        return PropertyReport(tag, ok, {"components": comps})
-
-    if tag == "VII":
-        spec = default_reduction_spec(g)
-        n_full = incidence(g, o)
-        n_red = reduced_incidence(g, o, spec)
-        ok = n_full.mul(n_full.transpose()) == lap and \
-            n_red.mul(n_red.transpose()) == reduced_laplacian(g, spec)
-        return PropertyReport(tag, ok, {"incidence": n_full})
-
-    if tag == "VIII":
-        spec1, spec2 = default_reduction_spec(g), _alternate_spec(g)
-        u = reduction_change_witness(g, spec1, spec2)
-        n1 = reduced_incidence(g, o, spec1)
-        n2 = reduced_incidence(g, o, spec2)
-        ok = u.u.mul(n1) == n2
-        return PropertyReport(tag, ok, {"witness": u, "specs": (spec1, spec2)})
-
-    if tag == "IX":
-        spec1, spec2 = default_reduction_spec(g), _alternate_spec(g)
-        u = reduction_change_witness(g, spec1, spec2)
-        l1 = reduced_laplacian(g, spec1)
-        l2 = reduced_laplacian(g, spec2)
-        ok = u.u.mul(l1).mul(u.u.transpose()) == l2
-        return PropertyReport(tag, ok, {"witness": u})
-
-    if tag == "X":
-        if g.num_edges > 9:
-            raise CapExceeded("property X check enumerates edge bijections; m <= 9")
-        from .congruence import property_x_report
-        relabel = g.edges[1:] + g.edges[:1]
-        other = MultiGraph(g.num_vertices, relabel, g.name)
-        report = property_x_report(g, other, budget=200000)
-        ok = report.consistent and report.condition_statuses() == ("true",) * 4
-        return PropertyReport(tag, ok, {"report": report})
-
-    if tag == "XI":
-        spec = default_reduction_spec(g)
-        f = maximal_forest(g)
-        kept = spec.kept_vertices(g)
-        forest_cols = incidence(g, o).submatrix(kept, f.forest_edges)
-        gram = cut_gram(g, o, f, spec)
-        ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g, spec)
-        return PropertyReport(tag, ok, {"witness": forest_cols})
-
-    # starred properties
-    pair = reduced_dual_laplacian(g)
-
-    if tag == "I*":
-        ok = pair.reduced.is_symmetric() and pair.unreduced.is_symmetric()
-        return PropertyReport(tag, ok, {"reduced": pair.reduced})
-
-    if tag == "II*":
-        if g.num_vertices == 0:
-            return PropertyReport(tag, True, {"note": "empty graph; nothing to attach"})
-        grown = MultiGraph(g.num_vertices + 1,
-                           g.edges + ((0, g.num_vertices),), g.name)
-        ok = flow_gram(grown) == pair.gram_base
-        if isthmuses:
-            e = isthmuses[0]
-            shrunk = MultiGraph(g.num_vertices, g.edges[:e] + g.edges[e + 1:], g.name)
-            ok = ok and flow_gram(shrunk) == pair.gram_base
-        return PropertyReport(tag, ok, {"reduced": pair.reduced})
-
-    if tag == "IV*":
-        ok = all(sum(row) == 0 for row in pair.unreduced.data)
-        ok = ok and all(sum(pair.unreduced.column(j)) == 0 for j in range(pair.unreduced.cols))
-        forest_count = count_maximal_forests(g, cap=200000)
-        ok = ok and det_bareiss(pair.gram_base) == forest_count
-        return PropertyReport(tag, ok, {"forest_count": forest_count})
-
-    if tag == "V*":
-        hat = superbase_matrix(g)
-        tr = hat.mul(hat.transpose()).trace()
-        bound = 2 * (g.num_edges - len(isthmuses))
-        ok = tr % 2 == 0 and tr >= bound
-        return PropertyReport(tag, ok, {"trace": tr, "bound": bound})
-
-    if tag == "VI*":
-        comps = components(g)
-        if len(comps) <= 1:
-            return PropertyReport(tag, True, {"note": "graph already connected"})
-        bridges = [(comps[i][0], comps[i + 1][0]) for i in range(len(comps) - 1)]
-        joined = _append_edges(g, bridges)
-        ok = flow_gram(joined) == pair.gram_base
-        return PropertyReport(tag, ok, {"bridges": bridges})
-
-    if tag == "VII*":
-        fm = flow_matrix(g)
-        hat = superbase_matrix(g)
-        ok = fm.mul(fm.transpose()) == pair.gram_base
-        ok = ok and hat.mul(hat.transpose()) == border_first(pair.gram_base)
-        return PropertyReport(tag, ok, {"flow_matrix": fm})
-
-    if tag == "VIII*":
-        from .congruence import strict_row_equivalence
-        f1 = maximal_forest(g)
-        f2 = _second_forest(g)
-        fm1 = flow_matrix(g, o, f1)
-        fm2 = flow_matrix(g, o, f2)
-        same_under_spec = flow_matrix(g, o, f1, _alternate_spec(g)) == fm1
-        u = strict_row_equivalence(fm1, fm2)
-        ok = same_under_spec and u is not None and u.u.mul(fm1) == fm2
-        return PropertyReport(tag, ok, {"witness": u, "forests": (f1, f2)})
-
-    if tag == "IX*":
-        from .congruence import strict_row_equivalence
-        f1 = maximal_forest(g)
-        f2 = _second_forest(g)
-        fm1 = flow_matrix(g, o, f1)
-        fm2 = flow_matrix(g, o, f2)
-        u = strict_row_equivalence(fm1, fm2)
-        if u is None:
-            return PropertyReport(tag, False, {"note": "flow matrices not row equivalent"})
-        r1 = flow_gram(g, o, f1)
-        r2 = flow_gram(g, o, f2)
-        ok = u.u.mul(r1).mul(u.u.transpose()) == r2
-        hat_u = border_witness_last(u)
-        ok = ok and hat_u.u.mul(border_last(r1)).mul(hat_u.u.transpose()) == border_last(r2)
-        return PropertyReport(tag, ok, {"witness": u, "bordered_witness": hat_u})
-
-    raise UnknownTag(f"unhandled property tag {tag!r}")
+    passed, details = check(g)
+    return PropertyReport(tag, passed, details)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import lapdual
+from lapdual.errors import PROPERTY_TAGS
 
 # the package's public names, as fixed when every layer was imported eagerly
 EXPORTS = [
@@ -131,3 +132,15 @@ def test_graph_commands_leave_congruence_and_duality_unloaded(tmp_path):
     loaded = loaded_after(code)
     assert "lapdual.laplacians" in loaded
     assert not loaded & {"lapdual.congruence", "lapdual.duality"}
+
+
+def test_verify_property_loads_congruence_and_duality_only_where_needed(tmp_path):
+    g = tmp_path / "k4.json"
+    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
+    for tag in PROPERTY_TAGS:
+        code = ("import contextlib, io\nfrom lapdual import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main(['verify-property', {tag!r}, {str(g)!r}]) == 0")
+        loaded = loaded_after(code)
+        assert ("lapdual.congruence" in loaded) == (tag in ("X", "VIII*", "IX*")), tag
+        assert ("lapdual.duality" in loaded) == (tag == "X"), tag

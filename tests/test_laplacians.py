@@ -1,24 +1,31 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
-from lapdual import (CapExceeded, ForestCertificate, IntMatrix,
-                     InvalidReductionSpec, MultiGraph, NotMaximalForest,
+from lapdual import (BudgetExceeded, CapExceeded, ForestCertificate, IntMatrix,
+                     InvalidReductionSpec, LapdualError, MultiGraph, NotMaximalForest,
                      Orientation, UnknownTag, count_maximal_forests,
                      det_bareiss, enumerate_maximal_forests,
                      fundamental_circuit_vector, maximal_forest)
-from lapdual.laplacians import (PROPERTY_TAGS, ReductionSpec, border_first,
+from lapdual import laplacians
+from lapdual.errors import PROPERTY_TAGS
+from lapdual.laplacians import (ReductionSpec, border_first,
                                 border_last, cut_block, cut_gram,
                                 default_reduction_spec, flow_gram, flow_matrix,
                                 incidence, laplacian, reduced_dual_laplacian,
                                 reduced_incidence, reduced_laplacian,
                                 reduction_change_witness, superbase_matrix,
                                 verify_property)
+from lapdual.serialization import dumps
 
 from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
                       EXAMPLE2_FLOW, EXAMPLE2_INCIDENCE,
-                      EXAMPLE2_SUPERBASE_GRAM, complete_graph,
-                      random_connected_multigraph, random_multigraph)
+                      EXAMPLE2_SUPERBASE_GRAM, complete_graph, grid_graph,
+                      random_connected_multigraph, random_multigraph,
+                      wall_clock_guard)
 
 
 def test_laplacian_k3(k3):
@@ -261,15 +268,39 @@ def test_verify_property_trace_detail(example2):
     assert rep.details == {"trace": 18, "expected": 18}
 
 
+AWKWARD_GRAPHS = [
+    MultiGraph.from_edges(2, [(0, 0), (0, 1), (1, 1), (0, 1)]),
+    MultiGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    MultiGraph.from_edges(1, []),
+]
+
+
 def test_verify_property_on_awkward_graphs():
-    graphs = [
-        MultiGraph.from_edges(2, [(0, 0), (0, 1), (1, 1), (0, 1)]),
-        MultiGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
-        MultiGraph.from_edges(1, []),
-    ]
-    for g in graphs:
+    for g in AWKWARD_GRAPHS:
         for tag in PROPERTY_TAGS:
             assert verify_property(g, tag).passed, (g.edges, tag)
+
+
+def property_digests(graphs):
+    """Map "<graph name> <tag>" to the sha256 of `dumps(verify_property(g,
+    tag))`, or to the name of the error that call raises."""
+    out = {}
+    for name, g in graphs.items():
+        for tag in PROPERTY_TAGS:
+            try:
+                text = dumps(verify_property(g, tag))
+            except LapdualError as exc:
+                out[f"{name} {tag}"] = type(exc).__name__
+            else:
+                out[f"{name} {tag}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_verify_property_output_matches_golden_digests(example2, k3):
+    graphs = {"example2": example2, "K3": k3, "empty": MultiGraph.from_edges(0, [])}
+    graphs.update((f"awkward{i}", g) for i, g in enumerate(AWKWARD_GRAPHS))
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_property_digests.json"
+    assert property_digests(graphs) == json.loads(golden.read_text())
 
 
 @pytest.mark.parametrize("tag", ["VIII*", "IX*"])
@@ -294,6 +325,24 @@ def test_verify_property_caps(k5):
     big = MultiGraph.from_edges(9, [(i, i + 1) for i in range(8)])
     with pytest.raises(CapExceeded):
         verify_property(big, "III")
+
+
+def test_property_table_follows_the_tag_list():
+    assert list(laplacians._PROPERTY_CHECKS) == list(PROPERTY_TAGS)
+
+
+@pytest.mark.parametrize("name", ["k5", "petersen"])
+def test_property_x_beyond_nine_edges(name, request):
+    assert verify_property(request.getfixturevalue(name), "X").passed
+
+
+def test_property_x_out_of_budget_raises_budget_exceeded():
+    # the 3x4 grid with each vertex's vertical edge listed first: against its
+    # edge-rotated copy the 2-isomorphism search runs out of its 2e5 budget,
+    # so conditions 2-4 stay unknown while congruence holds
+    g = MultiGraph.from_edges(12, sorted(grid_graph(3, 4).edges, key=lambda e: (e[0], -e[1])))
+    with wall_clock_guard(60), pytest.raises(BudgetExceeded):
+        verify_property(g, "X")
 
 
 def test_random_graphs_satisfy_core_properties():
