@@ -17,10 +17,9 @@ _EXPORTS = {
     "graphs": ("ForestCertificate", "MultiGraph", "Orientation",
                "TwoIsomorphismResult", "classify_edges", "components",
                "count_maximal_forests", "cut_vector",
-               "decide_2_isomorphism_bruteforce", "enumerate_circuits",
-               "enumerate_maximal_forests", "fundamental_circuit_vector",
-               "identify_vertices", "is_connected", "loopless_isomorphic",
-               "maximal_forest", "permute_vertices"),
+               "decide_2_isomorphism_bruteforce", "enumerate_maximal_forests",
+               "fundamental_circuit_vector", "identify_vertices",
+               "is_connected", "maximal_forest", "permute_vertices"),
     "intmatrix": ("IntMatrix", "SnfResult", "UnimodularWitness", "det_bareiss",
                   "hermite_normal_form", "hnf_nonzero_part", "inertia",
                   "inverse_unimodular", "rank", "smith_normal_form"),

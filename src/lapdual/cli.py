@@ -4,6 +4,10 @@ Reads graph/matrix JSON, dispatches one subcommand, prints one JSON document
 (or DOT text) and exits with: 0 success or affirmative decision, 1 negative
 decision, 2 unknown (budget ran out), 64 usage error, 65 malformed input.
 
+Each subcommand is declared once, as a row of `_COMMANDS`: its help line,
+positional names and flags.  `build_parser` adds one subparser per row, and
+`config_from_args` reads the input paths and flag values from the same row.
+
 The front end loads only `argparse`, `os`, `sys` and `errors`.  `_load_json`
 imports `json`, and `_dispatch` and `run` only the layers the subcommand runs,
 so `--help` and usage errors load none of them.
@@ -96,6 +100,38 @@ def _load_json(path):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
+# subcommand -> (help, positional names, flag names), in --help order; every
+# subcommand also takes the common --budget, --seed and --out
+_COMMANDS = {
+    "laplacian": ("Laplacian matrix", ("graph",), ()),
+    "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",)),
+    "incidence": ("incidence matrix (reduced when --v0 is given)", ("graph",), ("--v0",)),
+    "cut-block": ("fundamental-cut block", ("graph",), ("--forest", "--v0")),
+    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest", "--v0")),
+    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",),
+                       ("--forest", "--v0")),
+    "snf": ("Smith normal form with witnesses", ("matrix",), ()),
+    "check-congruence": ("integer congruence of two symmetric matrices",
+                         ("matrix_a", "matrix_b"), ()),
+    "check-2iso": ("2-isomorphism of two multigraphs", ("graph_a", "graph_b"), ()),
+    "verify-property": ("check one Laplacian property tag", ("tag", "graph"), ()),
+    "planarity": ("certified planarity decision", ("graph",), ()),
+    "find-dual": ("construct and verify an abstract dual", ("graph",), ()),
+    "verify-dual": ("verify an abstract-dual edge bijection", ("graph_a", "graph_b"),
+                    ("--beta",)),
+    "emit-dot": ("render a graph as DOT text", ("graph",), ()),
+}
+
+# the arguments that need more than a bare name
+_ARGUMENTS = {
+    "tag": {"metavar": "TAG", "help": "one of: " + ", ".join(PROPERTY_TAGS)},
+    "--forest": {"help": "explicit forest edges, e.g. e1,e2,e4 (1-based) or 0,1,3"},
+    "--v0": {"help": "deleted vertices, e.g. v3 (1-based) or 2"},
+    "--beta": {"default": "identity",
+               "help": "comma-separated image positions, or 'identity'"},
+}
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     # argparse runs a string default through `type` when the flag is absent,
@@ -111,63 +147,18 @@ def build_parser():
                                  "for multigraphs: congruence, 2-isomorphism, "
                                  "duality and planarity certificates.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def graph_cmd(name, help_text, forest=False, v0=False):
+    for name, (help_text, positionals, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("graph")
-        if forest:
-            p.add_argument("--forest", default=None,
-                           help="explicit forest edges, e.g. e1,e2,e4 (1-based) or 0,1,3")
-        if v0:
-            p.add_argument("--v0", default=None,
-                           help="deleted vertices, e.g. v3 (1-based) or 2")
-        return p
-
-    graph_cmd("laplacian", "Laplacian matrix")
-    graph_cmd("reduced-laplacian", "reduced Laplacian", v0=True)
-    graph_cmd("incidence", "incidence matrix (reduced when --v0 is given)", v0=True)
-    graph_cmd("cut-block", "fundamental-cut block", forest=True, v0=True)
-    graph_cmd("flow-matrix", "fundamental-circuit matrix", forest=True, v0=True)
-    graph_cmd("dual-laplacian", "reduced and bordered dual Laplacian", forest=True, v0=True)
-
-    p = sub.add_parser("snf", help="Smith normal form with witnesses", parents=[common])
-    p.add_argument("matrix")
-
-    p = sub.add_parser("check-congruence", parents=[common],
-                       help="integer congruence of two symmetric matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-
-    p = sub.add_parser("check-2iso", parents=[common], help="2-isomorphism of two multigraphs")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-
-    p = sub.add_parser("verify-property", parents=[common],
-                       help="check one Laplacian property tag")
-    p.add_argument("tag", metavar="TAG",
-                   help="one of: " + ", ".join(PROPERTY_TAGS))
-    p.add_argument("graph")
-
-    graph_cmd("planarity", "certified planarity decision")
-    graph_cmd("find-dual", "construct and verify an abstract dual")
-
-    p = sub.add_parser("verify-dual", parents=[common],
-                       help="verify an abstract-dual edge bijection")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.add_argument("--beta", default="identity",
-                   help="comma-separated image positions, or 'identity'")
-
-    p = sub.add_parser("emit-dot", parents=[common], help="render a graph as DOT text")
-    p.add_argument("graph")
+        for arg in positionals + flags:
+            p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
     return parser
 
 
 def _dispatch(config: CliConfig):
     """Returns (payload, exit_code); payload may be a raw string for DOT.
 
-    Reading an input loads serialization and graphs, which is all emit-dot
-    and check-2iso run.  Every other command loads laplacians and intmatrix;
+    Reading an input loads serialization and graphs, which is all the first
+    two branches run.  Every other command loads laplacians and intmatrix;
     only the commands that run congruence or duality load those layers."""
     from . import graphs, serialization
 
@@ -254,27 +245,13 @@ def _emit(text, config):
         sys.stdout.write(text)
 
 
-_POSITIONALS = {
-    "snf": ("matrix",),
-    "check-congruence": ("matrix_a", "matrix_b"),
-    "check-2iso": ("graph_a", "graph_b"),
-    "verify-dual": ("graph_a", "graph_b"),
-}
-
-
 def config_from_args(args) -> CliConfig:
-    names = _POSITIONALS.get(args.command, ("graph",))
-    return CliConfig(
-        command=args.command,
-        inputs=tuple([getattr(args, name) for name in names]),
-        budget=args.budget,
-        seed=args.seed,
-        forest=getattr(args, "forest", None),
-        v0=getattr(args, "v0", None),
-        beta=getattr(args, "beta", "identity"),
-        tag=getattr(args, "tag", None),
-        out=args.out,
-    )
+    _, positionals, flags = _COMMANDS[args.command]
+    # every positional but `tag` is an input path; each flag sets its field: `--v0`, `v0`
+    return CliConfig(args.command,
+                     tuple([getattr(args, name) for name in positionals if name != "tag"]),
+                     args.budget, args.seed, tag=getattr(args, "tag", None), out=args.out,
+                     **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
 
 
 def run(config: CliConfig) -> int:

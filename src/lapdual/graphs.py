@@ -11,8 +11,9 @@ Theory*, ch. 9).  An edge bijection is a cycle-matroid isomorphism exactly
 when it carries the fundamental circuits of a maximal forest into the other
 graph's cycle space and the forest sizes n - c agree, which takes O(m*n)
 parity tests.  The exhaustive forest enumerator stays for properties IV*,
-VIII* and IX* of `laplacians.verify_property`; no property check calls the
-circuit enumerator, which stays for the tests that cross-check against it.
+VIII* and IX* of `laplacians.verify_property`.  The brute-force circuit
+enumerator and isomorphism test that the tests cross-check against live in
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -359,29 +360,6 @@ def classify_edges(g: MultiGraph):
     return loops, tuple([e for e in range(g.num_edges) if e not in covered])
 
 
-def enumerate_circuits(g: MultiGraph):
-    """All circuits of the cycle matroid as sorted edge tuples (desk scale)."""
-
-    def rank_of(subset):
-        uf = _UnionFind(g.num_vertices)
-        r = 0
-        for e in subset:
-            u, v = g.edges[e]
-            if u != v and uf.union(u, v):
-                r += 1
-        return r
-
-    circuits = []
-    m = g.num_edges
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            if rank_of(subset) != size - 1:
-                continue
-            if all(rank_of(subset[:i] + subset[i + 1:]) == size - 1 for i in range(size)):
-                circuits.append(subset)
-    return circuits
-
-
 def permute_vertices(g: MultiGraph, perm) -> MultiGraph:
     """Relabel vertices: old vertex v becomes perm[v]."""
     return MultiGraph(g.num_vertices,
@@ -403,27 +381,6 @@ def identify_vertices(g: MultiGraph, vertex_set) -> MultiGraph:
             remap[v] = nxt
             nxt += 1
     return MultiGraph(nxt, tuple([(remap[u], remap[v]) for u, v in g.edges]), g.name)
-
-
-def loopless_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
-    """Brute-force isomorphism of the loop-stripped multigraphs (desk scale).
-
-    No runtime path calls it: property X compares labelled Laplacians instead.
-    It stays exported as an independent oracle for the tests."""
-    if g1.num_vertices != g2.num_vertices:
-        return False
-    e1 = sorted(tuple(sorted(e)) for e in g1.edges if e[0] != e[1])
-    e2 = sorted(tuple(sorted(e)) for e in g2.edges if e[0] != e[1])
-    if len(e1) != len(e2):
-        return False
-    n = g1.num_vertices
-    if n > 9:
-        raise CapExceeded("isomorphism check enumerates vertex bijections; n <= 9")
-    for perm in itertools.permutations(range(n)):
-        mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in e1)
-        if mapped == e2:
-            return True
-    return False
 
 
 # Each decider answers in its own wire words; this is their one reading as

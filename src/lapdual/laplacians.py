@@ -407,10 +407,11 @@ def _check_viii_star(g):
     return ok, {"witness": u, "forests": (f1, f2)}
 
 def _check_ix_star(g):
-    f1, f2, _, _, u = _forest_change(g)
+    f1, f2, fm1, fm2, u = _forest_change(g)
     if u is None:
         return False, {"note": "flow matrices not row equivalent"}
-    r1, r2 = flow_gram(g, None, f1), flow_gram(g, None, f2)
+    # the flow Grams of f1 and f2, read off their flow matrices (property VII*)
+    r1, r2 = fm1.mul(fm1.transpose()), fm2.mul(fm2.transpose())
     ok = u.u.mul(r1).mul(u.u.transpose()) == r2
     hat_u = border_witness_last(u)
     ok = ok and hat_u.u.mul(border_last(r1)).mul(hat_u.u.transpose()) == border_last(r2)

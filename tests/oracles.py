@@ -4,22 +4,29 @@ Planarity: an exhaustive K5/K3,3 minor search and a MacLane cycle-basis
 search.  They decide planarity by routes independent of the left-right
 embedding in `lapdual.duality`, so the tests use them as voters against it.
 
-2-isomorphism and abstract duality: a backtrack that enumerates every
-circuit of both graphs and checks that each circuit of the first maps to a
-circuit of the second, and deciders that compare whole maximal-forest
-families.  They are independent of the GF(2) cycle-space tests in
-`lapdual.graphs` and `lapdual.duality`, which the tests compare against them.
+2-isomorphism and abstract duality: a circuit enumerator that tries every
+edge subset, a backtrack that checks that each circuit of the first graph
+maps to a circuit of the second, and deciders that compare whole
+maximal-forest families.  They are independent of the GF(2) cycle-space
+tests in `lapdual.graphs` and `lapdual.duality`, which the tests compare
+against them.
+
+Isomorphism: a search over every vertex bijection of the loop-stripped
+multigraphs.  Property X compares labelled Laplacians instead, and the tests
+check that against it.
 
 All of them are exponential and meant for graphs of about a dozen vertices
 or edges.
 """
 
+import itertools
+
 from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, DualityReport,
                              KuratowskiEvidence, PlanarityResult)
-from lapdual.errors import BudgetExceeded, ShapeMismatch
+from lapdual.errors import BudgetExceeded, CapExceeded, ShapeMismatch
 from lapdual.graphs import (MultiGraph, Orientation, SearchBudget,
                             TwoIsomorphismResult, classify_edges,
-                            enumerate_circuits, enumerate_maximal_forests,
+                            enumerate_maximal_forests,
                             fundamental_circuit_vector, maximal_forest,
                             neighbour_sets)
 
@@ -326,6 +333,56 @@ def maclane_oracle(g: MultiGraph, budget=10**6):
         return search(0, 0)
     except BudgetExceeded:
         return None
+
+
+def enumerate_circuits(g: MultiGraph):
+    """All circuits of the cycle matroid as sorted edge tuples: the edge
+    subsets of rank size - 1 whose every proper subset is independent."""
+
+    def rank_of(subset):
+        parent = list(range(g.num_vertices))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        r = 0
+        for e in subset:
+            a, b = (find(x) for x in g.edges[e])
+            if a != b:
+                parent[a] = b
+                r += 1
+        return r
+
+    circuits = []
+    m = g.num_edges
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            if rank_of(subset) != size - 1:
+                continue
+            if all(rank_of(subset[:i] + subset[i + 1:]) == size - 1 for i in range(size)):
+                circuits.append(subset)
+    return circuits
+
+
+def loopless_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
+    """Isomorphism of the loop-stripped multigraphs by trying every vertex
+    bijection; raises CapExceeded past 9 vertices."""
+    if g1.num_vertices != g2.num_vertices:
+        return False
+    e1 = sorted(tuple(sorted(e)) for e in g1.edges if e[0] != e[1])
+    e2 = sorted(tuple(sorted(e)) for e in g2.edges if e[0] != e[1])
+    if len(e1) != len(e2):
+        return False
+    n = g1.num_vertices
+    if n > 9:
+        raise CapExceeded("isomorphism check enumerates vertex bijections; n <= 9")
+    for perm in itertools.permutations(range(n)):
+        mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in e1)
+        if mapped == e2:
+            return True
+    return False
 
 
 def _edge_fingerprints(g, circuits):

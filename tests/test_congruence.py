@@ -7,7 +7,7 @@ import pytest
 from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      ShapeMismatch, UnimodularWitness, congruence_invariants,
                      decide_congruence, identify_vertices, incidence, laplacian,
-                     loopless_isomorphic, loose_row_equivalence, permute_vertices,
+                     loose_row_equivalence, permute_vertices,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
 from lapdual.congruence import (_constructive_strict_equivalence, _floor_sqrt_shifted,
@@ -16,6 +16,7 @@ from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_du
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
                       wall_clock_guard)
+from oracles import loopless_isomorphic
 
 
 def quadrupled(g):

@@ -7,15 +7,15 @@ import pytest
 from lapdual import (CapExceeded, EmptyOrFullSet, ForestCertificate, MultiGraph,
                      NotCotreeEdge, NotMaximalForest, Orientation, classify_edges,
                      components, cut_vector, decide_2_isomorphism_bruteforce,
-                     enumerate_circuits, enumerate_maximal_forests,
-                     fundamental_circuit_vector, identify_vertices,
-                     loopless_isomorphic, maximal_forest, permute_vertices)
+                     enumerate_maximal_forests, fundamental_circuit_vector,
+                     identify_vertices, maximal_forest, permute_vertices)
 from lapdual.graphs import (SearchBudget, is_maximal_forest,
                             two_isomorphism_candidates)
 
 from conftest import (complete_graph, cycle_graph, random_multigraph,
                       wall_clock_guard)
-from oracles import decide_2_isomorphism_oracle, two_isomorphism_candidates_oracle
+from oracles import (decide_2_isomorphism_oracle, enumerate_circuits, loopless_isomorphic,
+                     two_isomorphism_candidates_oracle)
 
 
 def test_components_k3(k3):

@@ -23,15 +23,15 @@ EXPORTS = [
     "construct_abstract_dual", "count_maximal_forests", "cut_block", "cut_gram",
     "cut_vector", "decide_2_isomorphism_bruteforce", "decide_congruence",
     "decide_planarity", "default_reduction_spec", "det_bareiss", "duality",
-    "enumerate_circuits", "enumerate_maximal_forests", "errors", "flow_gram",
-    "flow_matrix", "fundamental_circuit_vector", "graphs", "hermite_normal_form",
+    "enumerate_maximal_forests", "errors", "flow_gram", "flow_matrix",
+    "fundamental_circuit_vector", "graphs", "hermite_normal_form",
     "hnf_nonzero_part", "identify_vertices", "incidence", "inertia", "intmatrix",
     "inverse_unimodular", "is_connected", "laplacian", "laplacians",
-    "lemma_center_recover", "loopless_isomorphic", "loose_row_equivalence",
-    "maximal_forest", "permute_vertices", "property_x_report", "rank",
-    "reduced_dual_laplacian", "reduced_incidence", "reduced_laplacian",
-    "reduction_change_witness", "smith_normal_form", "strict_row_equivalence",
-    "superbase_matrix", "superbase_trace_minimize", "verify_abstract_dual",
+    "lemma_center_recover", "loose_row_equivalence", "maximal_forest",
+    "permute_vertices", "property_x_report", "rank", "reduced_dual_laplacian",
+    "reduced_incidence", "reduced_laplacian", "reduction_change_witness",
+    "smith_normal_form", "strict_row_equivalence", "superbase_matrix",
+    "superbase_trace_minimize", "verify_abstract_dual",
     "verify_kuratowski_evidence", "verify_property",
 ]
 SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "duality")
@@ -56,7 +56,7 @@ def loaded_after(code):
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 86
+    assert len(EXPORTS) == 84
     assert lapdual.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(lapdual))
 
