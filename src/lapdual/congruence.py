@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
-from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, Orientation,
-                     SearchBudget, TwoIsomorphismResult, component_count, components,
-                     decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest,
-                     two_isomorphism_candidates)
+from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
+                     TwoIsomorphismResult, _bfs_tree, adjacency, component_count,
+                     components, decide_2_isomorphism_bruteforce, identify_vertices,
+                     maximal_forest, two_isomorphism_candidates)
 from .intmatrix import (IntMatrix, UnimodularWitness, det_bareiss,
                         hermite_normal_form, inertia, inverse_unimodular, rank,
                         smith_normal_form)
@@ -396,78 +396,45 @@ def loose_row_equivalence(a: IntMatrix, b: IntMatrix):
     return witness is not None, witness
 
 
-class _SignedUnionFind:
-    """Union-find over sign variables with +-1 edge relations."""
+def _resolve_orientation_signs(f1, rows1, g2, beta):
+    """Column signs d making the flow rows `rows1` of g1's forest f1 match
+    g2's fundamental circuits under beta, or None if no d exists.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n  # sign relative to parent
-
-    def find(self, x):
-        """(root, sign of x relative to it); compresses the path walked, so
-        a chain of any length needs no recursion."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        s = 1
-        for y in reversed(path):  # nearest the root first
-            s *= self.sign[y]
-            self.sign[y] = s
-            self.parent[y] = x
-        return x, s
-
-    def relate(self, x, y, s):
-        """Impose sign(x) = s * sign(y); returns False on contradiction."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            return sx == s * sy
-        self.parent[rx] = ry
-        self.sign[rx] = s * sy * sx  # sx * self.sign[rx] must equal s * sy
-        return True
-
-    def value(self, x):
-        _, s = self.find(x)
-        return s
-
-
-def _resolve_orientation_signs(g1, g2, beta):
-    """Column signs d making g1's fundamental circuits match g2's under beta,
-    or None if no orientation assignment exists for this bijection."""
-    m = g1.num_edges
-    o1 = Orientation.default(g1)
-    o2 = Orientation.default(g2)
-    f1 = maximal_forest(g1)
-    forest2_edges = sorted(beta[e] for e in f1.forest_edges)
-    f2 = ForestCertificate.from_forest(g2, forest2_edges)
-    circuits2 = dict(zip(f2.cotree_edges, flow_matrix(g2, o2, f2).data))
-    uf = _SignedUnionFind(m)
-    for e, v in zip(f1.cotree_edges, flow_matrix(g1, o1, f1).data):
+    Each circuit ties d[y] = s * d[anchor]; d is read along a breadth-first
+    forest of the ties, then every tie is checked.  Any other consistent d
+    flips whole tied blocks, which leaves the columns' cut lattice alone."""
+    m = g2.num_edges
+    f2 = ForestCertificate.from_forest(g2, [beta[e] for e in f1.forest_edges])
+    circuits2 = dict(zip(f2.cotree_edges, flow_matrix(g2, None, f2).data))
+    ties, tie_signs = [], []  # tie k: d[y] = tie_signs[k] * d[anchor]
+    for e, v in zip(f1.cotree_edges, rows1):
         w = circuits2[beta[e]]
         image = {beta[x]: v[x] for x in range(m) if v[x] != 0}
         if set(image) != {y for y in range(m) if w[y] != 0}:
             return None
         anchor = beta[e]
-        # image[anchor] == w[anchor] == -1, so d[y] = d[anchor] * w[y]/image[y]
+        # entries are +-1 and image[anchor] == w[anchor] == -1
         for y, val in image.items():
-            if y == anchor:
-                continue
-            if abs(w[y]) != abs(val):
-                return None
-            if not uf.relate(y, anchor, w[y] // val):
-                return None
-    return tuple([uf.value(y) for y in range(m)])
+            if y != anchor:
+                ties.append((y, anchor))
+                tie_signs.append(w[y] * val)
+    d = [1] * m
+    tied = MultiGraph(m, tuple(ties))
+    for y, link in _bfs_tree(adjacency(tied, range(len(ties))), range(m)).items():
+        if link:
+            x, k = link
+            d[y] = tie_signs[k] * d[x]
+    if any(d[y] != s * d[a] for (y, a), s in zip(ties, tie_signs)):
+        return None
+    return tuple(d)
 
 
 def _apply_beta_and_signs(matrix: IntMatrix, beta, signs) -> IntMatrix:
-    """Permute columns into beta order and scale by the sign vector."""
+    """Move column x to beta[x], then scale column j by signs[j]."""
     m = matrix.cols
-    cols = [None] * m
-    for x in range(m):
-        cols[beta[x]] = [signs[beta[x]] * matrix.data[i][x] for i in range(matrix.rows)]
-    return IntMatrix.from_rows([[cols[j][i] for j in range(m)] for i in range(matrix.rows)],
-                               cols=m)
+    source = sorted(range(m), key=beta.__getitem__)  # beta[source[j]] == j
+    return IntMatrix.from_rows([[signs[j] * row[source[j]] for j in range(m)]
+                                for row in matrix.data], cols=m)
 
 
 @dataclass(frozen=True)
@@ -501,9 +468,11 @@ def _search_row_equivalent_beta(g1, g2, budget):
     n2 = reduced_incidence(g2)
     full1 = incidence(g1)
     full2 = incidence(g2)
+    f1 = maximal_forest(g1)
+    rows1 = flow_matrix(g1, None, f1).data
     try:
         for beta in two_isomorphism_candidates(g1, g2, counter):
-            signs = _resolve_orientation_signs(g1, g2, beta)
+            signs = _resolve_orientation_signs(f1, rows1, g2, beta)
             if signs is None:
                 continue
             mapped_reduced = _apply_beta_and_signs(n1, beta, signs)
@@ -637,10 +606,8 @@ def property_x_report(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> PropertyX
     """Evaluate the four equivalent conditions relating reduced Laplacian
     congruence, incidence row equivalence under a column bijection, and
     2-isomorphism, plus their unreduced counterpart."""
-    loops1 = sum(1 for e in range(g1.num_edges) if g1.is_loop(e))
-    loops2 = sum(1 for e in range(g2.num_edges) if g2.is_loop(e))
-    if loops1 != loops2:
-        raise LoopCountMismatch(f"loop counts differ: {loops1} vs {loops2}")
+    if g1.num_loops != g2.num_loops:
+        raise LoopCountMismatch(f"loop counts differ: {g1.num_loops} vs {g2.num_loops}")
 
     cond4 = decide_2_isomorphism_bruteforce(g1, g2, budget)
     cond1 = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2), budget)

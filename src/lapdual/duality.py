@@ -23,10 +23,10 @@ from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     adjacency, circuit_through, classify_edges, component_count,
-                     components, fundamental_circuits, greedy_forest,
-                     in_cut_space, maximal_forest, neighbour_sets)
-from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
+                     _bfs_tree, adjacency, circuit_through, classify_edges,
+                     components, forest_count, forest_size, fundamental_circuits,
+                     greedy_forest, in_cut_space, maximal_forest, neighbour_sets)
+from .intmatrix import IntMatrix, UnimodularWitness
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
                          reduced_laplacian)
@@ -34,6 +34,7 @@ from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
 UNKNOWN = "unknown"
+MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
 
 
 def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
@@ -238,7 +239,7 @@ def _short_cycle_basis(g, o, f_start):
 
 def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
                              f: ForestCertificate = None, spec: ReductionSpec = None,
-                             budget=10**6, seed=0, max_hops=20000) -> SuperbaseState:
+                             budget=10**6, seed=0) -> SuperbaseState:
     """Seeded basin-hopping descent on the superbase Gram trace.
 
     Greedy descent first; afterwards the best state is repeatedly shaken by a
@@ -246,8 +247,8 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
     increase the trace (plateau drift is what escapes the shallow local
     minima).  Occasional hops restart from a different maximal forest.  The
     trace can never go below twice the count of non-isthmus edges, so the
-    search stops as soon as it gets there; budget exhaustion returns the best
-    state found, flagged.
+    search stops as soon as it gets there or after MAX_HOPS hops; budget
+    exhaustion returns the best state found, flagged.
     """
     if o is None:
         o = Orientation.default(g)
@@ -266,7 +267,7 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
         descent.descend(floor_trace)
         if descent.trace() <= best[2]:
             best = descent.keep()
-        for hop in range(max_hops):
+        for hop in range(MAX_HOPS):
             if best[2] <= floor_trace or r < 2:
                 break
             if hop == 0:
@@ -304,12 +305,11 @@ class KuratowskiEvidence:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Witnessed abstract dual: the recovered graph, the unimodular transform
-    that carries the bordered flow matrix onto its incidence matrix, and the
-    edge bijection (positional) between the primal and dual edge sets."""
+    """Witnessed abstract dual: the recovered graph in its default orientation,
+    the unimodular transform that carries the bordered flow matrix onto its
+    incidence matrix, and the positional primal-to-dual edge bijection."""
 
     dual_graph: MultiGraph
-    dual_orientation: Orientation
     witness_z: UnimodularWitness
     edge_bijection: tuple
     trace: int
@@ -330,7 +330,7 @@ class DualCertificate:
         ca = self.witness_z.u.mul(a)
         core_rows = range(self.witness_z.u.rows)
         core_cols = [self.edge_bijection[e] for e in self.core_edges]
-        dual_inc = incidence(self.dual_graph, self.dual_orientation)
+        dual_inc = incidence(self.dual_graph)
         return ca == dual_inc.submatrix(core_rows, core_cols)
 
 
@@ -344,39 +344,30 @@ class PlanarityResult:
 
 
 def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
-    """Branch sets must be disjoint, connected in g, and pairwise adjacent in
-    the target pattern."""
+    """Branch sets must be nonempty, disjoint, connected in g, and pairwise
+    adjacent in the target pattern.  One edge scan finds the edges inside the
+    sets, which one breadth-first forest walks, and the set pairs joined."""
     sets = [set(s) for s in ev.branch_sets]
-    b = len(sets)
-    expected = 5 if ev.kind == "K5" else 6
-    if b != expected:
+    if len(sets) != (5 if ev.kind == "K5" else 6) or not all(sets):
         return False
-    seen = set()
-    for s in sets:
-        if not s or s & seen or not all(0 <= v < g.num_vertices for v in s):
-            return False
-        seen |= s
-    adj = neighbour_sets(g)
-    for s in sets:
-        stack = [next(iter(s))]
-        reached = {stack[0]}
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in s and y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if reached != s:
-            return False
-
-    def touching(s1, s2):
-        return any(w in s2 for v in s1 for w in adj[v])
-
+    owner = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            if v in owner or not 0 <= v < g.num_vertices:
+                return False
+            owner[v] = i
+    inside, joined = [], set()
+    for k, (u, v) in enumerate(g.edges):
+        if u in owner and v in owner:
+            if owner[u] == owner[v]:
+                inside.append(k)
+            else:
+                joined.add((min(owner[u], owner[v]), max(owner[u], owner[v])))
+    if len(_bfs_tree(adjacency(g, inside), [min(s) for s in sets])) != len(owner):
+        return False
     if ev.kind == "K5":
-        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    else:
-        pairs = [(i, j) for i in range(3) for j in range(3, 6)]
-    return all(touching(sets[i], sets[j]) for i, j in pairs)
+        return len(joined) == 10  # every pair of the five sets
+    return joined.issuperset((i, j) for i in range(3) for j in range(3, 6))
 
 
 class _LeftRight:
@@ -784,15 +775,8 @@ def _kuratowski_subdivision(core: MultiGraph, budget: SearchBudget) -> Kuratowsk
     if len(branch) == 5:
         kind, order = "K5", branch
     elif len(branch) == 6:
-        # the two sides of K3,3 by 2-colouring its branch vertices
-        colour = {branch[0]: 0}
-        queue = [branch[0]]
-        for x in queue:
-            for y in sorted(joined[x]):
-                if y not in colour:
-                    colour[y] = 1 - colour[x]
-                    queue.append(y)
-        kind, order = "K3,3", sorted(branch, key=lambda b: (colour[b], b))
+        # K3,3's side of branch[0] is the branch vertices not joined to it
+        kind, order = "K3,3", sorted(branch, key=lambda b: (b in joined[branch[0]], b))
     else:
         raise AssertionError(f"edge-minimal nonplanar graph has {len(branch)} branch vertices")
     return KuratowskiEvidence(kind, tuple([
@@ -830,7 +814,6 @@ def _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z, trace_core,
     dual = MultiGraph(dual_vertices, tuple(edges), name=f"dual({g.name})" if g.name else "")
     return DualCertificate(
         dual_graph=dual,
-        dual_orientation=Orientation.default(dual),
         witness_z=z,
         edge_bijection=tuple(range(g.num_edges)),
         trace=trace_core + 2 * len(loops),
@@ -887,7 +870,7 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertific
         raise BudgetExceeded(result.note or "planarity search exhausted its budget")
     cert = result.certificate
     fm = flow_matrix(g)
-    n_dual = reduced_incidence(cert.dual_graph, cert.dual_orientation)
+    n_dual = reduced_incidence(cert.dual_graph)
     u = strict_row_equivalence(fm, n_dual)
     if u is None:
         raise AssertionError("dual incidence rows do not span the primal flow lattice")
@@ -920,13 +903,10 @@ def verify_abstract_dual(g1: MultiGraph, g2: MultiGraph, beta) -> DualityReport:
     beta = tuple(beta)
     if sorted(beta) != list(range(m)):
         raise ShapeMismatch("beta is not an edge bijection")
-    size1 = g1.num_vertices - component_count(g1)
-    size2 = g2.num_vertices - component_count(g2)
-    size_ok = size2 == m - size1
+    size_ok = forest_size(g2) == m - forest_size(g1)
     complement_ok = size_ok and in_cut_space(
         g2, [[beta[k] for k in c] for c in fundamental_circuits(g1).values()])
     return DualityReport(ok=complement_ok,
                          forest_size_identity=size_ok,
                          complement_bijection=complement_ok,
-                         forest_counts=(det_bareiss(reduced_laplacian(g1)),
-                                        det_bareiss(reduced_laplacian(g2))))
+                         forest_counts=(forest_count(g1), forest_count(g2)))

@@ -5,13 +5,18 @@ Edges are unordered pairs; loops and parallel edges are allowed.  Edge k
 keeps index k for the life of the object, so matrices indexed by edges stay
 aligned across operations.
 
+One walk serves every layer: `_bfs_tree` grows a breadth-first forest over
+an `adjacency` map, and fundamental circuits, cut 2-colourings, Kuratowski
+branch sets and orientation signs are read off it.  Forest sizes n - c and
+Kirchhoff's forest counts have one home each: `forest_size`, `forest_count`.
+
 A graph's cycle matroid is binary, so its GF(2) cycle space (the edge sets
 of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
 Theory*, ch. 9).  An edge bijection is a cycle-matroid isomorphism exactly
 when it carries the fundamental circuits of a maximal forest into the other
-graph's cycle space and the forest sizes n - c agree, which takes O(m*n)
-parity tests.  The exhaustive forest enumerator stays for properties IV*,
-VIII* and IX* of `laplacians.verify_property`.  The brute-force circuit
+graph's cycle space and the forest sizes agree, which takes O(m*n) parity
+tests.  The exhaustive forest enumerator stays for properties IV*, VIII*
+and IX* of `laplacians.verify_property`.  The brute-force circuit
 enumerator and isomorphism test that the tests cross-check against live in
 the tests' oracles.
 """
@@ -48,6 +53,10 @@ class MultiGraph:
     @property
     def num_edges(self):
         return len(self.edges)
+
+    @property
+    def num_loops(self):
+        return sum(1 for u, v in self.edges if u == v)
 
     def is_loop(self, e):
         u, v = self.edges[e]
@@ -150,6 +159,18 @@ def is_connected(g: MultiGraph) -> bool:
     return component_count(g) <= 1
 
 
+def forest_size(g: MultiGraph) -> int:
+    """Edges in a maximal forest: n - c."""
+    return g.num_vertices - component_count(g)
+
+
+def forest_count(g: MultiGraph) -> int:
+    """Maximal forests, counted as the reduced Laplacian's determinant (Kirchhoff)."""
+    from .intmatrix import det_bareiss
+    from .laplacians import reduced_laplacian
+    return det_bareiss(reduced_laplacian(g))
+
+
 def greedy_forest(g: MultiGraph, order) -> ForestCertificate:
     """Forest of the edges that join two trees so far when scanned in `order`;
     maximal when `order` lists every edge."""
@@ -169,12 +190,12 @@ def is_maximal_forest(g: MultiGraph, edge_set) -> bool:
         u, v = g.edges[e]
         if u == v or not uf.union(u, v):
             return False
-    return len(set(edge_set)) == g.num_vertices - component_count(g)
+    return len(set(edge_set)) == forest_size(g)
 
 
 def iter_maximal_forests(g: MultiGraph):
     """Yield every maximal forest, lexicographic by edge-index set."""
-    target = g.num_vertices - component_count(g)
+    target = forest_size(g)
     non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
     return _extend_forest(g, non_loops, target)
 
@@ -237,9 +258,30 @@ def neighbour_sets(g: MultiGraph):
     return adj
 
 
+def _bfs_tree(adj, roots, skip=None, stop=None):
+    """Breadth-first forest over an `adjacency` map: vertex -> (parent, edge)
+    in the order reached, None for each root not reached before.  Edge `skip`
+    is never walked; reaching the non-root vertex `stop` ends the walk."""
+    tree = {}
+    for root in roots:
+        if root in tree:
+            continue
+        tree[root] = None
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y, k in adj.get(x, ()):
+                if k != skip and y not in tree:
+                    tree[y] = (x, k)
+                    if y == stop:
+                        return tree
+                    queue.append(y)
+    return tree
+
+
 def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
-    """Signed circuit vector closing edge e by the first head-to-tail path that
-    a breadth-first walk over `adj` finds without using e, or None.
+    """Signed circuit vector closing edge e by the head-to-tail path of the
+    breadth-first tree that `_bfs_tree` grows over `adj` without e, or None.
 
     Entry -1 at e; path entries are oriented so the vector lies in the kernel
     of the incidence matrix."""
@@ -248,14 +290,7 @@ def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
     if g.is_loop(e):
         return tuple(coords)
     tail, head = o.endpoints(g, e)
-    parent = {head: None}
-    queue = deque([head])
-    while queue and tail not in parent:
-        x = queue.popleft()
-        for y, k in adj.get(x, ()):
-            if k != e and y not in parent:
-                parent[y] = (x, k)
-                queue.append(y)
+    parent = _bfs_tree(adj, (head,), skip=e, stop=tail)
     if tail not in parent:
         return None
     cur = tail
@@ -327,26 +362,14 @@ def in_cut_space(g: MultiGraph, edge_sets) -> bool:
     Each set 2-colours g along maximal_forest(g): a forest edge changes
     colour exactly when it is in the set.  The set is a cut exactly when
     every edge then agrees, in the set exactly when its ends differ."""
-    adj = adjacency(g, maximal_forest(g).forest_edges)
-    walk = []  # forest edges (x, y, k), each y reached from x after x itself
-    seen = set()
-    for root in range(g.num_vertices):
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, k in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    walk.append((x, y, k))
-                    stack.append(y)
+    tree = _bfs_tree(adjacency(g, maximal_forest(g).forest_edges), range(g.num_vertices))
     for edge_set in edge_sets:
         chosen = set(edge_set)
         colour = [False] * g.num_vertices
-        for x, y, k in walk:
-            colour[y] = colour[x] ^ (k in chosen)
+        for y, link in tree.items():  # in reach order: a parent before its child
+            if link:
+                x, k = link
+                colour[y] = colour[x] ^ (k in chosen)
         if any((k in chosen) != (colour[u] != colour[v]) for k, (u, v) in enumerate(g.edges)):
             return False
     return True
@@ -505,24 +528,18 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
     """Search for an edge bijection carrying the cycle matroid of g1 onto that
     of g2; tri-state so exhaustion is never reported as absence.
 
-    Edge, loop and maximal-forest counts (Kirchhoff: the determinant of the
-    reduced Laplacian) and forest sizes (n - c) are compared first.  Each
-    candidate is replayed on the whole graphs: with equal forest sizes it is
-    an isomorphism exactly when every fundamental circuit of g1 maps to an
-    even subgraph of g2."""
-    from .intmatrix import det_bareiss
-    from .laplacians import reduced_laplacian
-
+    Edge, loop and maximal-forest counts and forest sizes are compared first.
+    Each candidate is replayed on the whole graphs: with equal forest sizes
+    it is an isomorphism exactly when every fundamental circuit of g1 maps to
+    an even subgraph of g2."""
     m = g1.num_edges
     if m != g2.num_edges:
         return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
-    loops1 = sum(1 for e in range(m) if g1.is_loop(e))
-    loops2 = sum(1 for e in range(m) if g2.is_loop(e))
-    if loops1 != loops2:
+    if g1.num_loops != g2.num_loops:
         return TwoIsomorphismResult("not_two_isomorphic", reason="loop counts differ")
-    if det_bareiss(reduced_laplacian(g1)) != det_bareiss(reduced_laplacian(g2)):
+    if forest_count(g1) != forest_count(g2):
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest counts differ")
-    if g1.num_vertices - component_count(g1) != g2.num_vertices - component_count(g2):
+    if forest_size(g1) != forest_size(g2):
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest sizes differ")
 
     circuits1 = fundamental_circuits(g1).values()

@@ -308,7 +308,7 @@ def _check_iv(g):
 
 def _check_v(g):
     trace = laplacian(g).trace()
-    expected = 2 * (g.num_edges - sum(1 for e in range(g.num_edges) if g.is_loop(e)))
+    expected = 2 * (g.num_edges - g.num_loops)
     return trace == expected, {"trace": trace, "expected": expected}
 
 def _check_vi(g):

@@ -128,15 +128,13 @@ def evidence_from_json(obj) -> KuratowskiEvidence:
 
 @_reader("certificate")
 def certificate_from_json(obj) -> DualCertificate:
-    """Rebuild a dual certificate; the dual orientation is always the default
-    orientation of the serialized dual graph."""
+    """Rebuild a dual certificate, whose dual graph carries the default
+    orientation."""
     from .duality import DualCertificate
     from .laplacians import ReductionSpec
-    dual = graph_from_json(obj["dual_graph"])
     lap = obj.get("laplacian_witness")
     return DualCertificate(
-        dual_graph=dual,
-        dual_orientation=Orientation.default(dual),
+        dual_graph=graph_from_json(obj["dual_graph"]),
         witness_z=witness_from_json(obj["witness_z"]),
         edge_bijection=tuple([int(x) for x in obj["beta"]]),
         trace=int(obj["trace"]),

@@ -11,7 +11,7 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
 from lapdual.congruence import (_constructive_strict_equivalence, _floor_sqrt_shifted,
-                                _SignedUnionFind, block_reduction_witness)
+                                block_reduction_witness)
 from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
@@ -161,19 +161,6 @@ def test_short_vector_range_matches_brute_force():
                  (Fraction(1, 100), Fraction(7, 2))):
         with wall_clock_guard(5):
             assert -_floor_sqrt_shifted(t, -c) > _floor_sqrt_shifted(t, c)
-
-
-def test_signed_union_find_long_chain():
-    # a 5,000-element parent chain is deeper than the default recursion limit
-    n = 5000
-    uf = _SignedUnionFind(n)
-    for i in range(n - 1):
-        assert uf.relate(i, i + 1, -1)
-    assert uf.find(0) == (n - 1, -1)
-    assert all(uf.parent[i] == n - 1 for i in range(n))
-    assert [uf.value(i) for i in range(n)] == [(-1) ** (n - 1 - i) for i in range(n)]
-    assert uf.relate(0, n - 1, -1)
-    assert not uf.relate(0, n - 2, -1)
 
 
 def test_strict_row_equivalence_for_two_reductions(example2):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from lapdual import (ForestCertificate, IntMatrix, MultiGraph, NonplanarInput,
-                     Orientation, RowSumNonzero, ShapeMismatch, TraceTooLarge,
-                     UnimodularWitness, classify_edges, construct_abstract_dual,
-                     count_maximal_forests, decide_planarity, hnf_nonzero_part,
-                     incidence, lemma_center_recover,
-                     maximal_forest, superbase_matrix, superbase_trace_minimize,
-                     verify_abstract_dual, verify_kuratowski_evidence)
+from lapdual import (ForestCertificate, IntMatrix, KuratowskiEvidence, MultiGraph,
+                     NonplanarInput, Orientation, RowSumNonzero, ShapeMismatch,
+                     TraceTooLarge, UnimodularWitness, classify_edges,
+                     construct_abstract_dual, count_maximal_forests, decide_planarity,
+                     hnf_nonzero_part, incidence, lemma_center_recover, maximal_forest,
+                     superbase_matrix, superbase_trace_minimize, verify_abstract_dual,
+                     verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
 
 from conftest import (cycle_graph, random_connected_multigraph, random_multigraph,
@@ -328,6 +328,32 @@ def test_kuratowski_goldens(k5, example3, petersen):
     res = kuratowski_oracle(petersen)
     assert res.status == "nonplanar" and res.evidence.kind == "K5"
     assert verify_kuratowski_evidence(petersen, res.evidence)
+
+
+K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+K33_EDGES = [(i, j) for i in range(3) for j in range(3, 6)]
+SINGLETONS = ((0,), (1,), (2,), (3,), (4,), (5,))
+
+
+@pytest.mark.parametrize("n, edges, kind, sets, expected", [
+    (5, K5_EDGES, "K5", SINGLETONS[:5], True),
+    (6, K33_EDGES, "K3,3", SINGLETONS, True),
+    # K5 with edge (0, 1) subdivided by vertex 5
+    (6, K5_EDGES[1:] + [(0, 5), (5, 1)], "K5", ((0, 5), (1,), (2,), (3,), (4,)), True),
+    (5, K5_EDGES, "K5", SINGLETONS[:4], False),
+    (5, K5_EDGES, "K5", ((0,), (1,), (2,), (3,), (3, 4)), False),
+    (5, K5_EDGES, "K5", ((0,), (1,), (2,), (3,), ()), False),
+    (5, K5_EDGES, "K5", ((0,), (1,), (2,), (3,), (5,)), False),
+    # pendant vertex 5 hangs off 0, so the set {4, 5} is disconnected
+    (6, K5_EDGES + [(0, 5)], "K5", ((0,), (1,), (2,), (3,), (4, 5)), False),
+    (6, K33_EDGES[1:], "K3,3", SINGLETONS, False),
+    (5, K5_EDGES, "K3,3", SINGLETONS[:5], False),
+    (6, K33_EDGES, "K3,3", ((0,), (3,), (1,), (4,), (2,), (5,)), False),
+], ids=["k5", "k33", "subdivided-k5", "four-sets", "overlap", "empty-set", "out-of-range",
+        "disconnected-set", "k33-minus-edge", "k5-labelled-k33", "k33-sides-interleaved"])
+def test_verify_kuratowski_evidence_cases(n, edges, kind, sets, expected):
+    g = MultiGraph.from_edges(n, edges)
+    assert verify_kuratowski_evidence(g, KuratowskiEvidence(kind, sets)) is expected
 
 
 def test_kuratowski_budget_exhaustion(petersen):

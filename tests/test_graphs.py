@@ -9,7 +9,7 @@ from lapdual import (CapExceeded, EmptyOrFullSet, ForestCertificate, MultiGraph,
                      components, cut_vector, decide_2_isomorphism_bruteforce,
                      enumerate_maximal_forests, fundamental_circuit_vector,
                      identify_vertices, maximal_forest, permute_vertices)
-from lapdual.graphs import (SearchBudget, is_maximal_forest,
+from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, is_maximal_forest,
                             two_isomorphism_candidates)
 
 from conftest import (complete_graph, cycle_graph, random_multigraph,
@@ -97,6 +97,19 @@ def test_fundamental_circuit_rejects_non_spanning_forest():
     f = ForestCertificate.from_forest(g, [0])
     with pytest.raises(NotMaximalForest):
         fundamental_circuit_vector(g, Orientation.default(g), f, 1)
+
+
+def test_bfs_tree_long_path():
+    # a 5,000-vertex path is deeper than the default recursion limit, so a
+    # recursive walk would fail here
+    n = 5000
+    path = MultiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    tree = _bfs_tree(adjacency(path, range(n - 1)), range(n))
+    assert list(tree) == list(range(n))  # every vertex, in the order reached
+    assert tree[0] is None
+    order = {v: i for i, v in enumerate(tree)}
+    assert all(order[x] < order[y] for y, (x, _) in list(tree.items())[1:])
+    assert all(tree[i + 1] == (i, i) for i in range(n - 1))
 
 
 def test_cut_vector_k3(k3):
