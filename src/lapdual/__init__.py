@@ -35,10 +35,10 @@ _EXPORTS = {
                    "loose_row_equivalence", "property_x_report",
                    "strict_row_equivalence"),
     "duality": ("DualCertificate", "DualityReport", "KuratowskiEvidence",
-                "PlanarityResult", "SuperbaseState", "construct_abstract_dual",
-                "decide_planarity", "lemma_center_recover",
-                "superbase_trace_minimize", "verify_abstract_dual",
+                "PlanarityResult", "construct_abstract_dual", "decide_planarity",
+                "lemma_center_recover", "verify_abstract_dual",
                 "verify_kuratowski_evidence"),
+    "descent": ("SuperbaseState", "superbase_trace_minimize"),
 }
 
 # export name -> the submodule that defines it; a layer maps to itself

@@ -1,4 +1,4 @@
-"""Abstract duality and planarity through superbase traces.
+"""Abstract duality and certified planarity.
 
 A graph is planar exactly when its flow lattice has a superbase whose Gram
 trace hits twice the number of non-isthmus edges.  `decide_planarity` finds
@@ -9,23 +9,20 @@ It is shipped as the incidence matrix of an abstract dual, recovered
 explicitly.  On a nonplanar core the test's edge deletions leave a K5 or
 K3,3 subdivision, whose branch sets are verified and returned instead.
 
-`superbase_trace_minimize` is the paper's own route to the same superbase,
-a descent on the trace; it stays as public API and the tests cross-check it
-against the embedding.
+The paper's own route to the same superbase, a trace descent, is the
+`descent` layer, which nothing here loads.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
-from .congruence import strict_row_equivalence
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     _bfs_tree, adjacency, circuit_through, classify_edges,
-                     components, forest_count, forest_size, fundamental_circuits,
-                     greedy_forest, in_cut_space, maximal_forest, neighbour_sets)
+                     _bfs_tree, adjacency, classify_edges, components,
+                     forest_count, forest_size, fundamental_circuits,
+                     in_cut_space, maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
@@ -34,7 +31,7 @@ from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
 UNKNOWN = "unknown"
-MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
+KURATOWSKI_SETS = {"K5": 5, "K3,3": 6}  # kind -> number of branch sets
 
 
 def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
@@ -78,223 +75,6 @@ def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
     if incidence(g, o) != ca:
         raise AssertionError("recovered incidence does not replay")
     return g, o
-
-
-@dataclass(frozen=True)
-class SuperbaseState:
-    """Snapshot of the descent: explicit zero-sum row matrix, its Gram, the
-    applied moves, and the basis witness mapping the starting flow matrix to
-    the current one."""
-
-    f_hat: IntMatrix
-    gram: IntMatrix
-    trace: int
-    move_log: tuple
-    basis_witness: UnimodularWitness
-    budget_exhausted: bool = False
-
-    def __post_init__(self):
-        m = self.f_hat.cols
-        if any(sum(self.f_hat.column(j)) != 0 for j in range(m)):
-            raise ValueError("superbase rows must sum to the zero vector")
-        if self.gram != self.f_hat.mul(self.f_hat.transpose()):
-            raise ValueError("stored Gram does not match the superbase")
-        if self.trace != self.gram.trace():
-            raise ValueError("stored trace does not match the Gram")
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-class _Descent:
-    """Greedy trace descent over basis moves row_i += s * row_j, with the
-    dependent zero-sum row recomputed after every move."""
-
-    def __init__(self, basis_rows, witness_rows, num_columns, budget: SearchBudget):
-        self.basis = [list(r) for r in basis_rows]
-        self.witness = [list(r) for r in witness_rows]
-        self.budget = budget
-        self.moves = []
-        self.m = num_columns
-        self._recompute_dep()
-
-    def _recompute_dep(self):
-        self.dep = [-sum(r[j] for r in self.basis) for j in range(self.m)]
-
-    def trace(self):
-        return sum(_dot(r, r) for r in self.basis) + _dot(self.dep, self.dep)
-
-    def apply(self, i, j, s):
-        self.basis[i] = [a + s * b for a, b in zip(self.basis[i], self.basis[j])]
-        self.witness[i] = [a + s * b for a, b in zip(self.witness[i], self.witness[j])]
-        self.dep = [a - s * b for a, b in zip(self.dep, self.basis[j])]
-        self.moves.append((i, j, s))
-
-    def best_move(self):
-        """Most trace-reducing (i, j, s), ties to the lowest index triple."""
-        r = len(self.basis)
-        best = None
-        best_delta = 0
-        for j in range(r):
-            fj = self.basis[j]
-            njj = _dot(fj, fj)
-            dep_j = _dot(self.dep, fj)
-            for i in range(r):
-                if i == j:
-                    continue
-                fij = _dot(self.basis[i], fj)
-                for s in (1, -1):
-                    self.budget.spend()
-                    delta = 2 * njj + 2 * s * (fij - dep_j)
-                    if delta < best_delta:
-                        best_delta = delta
-                        best = (i, j, s)
-        return best
-
-    def descend(self, floor_trace):
-        while self.trace() > floor_trace:
-            move = self.best_move()
-            if move is None:
-                break
-            self.apply(*move)
-
-    def shake(self, rng, count):
-        r = len(self.basis)
-        if r < 2:
-            return
-        for _ in range(count):
-            i = rng.randrange(r)
-            j = rng.randrange(r - 1)
-            if j >= i:
-                j += 1
-            self.apply(i, j, rng.choice((1, -1)))
-
-    def keep(self):
-        """(basis, witness, trace, moves), copied so later moves leave it be."""
-        return ([row[:] for row in self.basis], [row[:] for row in self.witness],
-                self.trace(), tuple(self.moves))
-
-    def snapshot(self, budget_exhausted=False):
-        rows = [self.dep] + self.basis
-        f_hat = IntMatrix.from_rows(rows, cols=self.m)
-        gram = f_hat.mul(f_hat.transpose())
-        return SuperbaseState(
-            f_hat=f_hat, gram=gram, trace=gram.trace(), move_log=tuple(self.moves),
-            basis_witness=UnimodularWitness(
-                IntMatrix.from_rows(self.witness, cols=len(self.basis))),
-            budget_exhausted=budget_exhausted)
-
-
-def _random_forest(g, rng):
-    order = list(range(g.num_edges))
-    rng.shuffle(order)
-    return greedy_forest(g, order)
-
-
-def _short_cycle_basis(g, o, f_start):
-    """Flow-lattice basis assembled from shortest circuits, as rows plus the
-    witness mapping f_start onto it; None when the greedy pick comes up short.
-
-    Planar graphs have minimal superbases made of face boundaries, so starting
-    the descent from short circuits instead of long fundamental ones usually
-    begins almost on the floor.
-    """
-    r = f_start.rows
-    if r == 0:
-        return None
-    # over every edge, the breadth-first walk closes a shortest circuit
-    adj = adjacency(g, range(g.num_edges))
-    candidates = []
-    for e in range(g.num_edges):
-        vec = circuit_through(g, o, e, adj)
-        if vec is not None:
-            candidates.append(vec)
-    candidates.sort(key=lambda v: sum(x * x for x in v))
-    chosen = []
-    echelon = {}
-    for vec in candidates:
-        mask = 0
-        for k, x in enumerate(vec):
-            if x % 2:
-                mask |= 1 << k
-        while mask:
-            piv = mask & -mask
-            if piv not in echelon:
-                break
-            mask ^= echelon[piv]
-        if mask:
-            echelon[mask & -mask] = mask
-            chosen.append(vec)
-            if len(chosen) == r:
-                break
-    if len(chosen) < r:
-        return None
-    basis = IntMatrix.from_rows(chosen, cols=g.num_edges)
-    u = strict_row_equivalence(f_start, basis)
-    if u is None:
-        return None
-    return basis, u
-
-
-def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
-                             f: ForestCertificate = None, spec: ReductionSpec = None,
-                             budget=10**6, seed=0) -> SuperbaseState:
-    """Seeded basin-hopping descent on the superbase Gram trace.
-
-    Greedy descent first; afterwards the best state is repeatedly shaken by a
-    few random moves and re-descended, accepting any state that does not
-    increase the trace (plateau drift is what escapes the shallow local
-    minima).  Occasional hops restart from a different maximal forest.  The
-    trace can never go below twice the count of non-isthmus edges, so the
-    search stops as soon as it gets there or after MAX_HOPS hops; budget
-    exhaustion returns the best state found, flagged.
-    """
-    if o is None:
-        o = Orientation.default(g)
-    _, isthmuses = classify_edges(g)
-    floor_trace = 2 * (g.num_edges - len(isthmuses))
-    base_forest = f if f is not None else maximal_forest(g)
-    f_start = flow_matrix(g, o, base_forest, spec)
-    r = f_start.rows
-    rng = random.Random(seed)
-    counter = SearchBudget(budget)
-
-    descent = _Descent(f_start.data, IntMatrix.identity(r).data, f_start.cols, counter)
-    best = descent.keep()
-    exhausted = False
-    try:
-        descent.descend(floor_trace)
-        if descent.trace() <= best[2]:
-            best = descent.keep()
-        for hop in range(MAX_HOPS):
-            if best[2] <= floor_trace or r < 2:
-                break
-            if hop == 0:
-                short = _short_cycle_basis(g, o, f_start)
-                if short is None:
-                    continue
-                basis_m, u = short
-                descent = _Descent(basis_m.data, u.u.data, f_start.cols, counter)
-                descent.moves = [("short-basis",)]
-            elif hop % 64 == 63 and g.num_edges:
-                alt = _random_forest(g, rng)
-                f_alt = flow_matrix(g, o, alt, spec)
-                u = strict_row_equivalence(f_start, f_alt)
-                descent = _Descent(f_alt.data, u.u.data, f_start.cols, counter)
-                descent.moves = [("forest",) + tuple(alt.forest_edges)]
-            else:
-                descent = _Descent(best[0], best[1], f_start.cols, counter)
-                descent.moves = list(best[3])
-                descent.shake(rng, 2 + rng.randrange(6))
-            descent.descend(floor_trace)
-            if descent.trace() <= best[2]:
-                best = descent.keep()
-    except BudgetExceeded:
-        exhausted = True
-    final = _Descent(best[0], best[1], f_start.cols, SearchBudget(1 << 62))
-    final.moves = list(best[3])
-    return final.snapshot(budget_exhausted=exhausted)
 
 
 @dataclass(frozen=True)
@@ -348,7 +128,7 @@ def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
     adjacent in the target pattern.  One edge scan finds the edges inside the
     sets, which one breadth-first forest walks, and the set pairs joined."""
     sets = [set(s) for s in ev.branch_sets]
-    if len(sets) != (5 if ev.kind == "K5" else 6) or not all(sets):
+    if len(sets) != KURATOWSKI_SETS.get(ev.kind) or not all(sets):
         return False
     owner = {}
     for i, s in enumerate(sets):
@@ -863,6 +643,8 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertific
     The dual's loop count equals the primal isthmus count by construction,
     and the dual's reduced Laplacian is certified congruent to the primal's
     flow Gram matrix through an explicit row-equivalence witness."""
+    from .congruence import strict_row_equivalence
+
     result = decide_planarity(g, budget, seed)
     if result.status == NONPLANAR:
         raise NonplanarInput("graph is nonplanar; it has no abstract dual")

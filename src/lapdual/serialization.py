@@ -120,7 +120,9 @@ def two_iso_from_json(obj) -> TwoIsomorphismResult:
 
 @_reader("minor-evidence")
 def evidence_from_json(obj) -> KuratowskiEvidence:
-    from .duality import KuratowskiEvidence
+    from .duality import KURATOWSKI_SETS, KuratowskiEvidence
+    if obj["kind"] not in KURATOWSKI_SETS:
+        raise ValueError(f"unknown kind {obj['kind']!r}")
     return KuratowskiEvidence(
         kind=obj["kind"],
         branch_sets=tuple([tuple([int(v) for v in s]) for s in obj["branch_sets"]]))

@@ -314,6 +314,14 @@ def test_emitted_objects_reparse_exactly():
     assert evidence_from_json(to_jsonable(evidence)) == evidence
 
 
+def test_evidence_of_unknown_kind_is_malformed():
+    from lapdual import MalformedInput
+    from lapdual.serialization import evidence_from_json
+
+    with pytest.raises(MalformedInput, match="unknown kind 'K7'"):
+        evidence_from_json({"kind": "K7", "branch_sets": [[0], [1], [2], [3], [4], [5]]})
+
+
 def test_emitted_graph_json_reparses(files, capsys):
     code, out = run(capsys, "find-dual", files["ex2"])
     dual = graph_from_json(json.loads(out)["dual_graph"])

@@ -349,8 +349,11 @@ SINGLETONS = ((0,), (1,), (2,), (3,), (4,), (5,))
     (6, K33_EDGES[1:], "K3,3", SINGLETONS, False),
     (5, K5_EDGES, "K3,3", SINGLETONS[:5], False),
     (6, K33_EDGES, "K3,3", ((0,), (3,), (1,), (4,), (2,), (5,)), False),
+    # six sets that would pass as K3,3, under a kind that names no Kuratowski graph
+    (6, K33_EDGES, "K7", SINGLETONS, False),
 ], ids=["k5", "k33", "subdivided-k5", "four-sets", "overlap", "empty-set", "out-of-range",
-        "disconnected-set", "k33-minus-edge", "k5-labelled-k33", "k33-sides-interleaved"])
+        "disconnected-set", "k33-minus-edge", "k5-labelled-k33", "k33-sides-interleaved",
+        "unknown-kind"])
 def test_verify_kuratowski_evidence_cases(n, edges, kind, sets, expected):
     g = MultiGraph.from_edges(n, edges)
     assert verify_kuratowski_evidence(g, KuratowskiEvidence(kind, sets)) is expected

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import lapdual
 from lapdual.errors import PROPERTY_TAGS
 
-# the package's public names, as fixed when every layer was imported eagerly
+# the package's public names, as fixed when every layer was imported eagerly,
+# plus the `descent` layer
 EXPORTS = [
     "BudgetExceeded", "CapExceeded", "CongruenceVerdict", "DualCertificate",
     "DualLaplacianPair", "DualityReport", "EmptyOrFullSet", "ForestCertificate",
@@ -22,7 +25,7 @@ EXPORTS = [
     "classify_edges", "components", "congruence", "congruence_invariants",
     "construct_abstract_dual", "count_maximal_forests", "cut_block", "cut_gram",
     "cut_vector", "decide_2_isomorphism_bruteforce", "decide_congruence",
-    "decide_planarity", "default_reduction_spec", "det_bareiss", "duality",
+    "decide_planarity", "default_reduction_spec", "descent", "det_bareiss", "duality",
     "enumerate_maximal_forests", "errors", "flow_gram", "flow_matrix",
     "fundamental_circuit_vector", "graphs", "hermite_normal_form",
     "hnf_nonzero_part", "identify_vertices", "incidence", "inertia", "intmatrix",
@@ -34,13 +37,21 @@ EXPORTS = [
     "superbase_trace_minimize", "verify_abstract_dual",
     "verify_kuratowski_evidence", "verify_property",
 ]
-SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "duality")
+SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "duality",
+              "descent")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lapdual.__file__)))
 
 
 # stdlib modules of interest: `fractions` comes with the matrix layers; the
 # CLI front end needs none of `dataclasses`, the `inspect` it imports, or `json`
 STDLIB = ("dataclasses", "fractions", "inspect", "json")
+
+
+@pytest.fixture
+def k4(tmp_path):
+    path = tmp_path / "k4.json"
+    path.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
+    return str(path)
 
 
 def loaded_after(code):
@@ -55,8 +66,16 @@ def loaded_after(code):
     return set(out.split())
 
 
+def loaded_by_cli(*argvs):
+    """`loaded_after` running each argv through `cli.main`, which must
+    return 0."""
+    return loaded_after("import contextlib, io\nfrom lapdual import cli\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        + "".join(f"    assert cli.main({argv!r}) == 0\n" for argv in argvs))
+
+
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 84
+    assert len(EXPORTS) == 85
     assert lapdual.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(lapdual))
 
@@ -100,47 +119,44 @@ def test_help_and_usage_errors_load_no_layer():
     assert loaded_after(code) == {"lapdual.cli", "lapdual.errors"}
 
 
-def test_emit_dot_leaves_the_matrix_layers_unloaded(tmp_path):
-    g = tmp_path / "k4.json"
-    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
-    code = ("import contextlib, io\nfrom lapdual import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['emit-dot', {str(g)!r}]) == 0")
+def test_emit_dot_leaves_the_matrix_layers_unloaded(k4):
     # graphs' dataclasses import inspect; serialization imports json
-    assert loaded_after(code) == {"lapdual.cli", "lapdual.errors", "lapdual.graphs",
-                                  "lapdual.serialization", "dataclasses", "inspect", "json"}
+    assert loaded_by_cli(["emit-dot", k4]) == {
+        "lapdual.cli", "lapdual.errors", "lapdual.graphs", "lapdual.serialization",
+        "dataclasses", "inspect", "json"}
 
 
-def test_check_2iso_leaves_congruence_and_duality_unloaded(tmp_path):
+def test_check_2iso_leaves_congruence_and_duality_unloaded(k4):
     # the forest counts come from Kirchhoff's theorem, so laplacians and
     # intmatrix load
-    g = tmp_path / "k4.json"
-    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
-    code = ("import contextlib, io\nfrom lapdual import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['check-2iso', {str(g)!r}, {str(g)!r}]) == 0")
-    assert not loaded_after(code) & {"lapdual.congruence", "lapdual.duality"}
+    loaded = loaded_by_cli(["check-2iso", k4, k4])
+    assert not loaded & {"lapdual.congruence", "lapdual.duality"}
 
 
-def test_graph_commands_leave_congruence_and_duality_unloaded(tmp_path):
-    g = tmp_path / "k4.json"
-    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
-    code = ("import contextlib, io\nfrom lapdual import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['emit-dot', {str(g)!r}]) == 0\n"
-            f"    assert cli.main(['laplacian', {str(g)!r}]) == 0")
-    loaded = loaded_after(code)
+def test_graph_commands_leave_congruence_and_duality_unloaded(k4):
+    loaded = loaded_by_cli(["emit-dot", k4], ["laplacian", k4])
     assert "lapdual.laplacians" in loaded
     assert not loaded & {"lapdual.congruence", "lapdual.duality"}
 
 
-def test_verify_property_loads_congruence_and_duality_only_where_needed(tmp_path):
-    g = tmp_path / "k4.json"
-    g.write_text('{"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}')
+def test_verify_property_loads_congruence_and_duality_only_where_needed(k4):
     for tag in PROPERTY_TAGS:
-        code = ("import contextlib, io\nfrom lapdual import cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert cli.main(['verify-property', {tag!r}, {str(g)!r}]) == 0")
-        loaded = loaded_after(code)
+        loaded = loaded_by_cli(["verify-property", tag, k4])
         assert ("lapdual.congruence" in loaded) == (tag in ("X", "VIII*", "IX*")), tag
         assert ("lapdual.duality" in loaded) == (tag == "X"), tag
+
+
+def test_planarity_leaves_congruence_and_descent_unloaded(k4):
+    loaded = loaded_by_cli(["planarity", k4])
+    assert "lapdual.duality" in loaded
+    assert not loaded & {"lapdual.congruence", "lapdual.descent"}
+
+
+def test_find_dual_loads_congruence_but_not_descent(k4):
+    loaded = loaded_by_cli(["find-dual", k4])
+    assert "lapdual.congruence" in loaded
+    assert "lapdual.descent" not in loaded
+
+
+def test_importing_duality_leaves_descent_unloaded():
+    assert "lapdual.descent" not in loaded_after("import lapdual.duality")
