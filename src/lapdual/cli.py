@@ -237,14 +237,6 @@ def _dispatch(config: CliConfig):
     raise AssertionError(f"unhandled command {cmd}")
 
 
-def _emit(text, config):
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def config_from_args(args) -> CliConfig:
     _, positionals, flags = _COMMANDS[args.command]
     # every positional but `tag` is an input path; each flag sets its field: `--v0`, `v0`
@@ -254,6 +246,10 @@ def config_from_args(args) -> CliConfig:
                      **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
 
 
+def _error(exc):
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def run(config: CliConfig) -> int:
     """Execute one configured invocation; returns the process exit code."""
     from . import serialization
@@ -261,9 +257,18 @@ def run(config: CliConfig) -> int:
     try:
         payload, code = _dispatch(config)
     except (ValueError, LapdualError) as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = _error(exc)
         code = next(code for types, code in ERROR_EXITS if isinstance(exc, types))
-    _emit(payload if isinstance(payload, str) else serialization.dumps(payload), config)
+    text = payload if isinstance(payload, str) else serialization.dumps(payload)
+    if config.out:
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            # an --out that cannot be written is a usage error, reported on stdout
+            text, code = serialization.dumps(_error(exc)), EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

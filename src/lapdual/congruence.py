@@ -19,9 +19,9 @@ from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
                      TwoIsomorphismResult, _bfs_tree, adjacency, component_count,
                      components, decide_2_isomorphism_bruteforce, identify_vertices,
                      maximal_forest, two_isomorphism_candidates)
-from .intmatrix import (IntMatrix, UnimodularWitness, det_bareiss,
-                        hermite_normal_form, inertia, inverse_unimodular, rank,
-                        smith_normal_form)
+from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
+                        _negate_row, _swap_cols, _swap_rows, det_bareiss,
+                        hermite_normal_form, inertia, inverse_unimodular, smith_normal_form)
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_matrix, incidence,
                          laplacian, reduced_incidence, reduced_laplacian)
 
@@ -138,14 +138,6 @@ def gram_length_reduce(a: IntMatrix):
     n = a.rows
     w = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def apply(i, j, q):
-        # row/col i -= q * row/col j
-        w[i] = [x - q * y for x, y in zip(w[i], w[j])]
-        for row in w:
-            row[i] -= q * row[j]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
     changed = True
     while changed:
         changed = False
@@ -155,7 +147,9 @@ def gram_length_reduce(a: IntMatrix):
                     continue
                 q = (2 * w[i][j] + w[j][j]) // (2 * w[j][j])
                 if q != 0 and q * q * w[j][j] < 2 * q * w[i][j]:
-                    apply(i, j, q)
+                    # row/col i -= q * row/col j
+                    _add_row(i, j, -q, w, u)
+                    _add_col(i, j, -q, w)
                     changed = True
     reduced = IntMatrix.from_rows(w, cols=n)
     return reduced, UnimodularWitness(IntMatrix.from_rows(u, cols=n))
@@ -213,52 +207,24 @@ def _psd_kernel_split(a: IntMatrix):
 
 
 def _elementary_moves(n):
-    moves = []
-    for i in range(n):
-        moves.append(("D", i, 0))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                moves.append(("T", i, j, 1))
-                moves.append(("T", i, j, -1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            moves.append(("P", i, j))
-    return moves
+    """The congruence moves in search order, each as (row operation, column
+    operation, arguments): negations, then row/col i += s * row/col j, then
+    swaps."""
+    return ([(_negate_row, _negate_col, (i,)) for i in range(n)]
+            + [(_add_row, _add_col, (i, j, s))
+               for i in range(n) for j in range(n) if i != j for s in (1, -1)]
+            + [(_swap_rows, _swap_cols, (i, j)) for i in range(n) for j in range(i + 1, n)])
 
 
-def _apply_move(m, move):
-    rows = [list(r) for r in m]
-    if move[0] == "D":
-        i = move[1]
-        rows[i] = [-x for x in rows[i]]
-        for r in rows:
-            r[i] = -r[i]
-    elif move[0] == "T":
-        _, i, j, s = move
-        rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
-        for r in rows:
-            r[i] = r[i] + s * r[j]
-    else:
-        _, i, j = move
-        rows[i], rows[j] = rows[j], rows[i]
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-    return tuple([tuple(r) for r in rows])
-
-
-def _move_matrix(move, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if move[0] == "D":
-        m[move[1]][move[1]] = -1
-    elif move[0] == "T":
-        _, i, j, s = move
-        m[i][j] = s
-    else:
-        _, i, j = move
-        m[i][i] = m[j][j] = 0
-        m[i][j] = m[j][i] = 1
-    return IntMatrix.from_rows(m, cols=n)
+def _apply_move(state, transform, move):
+    """(next state, next transform): the congruence move on the state, and its
+    row operation on the transform, whose rows the copy may share."""
+    row_op, col_op, args = move
+    m = [list(r) for r in state]
+    u = list(transform)
+    row_op(*args, m, u)
+    col_op(*args, m)
+    return tuple([tuple(r) for r in m]), u
 
 
 def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
@@ -269,7 +235,7 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
     """
     n = a.rows
     moves = _elementary_moves(n)
-    ident = IntMatrix.identity(n)
+    ident = IntMatrix.identity(n).data
     side_a = {a.data: ident}
     side_b = {b.data: ident}
     frontier_a = [a.data]
@@ -282,15 +248,16 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
         for state in frontier:
             for move in moves:
                 budget.spend()
-                nxt = _apply_move(state, move)
+                nxt, u = _apply_move(state, seen[state], move)
                 if nxt in seen:
                     continue
-                seen[nxt] = _move_matrix(move, n).mul(seen[state])
+                seen[nxt] = u
                 new_frontier.append(nxt)
                 if nxt in other:
                     ua = seen[nxt] if grow_a else other[nxt]
                     ub = other[nxt] if grow_a else seen[nxt]
-                    return inverse_unimodular(ub).mul(ua)
+                    return inverse_unimodular(IntMatrix.from_rows(ub, cols=n)).mul(
+                        IntMatrix.from_rows(ua, cols=n))
         if grow_a:
             frontier_a = new_frontier
         else:
@@ -580,7 +547,8 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
     l1, l2 = laplacian(g1), laplacian(g2)
     n1, n2 = g1.num_vertices, g2.num_vertices
     c1, c2 = component_count(g1), component_count(g2)
-    rank_ok = (rank(l1) == n1 - c1) and (rank(l2) == n2 - c2)
+    # rank n - c means nullity c, which the inertia reads off
+    rank_ok = inertia(l1)[2] == c1 and inertia(l2)[2] == c2
 
     rhs = TRI_STATE[cond4.status]
     if rhs == "true" and (n1 != n2 or c1 != c2):

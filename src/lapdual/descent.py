@@ -21,8 +21,8 @@ from .errors import BudgetExceeded
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
                      adjacency, circuit_through, classify_edges, greedy_forest,
                      maximal_forest)
-from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import ReductionSpec, flow_matrix
+from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
+from .laplacians import ReductionSpec, border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
 
@@ -79,16 +79,11 @@ class _Descent:
         return _Descent(self.basis, self.witness, self.m, self.budget, self.moves, self.gram)
 
     def apply(self, i, j, s):
-        gram, gj = self.gram, self.gram[j]
+        gj = self.gram[j]
         # |f_i|^2 grows by 2s f_i.f_j + |f_j|^2, and |dep|^2 by -2s dep.f_j + |f_j|^2
         self.trace += 2 * gj[j] + 2 * s * (gj[i] + sum(gj))
-        self.basis[i] = [a + s * b for a, b in zip(self.basis[i], self.basis[j])]
-        self.witness[i] = [a + s * b for a, b in zip(self.witness[i], self.witness[j])]
-        row = [a + s * b for a, b in zip(gram[i], gj)]
-        row[i] = gram[i][i] + 2 * s * gj[i] + gj[j]
-        gram[i] = row
-        for k, x in enumerate(row):
-            gram[k][i] = x
+        _add_row(i, j, s, self.basis, self.witness, self.gram)
+        _add_col(i, j, s, self.gram)
         self.moves.append((i, j, s))
 
     def best_move(self):
@@ -134,10 +129,7 @@ class _Descent:
         dep = [-sum(r[j] for r in self.basis) for j in range(self.m)]
         f_hat = IntMatrix.from_rows([dep] + self.basis, cols=self.m)
         # bordered by the dependent row's products
-        minus_sums = [-sum(r) for r in self.gram]
-        gram = IntMatrix.from_rows(
-            [[-sum(minus_sums)] + minus_sums]
-            + [[d] + r for d, r in zip(minus_sums, self.gram)], cols=len(self.basis) + 1)
+        gram = border_first(IntMatrix.from_rows(self.gram, cols=len(self.basis)))
         return SuperbaseState(
             f_hat=f_hat, gram=gram, trace=self.trace, move_log=tuple(self.moves),
             basis_witness=UnimodularWitness(

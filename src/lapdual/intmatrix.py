@@ -1,5 +1,10 @@
 """Dense exact-integer matrices with Hermite/Smith normal forms.
 
+Every elimination, here and in the layers above, moves rows and columns
+through one set of elementary operations: swap, add a multiple and negate,
+for rows and for columns.  Each operation is mirrored on the witness as it is
+applied, so no witness is built as a product of elementary matrices.
+
 Everything here works on arbitrary-precision Python ints; normal-form
 intermediates and determinant pivots grow far beyond 64 bits even on small
 inputs, so no fixed-width arithmetic is used anywhere.  Rationals appear
@@ -149,6 +154,52 @@ class SnfResult:
                 raise ValueError("Smith diagonal must form a divisibility chain")
 
 
+# The elementary operations.  Each applies one row or column operation in
+# place to every matrix it is passed, given as a list of rows, so a witness
+# moves with its matrix.  A row operation rebinds the rows it changes and a
+# column operation edits every row, so a matrix that only ever takes row
+# operations may share its rows with a copy.  A congruence move on a symmetric
+# matrix is a row operation followed by the same column operation.
+
+def _swap_rows(i, j, *ms):
+    for m in ms:
+        m[i], m[j] = m[j], m[i]
+
+
+def _add_row(dst, src, k, *ms):
+    # row dst += k * row src
+    if k == 0:
+        return
+    for m in ms:
+        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
+
+
+def _negate_row(i, *ms):
+    for m in ms:
+        m[i] = [-a for a in m[i]]
+
+
+def _swap_cols(i, j, *ms):
+    for m in ms:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+
+def _add_col(dst, src, k, *ms):
+    # column dst += k * column src
+    if k == 0:
+        return
+    for m in ms:
+        for row in m:
+            row[dst] += k * row[src]
+
+
+def _negate_col(i, *ms):
+    for m in ms:
+        for row in m:
+            row[i] = -row[i]
+
+
 def det_bareiss(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -163,7 +214,7 @@ def det_bareiss(a: IntMatrix) -> int:
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    _swap_rows(k, i, m)
                     sign = -sign
                     break
             else:
@@ -174,24 +225,6 @@ def det_bareiss(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _swap_rows(m, u, i, j):
-    m[i], m[j] = m[j], m[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _add_row(m, u, dst, src, k):
-    # row dst += k * row src, mirrored on the witness
-    if k == 0:
-        return
-    m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
-    u[dst] = [a + k * b for a, b in zip(u[dst], u[src])]
-
-
-def _negate_row(m, u, i):
-    m[i] = [-a for a in m[i]]
-    u[i] = [-a for a in u[i]]
 
 
 def hermite_normal_form(a: IntMatrix):
@@ -213,24 +246,24 @@ def hermite_normal_form(a: IntMatrix):
                 break
             pivot_row = min(nz, key=lambda i: abs(m[i][c]))
             if pivot_row != r:
-                _swap_rows(m, u, r, pivot_row)
+                _swap_rows(r, pivot_row, m, u)
             if len(nz) == 1:
                 break
             done = True
             for i in range(r + 1, a.rows):
                 if m[i][c] != 0:
                     q = m[i][c] // m[r][c]
-                    _add_row(m, u, i, r, -q)
+                    _add_row(i, r, -q, m, u)
                     if m[i][c] != 0:
                         done = False
             if done:
                 break
         if r < a.rows and m[r][c] != 0:
             if m[r][c] < 0:
-                _negate_row(m, u, r)
+                _negate_row(r, m, u)
             for i in range(r):
                 q = m[i][c] // m[r][c]
-                _add_row(m, u, i, r, -q)
+                _add_row(i, r, -q, m, u)
             r += 1
             if r == a.rows:
                 break
@@ -251,27 +284,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     m = [list(row) for row in a.data]
     left = [[1 if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]
     right = [[1 if i == j else 0 for j in range(a.cols)] for i in range(a.cols)]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, k):
-        if k == 0:
-            return
-        for row in m:
-            row[dst] += k * row[src]
-        for row in right:
-            row[dst] += k * row[src]
-
-    def negate_col(i):
-        for row in m:
-            row[i] = -row[i]
-        for row in right:
-            row[i] = -row[i]
-
     t = 0
     limit = min(a.rows, a.cols)
     while t < limit:
@@ -284,18 +296,18 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         if best is None:
             break
         if best[0] != t:
-            _swap_rows(m, left, t, best[0])
+            _swap_rows(t, best[0], m, left)
         if best[1] != t:
-            swap_cols(t, best[1])
+            _swap_cols(t, best[1], m, right)
         while True:
             # clear column t
             reduced = False
             for i in range(t + 1, a.rows):
                 if m[i][t] != 0:
                     q = m[i][t] // m[t][t]
-                    _add_row(m, left, i, t, -q)
+                    _add_row(i, t, -q, m, left)
                     if m[i][t] != 0:
-                        _swap_rows(m, left, t, i)
+                        _swap_rows(t, i, m, left)
                         reduced = True
             if reduced:
                 continue
@@ -303,9 +315,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             for j in range(t + 1, a.cols):
                 if m[t][j] != 0:
                     q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
+                    _add_col(j, t, -q, m, right)
                     if m[t][j] != 0:
-                        swap_cols(t, j)
+                        _swap_cols(t, j, m, right)
                         reduced = True
             if reduced:
                 continue
@@ -320,9 +332,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                     break
             if offender is None:
                 break
-            _add_row(m, left, t, offender, 1)
+            _add_row(t, offender, 1, m, left)
         if m[t][t] < 0:
-            negate_col(t)
+            _negate_col(t, m, right)
         t += 1
 
     diag = tuple([m[i][i] for i in range(limit)])
@@ -371,11 +383,9 @@ def inertia(a: IntMatrix):
                 n_zero += len(active)
                 break
             i, j = pair
-            # symmetric update row/col i += row/col j turns w[i][i] into 2*w[i][j]
-            for k in range(n):
-                w[i][k] += w[j][k]
-            for k in range(n):
-                w[k][i] += w[k][j]
+            # the congruence move row/col i += row/col j turns w[i][i] into 2*w[i][j]
+            _add_row(i, j, 1, w)
+            _add_col(i, j, 1, w)
             continue
         d = w[pivot][pivot]
         if d > 0:

@@ -36,6 +36,18 @@ def _reader(what):
     return decorate
 
 
+def _int(x):
+    """An integer field: a JSON integer or a decimal string.  A float or a
+    boolean is refused, since int() would truncate it."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _ints(xs):
+    return tuple([_int(x) for x in xs])
+
+
 def graph_to_json(g: MultiGraph) -> dict:
     return {"name": g.name, "num_vertices": g.num_vertices,
             "edges": [[u, v] for u, v in g.edges]}
@@ -46,8 +58,8 @@ def graph_from_json(obj) -> MultiGraph:
     if not isinstance(obj, dict):
         raise MalformedInput("graph JSON must be an object")
     name = obj.get("name", "")
-    n = int(obj["num_vertices"])
-    edges = [(int(u), int(v)) for u, v in obj["edges"]]
+    n = _int(obj["num_vertices"])
+    edges = [(_int(u), _int(v)) for u, v in obj["edges"]]
     return MultiGraph.from_edges(n, edges, name=str(name))
 
 
@@ -61,9 +73,9 @@ def matrix_from_json(obj) -> IntMatrix:
     if not isinstance(obj, dict):
         raise MalformedInput("matrix JSON must be an object")
     from .intmatrix import IntMatrix
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
-    data = [[int(x) for x in row] for row in obj["data"]]
+    rows = _int(obj["rows"])
+    cols = _int(obj["cols"])
+    data = [_ints(row) for row in obj["data"]]
     m = IntMatrix.from_rows(data, cols=cols)
     if m.rows != rows or m.cols != cols:
         raise MalformedInput("matrix JSON shape mismatch")
@@ -77,14 +89,13 @@ def witness_from_json(obj) -> UnimodularWitness:
 
 @_reader("forest")
 def forest_from_json(obj) -> ForestCertificate:
-    return ForestCertificate(tuple([int(e) for e in obj["forest_edges"]]),
-                             tuple([int(e) for e in obj["cotree_edges"]]))
+    return ForestCertificate(_ints(obj["forest_edges"]), _ints(obj["cotree_edges"]))
 
 
 @_reader("SNF")
 def snf_from_json(obj) -> SnfResult:
     from .intmatrix import SnfResult
-    return SnfResult(diag=tuple([int(d) for d in obj["diag"]]),
+    return SnfResult(diag=_ints(obj["diag"]),
                      left=witness_from_json(obj["left"]),
                      right=witness_from_json(obj["right"]))
 
@@ -94,11 +105,8 @@ def verdict_from_json(obj) -> CongruenceVerdict:
     from .congruence import CongruenceVerdict
     sep = obj.get("separating_invariant")
     if sep is not None:
-        left = sep["left"]
-        right = sep["right"]
-        if isinstance(left, list):
-            left = tuple([int(x) for x in left])
-            right = tuple([int(x) for x in right])
+        left, right = [_ints(v) if isinstance(v, list) else _int(v)
+                       for v in (sep["left"], sep["right"])]
         sep = (sep["name"], left, right)
     witness = obj.get("witness")
     return CongruenceVerdict(
@@ -113,9 +121,9 @@ def two_iso_from_json(obj) -> TwoIsomorphismResult:
     bij = obj.get("bijection")
     return TwoIsomorphismResult(
         status=obj["status"],
-        bijection=tuple([int(x) for x in bij]) if bij is not None else None,
+        bijection=_ints(bij) if bij is not None else None,
         reason=obj.get("reason", ""),
-        nodes_used=int(obj.get("nodes_used", 0)))
+        nodes_used=_int(obj.get("nodes_used", 0)))
 
 
 @_reader("minor-evidence")
@@ -125,7 +133,7 @@ def evidence_from_json(obj) -> KuratowskiEvidence:
         raise ValueError(f"unknown kind {obj['kind']!r}")
     return KuratowskiEvidence(
         kind=obj["kind"],
-        branch_sets=tuple([tuple([int(v) for v in s]) for s in obj["branch_sets"]]))
+        branch_sets=tuple([_ints(s) for s in obj["branch_sets"]]))
 
 
 @_reader("certificate")
@@ -138,11 +146,11 @@ def certificate_from_json(obj) -> DualCertificate:
     return DualCertificate(
         dual_graph=graph_from_json(obj["dual_graph"]),
         witness_z=witness_from_json(obj["witness_z"]),
-        edge_bijection=tuple([int(x) for x in obj["beta"]]),
-        trace=int(obj["trace"]),
-        core_edges=tuple([int(e) for e in obj["core_edges"]]),
+        edge_bijection=_ints(obj["beta"]),
+        trace=_int(obj["trace"]),
+        core_edges=_ints(obj["core_edges"]),
         core_forest=forest_from_json(obj["core_forest"]),
-        core_v0=ReductionSpec.of(obj["core_v0"]),
+        core_v0=ReductionSpec.of(_ints(obj["core_v0"])),
         laplacian_witness=witness_from_json(lap) if lap else None)
 
 
@@ -156,7 +164,7 @@ def planarity_from_json(obj) -> PlanarityResult:
         status=obj["status"],
         certificate=certificate_from_json(cert) if cert else None,
         evidence=evidence_from_json(ev) if ev else None,
-        best_trace=int(best) if best is not None else None,
+        best_trace=_int(best) if best is not None else None,
         note=obj.get("note", ""))
 
 
@@ -166,7 +174,7 @@ def duality_report_from_json(obj) -> DualityReport:
     return DualityReport(ok=bool(obj["ok"]),
                          forest_size_identity=bool(obj["forest_size_identity"]),
                          complement_bijection=bool(obj["complement_bijection"]),
-                         forest_counts=tuple([int(x) for x in obj["forest_counts"]]))
+                         forest_counts=_ints(obj["forest_counts"]))
 
 
 @_reader("dual-Laplacian")

@@ -187,6 +187,19 @@ def test_malformed_input_exit(files, capsys, tmp_path):
     missing_key.write_text(json.dumps({"edges": []}))
     code, _ = run(capsys, "laplacian", str(missing_key))
     assert code == 65
+    # int() would truncate a float and read a boolean as 0 or 1; both are refused
+    for command, obj in [
+            ("emit-dot", {"num_vertices": 2.9, "edges": [[1, 0]]}),
+            ("emit-dot", {"num_vertices": 2, "edges": [[True, 0]]}),
+            ("laplacian", {"num_vertices": 3, "edges": [[0, 1.0]]}),
+            ("snf", {"rows": 1, "cols": 1, "data": [[2.7]]}),
+            ("snf", {"rows": 1, "cols": 1, "data": [[False]]}),
+            ("snf", {"rows": 1.0, "cols": 1, "data": [["2"]]})]:
+        path = tmp_path / "non_integer.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, command, str(path))
+        assert code == 65, (command, obj)
+        assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
 def test_input_contract_violations_exit(files, capsys):
@@ -209,6 +222,15 @@ def test_out_flag_and_determinism(files, capsys, tmp_path):
     assert main(["planarity", files["ex2"], "--out", str(out1)]) == 0
     assert main(["planarity", files["ex2"], "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unwritable_out_is_usage_error(files, capsys, tmp_path):
+    missing_dir = tmp_path / "missing" / "x.json"
+    code = main(["laplacian", files["k3"], "--out", str(missing_dir)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert json.loads(captured.out)["error"]["type"] == "FileNotFoundError"
+    assert captured.err == ""
 
 
 def test_budget_env_override(files, capsys, monkeypatch):
