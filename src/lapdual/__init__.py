@@ -9,15 +9,14 @@ from importlib import import_module as _import_module
 
 # the public names of each layer
 _EXPORTS = {
-    "errors": ("BudgetExceeded", "CapExceeded", "EmptyOrFullSet",
-               "InvalidReductionSpec", "LapdualError", "LoopCountMismatch",
-               "MalformedInput", "NonplanarInput", "NotCotreeEdge",
-               "NotMaximalForest", "NotSquare", "NotSymmetric", "NotUnimodular",
-               "RowSumNonzero", "ShapeMismatch", "TraceTooLarge", "UnknownTag"),
+    "errors": ("BudgetExceeded", "EmptyOrFullSet", "InvalidReductionSpec",
+               "LapdualError", "LoopCountMismatch", "MalformedInput",
+               "NonplanarInput", "NotCotreeEdge", "NotMaximalForest",
+               "NotSquare", "NotSymmetric", "NotUnimodular", "RowSumNonzero",
+               "ShapeMismatch", "TraceTooLarge", "UnknownTag"),
     "graphs": ("ForestCertificate", "MultiGraph", "Orientation",
                "TwoIsomorphismResult", "classify_edges", "components",
-               "count_maximal_forests", "cut_vector",
-               "decide_2_isomorphism_bruteforce", "enumerate_maximal_forests",
+               "cut_vector", "decide_2_isomorphism_bruteforce",
                "fundamental_circuit_vector", "identify_vertices",
                "is_connected", "maximal_forest", "permute_vertices"),
     "intmatrix": ("IntMatrix", "SnfResult", "UnimodularWitness", "det_bareiss",

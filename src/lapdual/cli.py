@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import (PROPERTY_TAGS, BudgetExceeded, CapExceeded, EmptyOrFullSet,
+from .errors import (PROPERTY_TAGS, BudgetExceeded, EmptyOrFullSet,
                      InvalidReductionSpec, LapdualError, LoopCountMismatch,
                      MalformedInput, NotCotreeEdge, NotMaximalForest, NotSquare,
                      NotSymmetric, NotUnimodular, RowSumNonzero, ShapeMismatch,
@@ -41,7 +41,7 @@ DECISION_EXITS = {"true": EXIT_OK, "false": EXIT_NEGATIVE, "unknown": EXIT_UNKNO
 # an error exits by the first row whose types it matches
 ERROR_EXITS = (((UnknownTag, ValueError), EXIT_USAGE),
                (INPUT_ERRORS, EXIT_MALFORMED),
-               ((BudgetExceeded, CapExceeded), EXIT_UNKNOWN),
+               (BudgetExceeded, EXIT_UNKNOWN),
                (LapdualError, EXIT_NEGATIVE))
 
 DEFAULT_BUDGET = 10**6

@@ -43,10 +43,6 @@ class EmptyOrFullSet(LapdualError):
     pass
 
 
-class CapExceeded(LapdualError):
-    """An enumeration produced more objects than the caller allowed."""
-
-
 class BudgetExceeded(LapdualError):
     """A bounded search ran out of budget before reaching an answer."""
 

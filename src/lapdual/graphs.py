@@ -15,19 +15,17 @@ of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
 Theory*, ch. 9).  An edge bijection is a cycle-matroid isomorphism exactly
 when it carries the fundamental circuits of a maximal forest into the other
 graph's cycle space and the forest sizes agree, which takes O(m*n) parity
-tests.  The exhaustive forest enumerator stays for properties IV*, VIII*
-and IX* of `laplacians.verify_property`.  The brute-force circuit
-enumerator and isomorphism test that the tests cross-check against live in
-the tests' oracles.
+tests.  Nothing here enumerates forests: the brute-force forest and
+circuit enumerators and the isomorphism test that the tests cross-check
+against live in the tests' oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (BudgetExceeded, CapExceeded, EmptyOrFullSet, NotCotreeEdge,
+from .errors import (BudgetExceeded, EmptyOrFullSet, NotCotreeEdge,
                      NotMaximalForest)
 
 EdgeVector = tuple  # length-m integer vector indexed by edge
@@ -191,49 +189,6 @@ def is_maximal_forest(g: MultiGraph, edge_set) -> bool:
         if u == v or not uf.union(u, v):
             return False
     return len(set(edge_set)) == forest_size(g)
-
-
-def iter_maximal_forests(g: MultiGraph):
-    """Yield every maximal forest, lexicographic by edge-index set."""
-    target = forest_size(g)
-    non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
-    return _extend_forest(g, non_loops, target)
-
-
-def _extend_forest(g, non_loops, target):
-    """Iterative backtrack behind iter_maximal_forests.  `chosen` holds
-    positions in non_loops; the scan takes the next edge that joins two
-    trees while enough edges remain to finish, and dropping an edge undoes
-    its merge, so the depth is bounded by memory, not the recursion limit."""
-    trees = _UnionFind(g.num_vertices)
-    chosen = []
-    idx = 0
-    while True:
-        while len(chosen) < target and len(non_loops) - idx >= target - len(chosen):
-            if trees.union(*g.edges[non_loops[idx]]):
-                chosen.append(idx)
-            idx += 1
-        if len(chosen) == target:
-            yield ForestCertificate.from_forest(g, [non_loops[i] for i in chosen])
-        if not chosen:
-            return
-        idx = chosen.pop() + 1
-        trees.undo()
-
-
-def enumerate_maximal_forests(g: MultiGraph, cap=100000):
-    """All maximal forests, lexicographic by edge-index set.
-
-    Intended for desk scale; raises CapExceeded past `cap` results.
-    """
-    results = list(itertools.islice(iter_maximal_forests(g), cap + 1))
-    if len(results) > cap:
-        raise CapExceeded(f"more than {cap} maximal forests")
-    return results
-
-
-def count_maximal_forests(g: MultiGraph, cap=100000) -> int:
-    return len(enumerate_maximal_forests(g, cap))
 
 
 def adjacency(g: MultiGraph, edge_ids):

@@ -7,15 +7,14 @@ read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
 """
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (BudgetExceeded, CapExceeded, InvalidReductionSpec,
-                     NotMaximalForest, NotUnimodular, UnknownTag)
+from .errors import (BudgetExceeded, InvalidReductionSpec, NotMaximalForest,
+                     NotUnimodular, UnknownTag)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, adjacency,
-                     circuit_through, classify_edges, components,
-                     count_maximal_forests, is_maximal_forest,
-                     iter_maximal_forests, maximal_forest)
+                     circuit_through, classify_edges, components, forest_count,
+                     greedy_forest, is_maximal_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
 
@@ -264,11 +263,27 @@ def _reduction_change(g):
     return spec1, spec2, reduction_change_witness(g, spec1, spec2)
 
 
+def _second_forest(g, f1):
+    """The maximal forest after f1 = maximal_forest(g) in lexicographic
+    order, or f1 when it is the only one.  A forest sharing exactly its first
+    k edges with f1 has all its others after f1's k-th, and greedy over those
+    edges and f1's first k finds the least such forest (the matroid greedy
+    property).  One exists exactly when f1's k-th edge is on a circuit, so
+    the longest shared prefix stops at the last forest edge that is not an
+    isthmus."""
+    isthmuses = set(classify_edges(g)[1])
+    first = f1.forest_edges
+    for k in reversed(range(len(first))):
+        if first[k] not in isthmuses:
+            return greedy_forest(g, first[:k] + tuple(range(first[k] + 1, g.num_edges)))
+    return f1
+
+
 def _forest_change(g):
     """Two maximal forests, their flow matrices and a row equivalence or None."""
     from .congruence import strict_row_equivalence
     f1 = maximal_forest(g)
-    f2 = list(itertools.islice(iter_maximal_forests(g), 2))[-1]
+    f2 = _second_forest(g, f1)
     fm1, fm2 = flow_matrix(g, None, f1), flow_matrix(g, None, f2)
     return f1, f2, fm1, fm2, strict_row_equivalence(fm1, fm2)
 
@@ -286,21 +301,14 @@ def _check_ii(g):
     return laplacian(with_loop) == lap == laplacian(stripped), {"laplacian": lap}
 
 def _check_iii(g):
-    n = g.num_vertices
-    if n > 8:
-        raise CapExceeded("property III check enumerates vertex permutations; n <= 8")
+    # off the diagonal L reads the edge multiplicities, and its zero line
+    # sums give the diagonal, so L fixes the loopless multigraph
     lap = laplacian(g)
-    stripped_edges = sorted(tuple(sorted(e)) for e in g.edges if e[0] != e[1])
-    matching, isos = [], []
-    for perm in itertools.permutations(range(n)):
-        if all(lap.data[perm[i]][perm[j]] == lap.data[i][j]
-               for i in range(n) for j in range(n)):
-            matching.append(perm)
-        mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in stripped_edges)
-        if mapped == stripped_edges:
-            isos.append(perm)
-    return matching == isos, {"laplacian_permutations": len(matching),
-                              "loopless_isomorphisms": len(isos)}
+    mult = Counter(tuple(sorted(e)) for e in g.edges if e[0] != e[1])
+    n = g.num_vertices
+    ok = all(lap.data[i][j] == lap.data[j][i] == -mult[i, j]
+             for i in range(n) for j in range(i + 1, n))
+    return ok and _zero_line_sums(lap), {"laplacian": lap}
 
 def _check_iv(g):
     lap = laplacian(g)
@@ -372,10 +380,11 @@ def _check_ii_star(g):
     return ok, {"reduced": pair.reduced}
 
 def _check_iv_star(g):
+    # matrix-tree: the flow Gram and the reduced Laplacian count the same forests
     pair = reduced_dual_laplacian(g)
-    forest_count = count_maximal_forests(g, cap=200000)
-    ok = _zero_line_sums(pair.unreduced) and det_bareiss(pair.gram_base) == forest_count
-    return ok, {"forest_count": forest_count}
+    count = forest_count(g)
+    ok = _zero_line_sums(pair.unreduced) and det_bareiss(pair.gram_base) == count
+    return ok, {"forest_count": count}
 
 def _check_v_star(g):
     hat = superbase_matrix(g)
@@ -434,10 +443,12 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     analogue on the given graph, returning the witnesses used.
 
     `_PROPERTY_CHECKS` maps each tag to its check.  X, VIII* and IX* load
-    `congruence`, and X also `duality`; the rest load no further layer.  III
-    tries all n! vertex permutations (CapExceeded for n > 8), IV* enumerates
-    up to 200,000 forests, and X raises BudgetExceeded when a condition on
-    the edge-rotated copy stays unknown and none is false."""
+    `congruence`, and X also `duality`; the rest load no further layer.  No
+    check has a size cap: III reads the edge multiplicities off L's entries,
+    IV* compares det(flow Gram) with the Kirchhoff count of the reduced
+    Laplacian, and VIII* and IX* find the second forest greedily.  Only X
+    raises, BudgetExceeded, when a condition on the edge-rotated copy stays
+    unknown and none is false."""
     check = _PROPERTY_CHECKS.get(tag)
     if check is None:
         raise UnknownTag(f"unknown property tag {tag!r}")

@@ -45,6 +45,10 @@ def _int(x):
 
 
 def _ints(xs):
+    """An integer list field.  Anything but a JSON list is refused, since a
+    string would otherwise read as its digits."""
+    if not isinstance(xs, list):
+        raise ValueError(f"expected a list, got {xs!r}")
     return tuple([_int(x) for x in xs])
 
 
@@ -59,7 +63,7 @@ def graph_from_json(obj) -> MultiGraph:
         raise MalformedInput("graph JSON must be an object")
     name = obj.get("name", "")
     n = _int(obj["num_vertices"])
-    edges = [(_int(u), _int(v)) for u, v in obj["edges"]]
+    edges = [_ints(e) for e in obj["edges"]]
     return MultiGraph.from_edges(n, edges, name=str(name))
 
 

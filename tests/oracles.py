@@ -11,9 +11,14 @@ maximal-forest families.  They are independent of the GF(2) cycle-space
 tests in `lapdual.graphs` and `lapdual.duality`, which the tests compare
 against them.
 
+Maximal forests: every forest-size subset of the non-loop edges, kept when
+it is acyclic.  The runtime counts forests by Kirchhoff's determinant and
+finds the second one greedily; the tests check both against this list.
+
 Isomorphism: a search over every vertex bijection of the loop-stripped
-multigraphs.  Property X compares labelled Laplacians instead, and the tests
-check that against it.
+multigraphs.  Property X compares labelled Laplacians instead, and property
+III reads the edge multiplicities off the Laplacian's entries; the tests
+check both against it.
 
 All of them are exponential and meant for graphs of about a dozen vertices
 or edges.
@@ -23,12 +28,16 @@ import itertools
 
 from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, DualityReport,
                              KuratowskiEvidence, PlanarityResult)
-from lapdual.errors import BudgetExceeded, CapExceeded, ShapeMismatch
-from lapdual.graphs import (MultiGraph, Orientation, SearchBudget,
-                            TwoIsomorphismResult, classify_edges,
-                            enumerate_maximal_forests,
-                            fundamental_circuit_vector, maximal_forest,
-                            neighbour_sets)
+from lapdual.errors import BudgetExceeded, LapdualError, ShapeMismatch
+from lapdual.graphs import (ForestCertificate, MultiGraph, Orientation,
+                            SearchBudget, TwoIsomorphismResult, classify_edges,
+                            forest_size, fundamental_circuit_vector,
+                            is_maximal_forest, maximal_forest, neighbour_sets)
+from lapdual.laplacians import laplacian
+
+
+class CapExceeded(LapdualError):
+    """An oracle's enumeration outgrew the size it is meant for."""
 
 
 def _simplified_adjacency(g: MultiGraph):
@@ -364,6 +373,42 @@ def enumerate_circuits(g: MultiGraph):
             if all(rank_of(subset[:i] + subset[i + 1:]) == size - 1 for i in range(size)):
                 circuits.append(subset)
     return circuits
+
+
+def enumerate_maximal_forests(g: MultiGraph, cap=100000):
+    """All maximal forests, lexicographic by edge-index set: the forest-size
+    subsets of the non-loop edges, in `itertools.combinations` order, that
+    `is_maximal_forest` accepts.  Raises CapExceeded past `cap` results."""
+    non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
+    subsets = itertools.combinations(non_loops, forest_size(g))
+    forests = list(itertools.islice(
+        (ForestCertificate.from_forest(g, s) for s in subsets if is_maximal_forest(g, s)),
+        cap + 1))
+    if len(forests) > cap:
+        raise CapExceeded(f"more than {cap} maximal forests")
+    return forests
+
+
+def count_maximal_forests(g: MultiGraph, cap=100000) -> int:
+    return len(enumerate_maximal_forests(g, cap))
+
+
+def laplacian_automorphisms_are_isomorphisms(g: MultiGraph) -> bool:
+    """Property III by permutations: the vertex permutations that fix the
+    Laplacian are exactly those that fix the loop-stripped edge multiset.
+    Raises CapExceeded past 8 vertices."""
+    n = g.num_vertices
+    if n > 8:
+        raise CapExceeded("property III oracle enumerates vertex permutations; n <= 8")
+    lap = laplacian(g).data
+    stripped = sorted(tuple(sorted(e)) for e in g.edges if e[0] != e[1])
+    for perm in itertools.permutations(range(n)):
+        fixes_lap = all(lap[perm[i]][perm[j]] == lap[i][j]
+                        for i in range(n) for j in range(n))
+        mapped = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in stripped)
+        if fixes_lap != (mapped == stripped):
+            return False
+    return True
 
 
 def loopless_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:

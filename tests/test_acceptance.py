@@ -11,7 +11,7 @@ import time
 
 from lapdual import (ForestCertificate, IntMatrix, MultiGraph, Orientation,
                      classify_edges, components, decide_planarity, det_bareiss,
-                     enumerate_maximal_forests, incidence,
+                     incidence,
                      lemma_center_recover, maximal_forest,
                      property_x_report, superbase_matrix,
                      superbase_trace_minimize, UnimodularWitness,
@@ -23,7 +23,8 @@ from lapdual.laplacians import (ReductionSpec, cut_block, flow_gram,
 from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
                       EXAMPLE2_FLOW, EXAMPLE2_INCIDENCE,
                       EXAMPLE2_SUPERBASE_GRAM, random_connected_multigraph)
-from oracles import kuratowski_oracle, loopless_isomorphic, maclane_oracle
+from oracles import (enumerate_maximal_forests, kuratowski_oracle, loopless_isomorphic,
+                     maclane_oracle)
 
 
 def _report(name, started, limit):

@@ -202,6 +202,18 @@ def test_malformed_input_exit(files, capsys, tmp_path):
         assert json.loads(out)["error"]["type"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("command, obj", [
+    ("snf", {"rows": 1, "cols": 2, "data": ["12"]}),
+    ("emit-dot", {"num_vertices": 3, "edges": ["01", "12"]})], ids=["snf", "emit-dot"])
+def test_string_for_a_list_is_malformed(command, obj, capsys, tmp_path):
+    # iterating the string would read it as its digits: [1, 2], or 0-1, 1-2
+    path = tmp_path / "string_for_list.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, command, str(path))
+    assert code == 65
+    assert json.loads(out)["error"]["type"] == "MalformedInput"
+
+
 def test_input_contract_violations_exit(files, capsys):
     # a vertex set that is not one-per-component is unusable input, not a
     # negative decision

@@ -5,7 +5,7 @@ import pytest
 from lapdual import (ForestCertificate, IntMatrix, KuratowskiEvidence, MultiGraph,
                      NonplanarInput, Orientation, RowSumNonzero, ShapeMismatch,
                      TraceTooLarge, UnimodularWitness, classify_edges,
-                     construct_abstract_dual, count_maximal_forests, decide_planarity,
+                     construct_abstract_dual, decide_planarity,
                      hnf_nonzero_part, incidence, lemma_center_recover, maximal_forest,
                      superbase_matrix, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
@@ -13,8 +13,8 @@ from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
 
 from conftest import (cycle_graph, random_connected_multigraph, random_multigraph,
                       wall_clock_guard)
-from oracles import (_connected_subsets, kuratowski_oracle, loopless_isomorphic,
-                     maclane_oracle, verify_abstract_dual_oracle)
+from oracles import (_connected_subsets, count_maximal_forests, kuratowski_oracle,
+                     loopless_isomorphic, maclane_oracle, verify_abstract_dual_oracle)
 
 
 def identity_witness(n):

@@ -4,17 +4,18 @@ import random
 
 import pytest
 
-from lapdual import (CapExceeded, EmptyOrFullSet, ForestCertificate, MultiGraph,
+from lapdual import (EmptyOrFullSet, ForestCertificate, MultiGraph,
                      NotCotreeEdge, NotMaximalForest, Orientation, classify_edges,
                      components, cut_vector, decide_2_isomorphism_bruteforce,
-                     enumerate_maximal_forests, fundamental_circuit_vector,
-                     identify_vertices, maximal_forest, permute_vertices)
+                     fundamental_circuit_vector, identify_vertices,
+                     maximal_forest, permute_vertices)
 from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, is_maximal_forest,
                             two_isomorphism_candidates)
 
 from conftest import (complete_graph, cycle_graph, random_multigraph,
                       wall_clock_guard)
-from oracles import (decide_2_isomorphism_oracle, enumerate_circuits, loopless_isomorphic,
+from oracles import (CapExceeded, decide_2_isomorphism_oracle, enumerate_circuits,
+                     enumerate_maximal_forests, loopless_isomorphic,
                      two_isomorphism_candidates_oracle)
 
 

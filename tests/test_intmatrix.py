@@ -5,12 +5,13 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from lapdual import (IntMatrix, NotSquare, NotSymmetric, NotUnimodular,
-                     UnimodularWitness, count_maximal_forests, det_bareiss,
-                     hermite_normal_form, hnf_nonzero_part, inertia,
-                     inverse_unimodular, rank, smith_normal_form)
+                     UnimodularWitness, det_bareiss, hermite_normal_form,
+                     hnf_nonzero_part, inertia, inverse_unimodular, rank,
+                     smith_normal_form)
 from lapdual.laplacians import flow_gram, incidence, reduced_laplacian
 
 from conftest import complete_graph, det_cofactor, random_unimodular
+from oracles import count_maximal_forests
 
 
 def test_det_identity():

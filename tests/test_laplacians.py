@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from lapdual import (BudgetExceeded, CapExceeded, ForestCertificate, IntMatrix,
+from lapdual import (BudgetExceeded, ForestCertificate, IntMatrix,
                      InvalidReductionSpec, LapdualError, MultiGraph, NotMaximalForest,
-                     Orientation, UnknownTag, count_maximal_forests,
-                     det_bareiss, enumerate_maximal_forests,
-                     fundamental_circuit_vector, maximal_forest)
+                     Orientation, UnknownTag, det_bareiss,
+                     fundamental_circuit_vector, maximal_forest, permute_vertices)
 from lapdual import laplacians
 from lapdual.errors import PROPERTY_TAGS
 from lapdual.laplacians import (ReductionSpec, border_first,
@@ -26,6 +25,8 @@ from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
                       EXAMPLE2_SUPERBASE_GRAM, complete_graph, grid_graph,
                       random_connected_multigraph, random_multigraph,
                       wall_clock_guard)
+from oracles import (count_maximal_forests, enumerate_maximal_forests,
+                     laplacian_automorphisms_are_isomorphisms)
 
 
 def test_laplacian_k3(k3):
@@ -311,9 +312,23 @@ def test_forest_change_properties_on_k7(tag):
 
 @pytest.mark.parametrize("tag", ["VIII*", "IX*"])
 def test_forest_change_properties_on_a_long_path(tag):
-    # forest enumeration goes one level deeper per forest edge: 1,499 here
+    # a tree is its only maximal forest: all 1,499 edges are isthmuses
     path = MultiGraph.from_edges(1500, [(i, i + 1) for i in range(1499)])
     assert verify_property(path, tag).passed
+
+
+def test_second_forest_is_the_enumerators_second(k4):
+    rng = random.Random(11)
+    graphs = [k4] + [random_multigraph(rng, max_n=6, max_m=10) for _ in range(150)]
+    for g in graphs:
+        forests = enumerate_maximal_forests(g)
+        assert laplacians._forest_change(g)[1] == forests[min(1, len(forests) - 1)], g.edges
+
+
+def test_second_forest_of_a_tree_is_the_first():
+    tree = MultiGraph.from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
+    f1, f2 = laplacians._forest_change(tree)[:2]
+    assert f2 == f1 == maximal_forest(tree)
 
 
 def test_verify_property_unknown_tag(k3):
@@ -321,10 +336,43 @@ def test_verify_property_unknown_tag(k3):
         verify_property(k3, "III*")
 
 
-def test_verify_property_caps(k5):
-    big = MultiGraph.from_edges(9, [(i, i + 1) for i in range(8)])
-    with pytest.raises(CapExceeded):
-        verify_property(big, "III")
+def test_property_iii_has_no_vertex_cap():
+    path = MultiGraph.from_edges(9, [(i, i + 1) for i in range(8)])
+    assert verify_property(path, "III").passed
+
+
+def test_property_iii_agrees_with_the_permutation_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_multigraph(rng, max_n=6, max_m=9)
+        assert verify_property(g, "III").passed == laplacian_automorphisms_are_isomorphisms(g)
+
+
+def test_property_iii_fails_on_a_laplacian_missing_an_edge(monkeypatch, example2):
+    def drop_last_edge(g):
+        return laplacian(MultiGraph(g.num_vertices, g.edges[:-1], g.name))
+
+    monkeypatch.setattr(laplacians, "laplacian", drop_last_edge)
+    assert not verify_property(example2, "III").passed
+
+
+def test_property_iv_star_compares_with_the_forest_count(monkeypatch, example2):
+    report = verify_property(example2, "IV*")
+    assert report.passed
+    assert report.details == {"forest_count": count_maximal_forests(example2)}
+    monkeypatch.setattr(laplacians, "forest_count",
+                        lambda g: report.details["forest_count"] + 1)
+    assert not verify_property(example2, "IV*").passed
+
+
+def test_every_tag_but_x_passes_on_a_relabelled_6x6_grid():
+    perm = list(range(36))
+    random.Random(0).shuffle(perm)
+    grid = permute_vertices(grid_graph(6, 6), perm)
+    with wall_clock_guard(30):
+        for tag in PROPERTY_TAGS:
+            if tag != "X":
+                assert verify_property(grid, tag).passed, tag
 
 
 def test_property_table_follows_the_tag_list():

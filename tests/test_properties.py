@@ -10,10 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lapdual import (IntMatrix, MultiGraph, Orientation, UnimodularWitness,
-                     classify_edges, components, count_maximal_forests,
-                     cut_vector, decide_2_isomorphism_bruteforce,
-                     decide_congruence, decide_planarity, det_bareiss,
-                     enumerate_maximal_forests, fundamental_circuit_vector,
+                     classify_edges, components, cut_vector,
+                     decide_2_isomorphism_bruteforce, decide_congruence,
+                     decide_planarity, det_bareiss, fundamental_circuit_vector,
                      hermite_normal_form, hnf_nonzero_part, incidence, inertia,
                      inverse_unimodular, is_connected, laplacian,
                      lemma_center_recover, maximal_forest, permute_vertices,
@@ -23,7 +22,8 @@ from lapdual import (IntMatrix, MultiGraph, Orientation, UnimodularWitness,
 from lapdual.laplacians import ReductionSpec, cut_block, flow_gram, flow_matrix
 
 from conftest import wall_clock_guard
-from oracles import kuratowski_oracle, maclane_oracle
+from oracles import (count_maximal_forests, enumerate_maximal_forests,
+                     kuratowski_oracle, maclane_oracle)
 
 EXECUTED = Counter()
 
