@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
 from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
@@ -20,8 +19,9 @@ from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
                      components, decide_2_isomorphism_bruteforce, identify_vertices,
                      maximal_forest, two_isomorphism_candidates)
 from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
-                        _negate_row, _swap_cols, _swap_rows, det_bareiss,
-                        hermite_normal_form, inertia, inverse_unimodular, smith_normal_form)
+                        _negate_row, _pivot_inertia, _swap_cols, _swap_rows,
+                        _symmetric_bareiss, hermite_normal_form, inertia,
+                        inverse_unimodular, smith_normal_form)
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_matrix, incidence,
                          laplacian, reduced_incidence, reduced_laplacian)
 
@@ -49,66 +49,45 @@ def congruence_invariants(a: IntMatrix) -> dict:
     if not a.is_symmetric():
         raise NotSymmetric("congruence invariants require a symmetric matrix")
     snf = smith_normal_form(a).diag
-    ine = inertia(a)
+    # inertia and det from one elimination: det is the last minor, 1 for a
+    # 0 x 0 matrix, and 0 when a row is left over
+    _, minors, _ = _symmetric_bareiss(a)
+    ine = _pivot_inertia(minors, a.rows)
     return {
         "size": a.rows,
         "rank": a.rows - ine[2],
-        "det": det_bareiss(a),
+        "det": 0 if ine[2] else (minors[-1] if minors else 1),
         "inertia": ine,
         "snf": snf,
     }
 
 
-def _ldl(a: IntMatrix):
-    """a = L D L^T with unit lower L and positive diagonal D; requires PD."""
-    n = a.rows
-    w = [[Fraction(a.data[i][j]) for j in range(n)] for i in range(n)]
-    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    for k in range(n):
-        d[k] = w[k][k]
-        if d[k] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for i in range(k + 1, n):
-            lower[i][k] = w[i][k] / d[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] -= lower[i][k] * d[k] * lower[j][k]
-    return lower, d
-
-
-def _floor_sqrt_shifted(t: Fraction, c: Fraction) -> int:
-    """Largest integer x with x + c <= sqrt(t) (t >= 0).
-
-    The integers x with (x + c)^2 <= t are exactly the range
-    -_floor_sqrt_shifted(t, -c) .. _floor_sqrt_shifted(t, c), which is empty
-    when no integer fits."""
-
-    def fits(x):
-        return x + c <= 0 or (x + c) * (x + c) <= t
-
-    x = (math.isqrt(int(t)) if t >= 1 else 0) - int(c)
-    while fits(x + 1):
-        x += 1
-    while not fits(x):
-        x -= 1
-    return x
-
-
 def short_vectors(a: IntMatrix, bound: int, budget: SearchBudget):
-    """All nonzero integer vectors v with v a v^T <= bound, for PD a."""
+    """All nonzero integer vectors v with v a v^T <= bound, for PD a and
+    bound >= 0.
+
+    Fincke-Pohst enumeration in integers.  With the minors D_k and the
+    columns lambda of `_symmetric_bareiss`, fixing x_(n-1) .. x_(k+1) leaves
+    C = sum_(j>k) lambda_jk x_j and T = D_k times the part of v a v^T fixed
+    so far, and x_k fits exactly when
+    |D_k x_k + C| <= isqrt(D_(k-1) (bound D_k - T)).
+    """
     n = a.rows
     if n == 0:
         return []
-    lower, d = _ldl(a)
+    order, minors, columns = _symmetric_bareiss(a)
+    if order != list(range(n)) or any(d <= 0 for d in minors):
+        raise ValueError("matrix is not positive definite")
     out = []
-    _short_vectors_from(n - 1, Fraction(bound), lower, d, [0] * n, out, budget)
+    _short_vectors_from(n - 1, 0, bound, [1] + minors, columns, [0] * n, out, budget)
     return out
 
 
-def _short_vectors_from(k, remaining, lower, d, coords, out, budget):
+def _short_vectors_from(k, t, bound, minors, columns, coords, out, budget):
     """Fix coords[k] and, recursively, the coordinates below it, appending
-    each nonzero vector that fits in `remaining` to `out`.
+    each nonzero vector of norm at most `bound` to `out`; `t` is
+    `minors[k + 1]` times the norm fixed so far (`minors` is shifted by one,
+    so that `minors[0]` is D_(-1) = 1).
 
     A module-level function, not a closure: a closure calling itself refers
     to itself through its own cell, and that cycle would keep every vector
@@ -118,16 +97,14 @@ def _short_vectors_from(k, remaining, lower, d, coords, out, budget):
         if any(coords):
             out.append(tuple(coords))
         return
-    c = sum(lower[j][k] * coords[j] for j in range(k + 1, len(coords)))
-    if d[k] == 0:
-        return
-    t = remaining / d[k]
-    hi = _floor_sqrt_shifted(t, c)
-    lo = -_floor_sqrt_shifted(t, -c)
-    for x in range(lo, hi + 1):
+    d_prev, d = minors[k], minors[k + 1]
+    lam = columns[k]
+    c = sum(lam[j] * coords[j] for j in range(k + 1, len(coords)))
+    s = math.isqrt(d_prev * (bound * d - t))
+    for x in range(-((s + c) // d), (s - c) // d + 1):
         coords[k] = x
-        _short_vectors_from(k - 1, remaining - d[k] * (x + c) * (x + c),
-                            lower, d, coords, out, budget)
+        _short_vectors_from(k - 1, (d_prev * t + (d * x + c) ** 2) // d, bound,
+                            minors, columns, coords, out, budget)
     coords[k] = 0
 
 

@@ -7,8 +7,9 @@ applied, so no witness is built as a product of elementary matrices.
 
 Everything here works on arbitrary-precision Python ints; normal-form
 intermediates and determinant pivots grow far beyond 64 bits even on small
-inputs, so no fixed-width arithmetic is used anywhere.  Rationals appear
-only inside ``inertia`` and never cross an API boundary.
+inputs, so no fixed-width arithmetic is used anywhere.  There are no
+rationals anywhere: the symmetric elimination behind ``inertia`` and the
+short-vector search is fraction-free.
 
 Rows are built at their final size: from a list, or by a builtin that sizes
 its own result, never as ``tuple(<generator>)``.  A generator has no length,
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotSquare, NotSymmetric, NotUnimodular, ShapeMismatch
 
@@ -355,54 +355,71 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return u.u
 
 
-def inertia(a: IntMatrix):
-    """(n_pos, n_neg, n_zero) of a symmetric matrix, via exact rational pivoting."""
-    if not a.is_symmetric():
-        raise NotSymmetric("inertia requires a symmetric matrix")
+def _symmetric_bareiss(a: IntMatrix):
+    """Symmetric fraction-free (Bareiss) elimination: (order, minors, columns).
+
+    Each step takes the first active row p with a nonzero diagonal.  When
+    every active diagonal vanishes it first applies the congruence move
+    row/col i += row/col j to the first coupled pair; when no pair couples,
+    the rows left over span the kernel.  The Schur update
+    w[i][j] = (w[i][j] * d - w[i][p] * w[p][j]) // prev, where prev is the
+    previous pivot, divides exactly (Bareiss); a coupling move is a
+    unimodular congruence on the active rows, so it keeps that so.
+
+    `order[k]` is the k-th pivot row and `minors[k]` its Bareiss minor D_k:
+    the leading principal minor of size k + 1, in pivot order, of a matrix
+    unimodularly congruent to `a`.  The true pivot is D_k / D_(k-1) with
+    D_(-1) = 1, and the last minor is det `a` when no row is left over.
+    `columns[k]` is row `order[k]`, which by symmetry is its column, as it
+    was when taken; on the rows active then it holds the integers
+    lambda_ik = D_k * l_ik of the LDL^T factor l.
+    """
     n = a.rows
-    w = [[Fraction(a.data[i][j]) for j in range(n)] for i in range(n)]
+    w = [list(row) for row in a.data]
     active = list(range(n))
-    n_pos = n_neg = n_zero = 0
+    order, minors, columns = [], [], []
+    prev = 1
     while active:
-        pivot = None
-        for k in active:
-            if w[k][k] != 0:
-                pivot = k
-                break
-        if pivot is None:
-            # all active diagonal entries vanish; look for an off-diagonal coupling
-            pair = None
-            for i in active:
-                for j in active:
-                    if i != j and w[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+        p = next((k for k in active if w[k][k]), None)
+        if p is None:
+            pair = next(((i, j) for i in active for j in active if i != j and w[i][j]), None)
             if pair is None:
-                n_zero += len(active)
                 break
             i, j = pair
             # the congruence move row/col i += row/col j turns w[i][i] into 2*w[i][j]
             _add_row(i, j, 1, w)
             _add_col(i, j, 1, w)
             continue
-        d = w[pivot][pivot]
-        if d > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        active.remove(pivot)
+        active.remove(p)
+        wp = w[p]
+        d = wp[p]
+        order.append(p)
+        minors.append(d)
+        columns.append(wp[:])
         for i in active:
-            if w[i][pivot] != 0:
-                f = w[i][pivot] / d
-                for j in active:
-                    w[i][j] -= f * w[pivot][j]
-        for i in active:
-            w[i][pivot] = Fraction(0)
-            w[pivot][i] = Fraction(0)
-    return (n_pos, n_neg, n_zero)
+            wi = w[i]
+            f = wi[p]
+            for j in active:
+                wi[j] = (wi[j] * d - f * wp[j]) // prev
+        prev = d
+    return order, minors, columns
+
+
+def _pivot_inertia(minors, n):
+    """(n_pos, n_neg, n_zero) of an n x n symmetric matrix from its
+    `_symmetric_bareiss` minors: the true pivot D_k / D_(k-1) has the sign
+    sign(D_k) * sign(D_(k-1)), and rows left over count as zero."""
+    n_pos = sum((d > 0) == (prev > 0) for prev, d in zip([1] + minors, minors))
+    return (n_pos, len(minors) - n_pos, n - len(minors))
+
+
+def inertia(a: IntMatrix):
+    """(n_pos, n_neg, n_zero) of a symmetric matrix, by fraction-free pivoting."""
+    if not a.is_symmetric():
+        raise NotSymmetric("inertia requires a symmetric matrix")
+    return _pivot_inertia(_symmetric_bareiss(a)[1], a.rows)
 
 
 def rank(a: IntMatrix) -> int:
-    return hnf_nonzero_part(a).rows
+    # rank A = rank A A^T over the rationals, and A A^T is symmetric
+    return a.rows - inertia(a.mul(a.transpose()))[2]

@@ -1,17 +1,18 @@
+import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      ShapeMismatch, UnimodularWitness, congruence_invariants,
-                     decide_congruence, identify_vertices, incidence, laplacian,
-                     loose_row_equivalence, permute_vertices,
+                     decide_congruence, det_bareiss, identify_vertices, incidence,
+                     inertia, laplacian, loose_row_equivalence, permute_vertices,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
-from lapdual.congruence import (_constructive_strict_equivalence, _floor_sqrt_shifted,
-                                block_reduction_witness)
+from lapdual.congruence import (_constructive_strict_equivalence, block_reduction_witness,
+                                short_vectors)
+from lapdual.graphs import SearchBudget
 from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
@@ -30,6 +31,22 @@ def test_invariants_separate_scaled_laplacians(k3):
     inv_b = congruence_invariants(b)
     assert inv_a["det"] == 3 and inv_b["det"] == 48
     assert inv_a["snf"] == (1, 3)
+
+
+def test_invariants_det_and_inertia_match_their_own_eliminations():
+    # det is read off the elimination behind inertia; it must equal Bareiss's
+    # determinant, singular and 0 x 0 inputs included
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 0, -2, -1, 1, 2))
+        a = IntMatrix.from_rows(rows, cols=n)
+        inv = congruence_invariants(a)
+        assert inv["det"] == det_bareiss(a), rows
+        assert inv["inertia"] == inertia(a), rows
 
 
 def test_invariants_identical_for_identical_input(k4):
@@ -146,21 +163,36 @@ def test_congruence_of_relabelled_grid_returns():
     assert w.mul(a).mul(w.transpose()) == b
 
 
-def test_short_vector_range_matches_brute_force():
+def test_short_vectors_match_brute_force():
     rng = random.Random(5)
-    for _ in range(2000):
-        t = Fraction(rng.randrange(0, 40), rng.randrange(1, 8))
-        c = Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        u = random_unimodular(rng, n, steps=rng.randint(0, 6))
+        d = IntMatrix.from_rows([[rng.randint(1, 4) if i == j else 0 for j in range(n)]
+                                 for i in range(n)])
+        a = u.mul(d).mul(u.transpose())
+        bound = rng.randint(0, 12)
         with wall_clock_guard(5):
-            lo, hi = -_floor_sqrt_shifted(t, -c), _floor_sqrt_shifted(t, c)
-        span = math.isqrt(int(t) + 1) + abs(int(c)) + 2
-        fits = [x for x in range(-span, span + 1) if (x + c) * (x + c) <= t]
-        assert list(range(lo, hi + 1)) == fits, (t, c)
-    # windows holding no integer
-    for t, c in ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(1, 3)),
-                 (Fraction(1, 100), Fraction(7, 2))):
-        with wall_clock_guard(5):
-            assert -_floor_sqrt_shifted(t, -c) > _floor_sqrt_shifted(t, c)
+            found = short_vectors(a, bound, SearchBudget(10**6))
+        # v a v^T <= bound forces x_i^2 <= bound * (a^-1)_ii = bound * adj(a)_ii / det a
+        det = det_bareiss(a)
+        others = [[j for j in range(n) if j != i] for i in range(n)]
+        box = [math.isqrt(bound * det_bareiss(a.submatrix(rest, rest)) // det) + 1
+               for rest in others]
+        expected = {v for v in itertools.product(*[range(-r, r + 1) for r in box])
+                    if any(v) and _norm(a, v) <= bound}
+        assert len(found) == len(set(found))
+        assert set(found) == expected, (a, bound)
+    for singular in ([[0]], [[1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            short_vectors(IntMatrix.from_rows(singular), 3, SearchBudget(100))
+    for indefinite in ([[-1]], [[1, 2], [2, 1]], [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            short_vectors(IntMatrix.from_rows(indefinite), 3, SearchBudget(100))
+
+
+def _norm(a, v):
+    return sum(v[i] * a.data[i][j] * v[j] for i in range(a.rows) for j in range(a.rows))
 
 
 def test_strict_row_equivalence_for_two_reductions(example2):

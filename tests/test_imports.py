@@ -41,9 +41,10 @@ SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "dual
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lapdual.__file__)))
 
 
-# stdlib modules of interest: `fractions` comes with the matrix layers; the
-# CLI front end needs none of `dataclasses`, the `inspect` it imports, or `json`
-STDLIB = ("dataclasses", "fractions", "inspect", "json")
+# stdlib modules of interest: no layer needs `fractions` or the `decimal` it
+# imports, since every elimination stays in integers; the CLI front end needs
+# none of `dataclasses`, the `inspect` it imports, or `json`
+STDLIB = ("dataclasses", "decimal", "fractions", "inspect", "json")
 
 
 @pytest.fixture
@@ -155,6 +156,15 @@ def test_find_dual_loads_congruence_but_not_descent(k4):
     loaded = loaded_by_cli(["find-dual", k4])
     assert "lapdual.congruence" in loaded
     assert "lapdual.descent" not in loaded
+
+
+def test_matrix_commands_load_no_rationals(k4, tmp_path):
+    m = tmp_path / "m.json"
+    m.write_text('{"rows": 2, "cols": 2, "data": [["4", "6"], ["6", "10"]]}')
+    loaded = loaded_by_cli(["snf", str(m)], ["check-congruence", str(m), str(m)],
+                           ["planarity", k4], ["verify-property", "X", k4])
+    assert {"lapdual.congruence", "lapdual.duality"} <= loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_importing_duality_leaves_descent_unloaded():

@@ -221,6 +221,13 @@ def test_rank_via_hnf():
     g = complete_graph(4)
     from lapdual.laplacians import laplacian
     assert rank(laplacian(g)) == 3
+    # rank reads the kernel of A A^T; the HNF's nonzero rows count it directly
+    rng = random.Random(17)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a = IntMatrix.from_rows([[rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(cols)]
+                                 for _ in range(rows)], cols=cols)
+        assert rank(a) == hnf_nonzero_part(a).rows, a
 
 
 def test_bignum_safety():
