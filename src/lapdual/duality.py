@@ -6,7 +6,9 @@ that superbase outright: a left-right planarity test (de Fraysseix and
 Rosenstiehl, as laid out by Brandes 2009) embeds the stripped core, and the
 consistently oriented face boundaries of the embedding are such a superbase.
 It is shipped as the incidence matrix of an abstract dual, recovered
-explicitly.  On a nonplanar core the test's edge deletions leave a K5 or
+explicitly: `decide_planarity` hands the face rows to the center lemma,
+which reads its Gram conditions off their columns, so no matrix product is
+formed.  On a nonplanar core the test's edge deletions leave a K5 or
 K3,3 subdivision, whose branch sets are verified and returned instead.
 
 The paper's own route to the same superbase, a trace descent, is the
@@ -40,37 +42,34 @@ def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
     Requires the Gram matrix of c.u * a to have zero row sums and trace at
     most twice the number of nonzero columns of a; under those conditions
     every nonzero column has exactly one +1 and one -1, and zero columns are
-    returned as loops at vertex 0.
-    """
-    ca = c.u.mul(a)
-    gram = ca.mul(ca.transpose())
-    if any(sum(row) != 0 for row in gram.data):
+    returned as loops at vertex 0.  Both conditions are read off the columns
+    of c.u * a, so the Gram matrix is never formed."""
+    return _recover(c.u.mul(a), 2 * len(a.nonzero_columns()))
+
+
+def _recover(ca: IntMatrix, bound: int):
+    """The center lemma on ca with trace bound `bound`.
+
+    Row i of the Gram matrix sums to row i of ca times ca's column sums, and
+    those row sums add up to the sum of the squared column sums, so they all
+    vanish exactly when every column sums to zero.  The trace is the sum of
+    the squared entries, and a nonzero zero-sum column contributes exactly 2
+    when it is one +1 and one -1, more otherwise.  Over a bound of twice the
+    nonzero columns, then, some column is not an incidence column; within
+    the bound, every column is an incidence column or zero."""
+    cols = ca.transpose().data
+    if any(sum(col) for col in cols):
         raise RowSumNonzero("Gram matrix rows do not sum to zero")
-    nonzero_cols = len(a.nonzero_columns())
-    trace = gram.trace()
-    if trace > 2 * nonzero_cols:
-        for j in range(ca.cols):
-            col = ca.column(j)
-            entries = [x for x in col if x != 0]
-            if entries and sorted(entries) != [-1, 1]:
-                raise TraceTooLarge(
-                    f"trace {trace} exceeds {2 * nonzero_cols}; column {j} is not "
-                    "a signed incidence column", column=j)
-        raise TraceTooLarge(f"trace {trace} exceeds {2 * nonzero_cols}", column=None)
-    if ca.cols > 0 and ca.rows == 0:
+    squares = [sum(x * x for x in col) for col in cols]
+    trace = sum(squares)
+    if trace > bound:
+        j = next(j for j, sq in enumerate(squares) if sq > 2)
+        raise TraceTooLarge(f"trace {trace} exceeds {bound}; column {j} is not "
+                            "a signed incidence column", column=j)
+    if cols and not ca.rows:
         raise RowSumNonzero("cannot place edges on an empty vertex set")
-    edges = []
-    for j in range(ca.cols):
-        col = ca.column(j)
-        pos = [i for i in range(ca.rows) if col[i] == 1]
-        neg = [i for i in range(ca.rows) if col[i] == -1]
-        if not pos and not neg:
-            edges.append((0, 0))
-            continue
-        if len(pos) != 1 or len(neg) != 1 or any(abs(x) > 1 for x in col):
-            raise TraceTooLarge(f"column {j} is not a signed incidence column", column=j)
-        edges.append((neg[0], pos[0]))
-    g = MultiGraph(ca.rows, tuple(edges))
+    g = MultiGraph(ca.rows, tuple([(col.index(-1), col.index(1)) if sq else (0, 0)
+                                   for col, sq in zip(cols, squares)]))
     o = Orientation.default(g)
     if incidence(g, o) != ca:
         raise AssertionError("recovered incidence does not replay")
@@ -437,7 +436,9 @@ def _face_basis(core: MultiGraph, cotree, budget: SearchBudget):
     they make a superbase of trace exactly 2m.  The face dropped is the first
     with the most `cotree` edges: when the fundamental circuits of the forest
     are faces, the rows left are exactly those circuits.  Parallel copies of
-    an edge are embedded side by side, in opposite orders at their two ends."""
+    an edge are embedded side by side, in opposite orders at their two ends.
+    Each walk must close on its first dart and pass no edge twice, so each
+    row is a flow, as `decide_planarity` needs."""
     copies = {}
     for e, (u, v) in enumerate(core.edges):
         copies.setdefault((min(u, v), max(u, v)), []).append(e)
@@ -466,10 +467,14 @@ def _face_basis(core: MultiGraph, cotree, budget: SearchBudget):
             while (x, k) not in seen:
                 budget.spend()
                 seen.add((x, k))
+                if k in row:
+                    raise AssertionError(f"a face passes edge {k} twice")
                 a, b = core.edges[k]
                 row[k] = 1 if x == a else -1
                 y = b if x == a else a
                 x, k = y, rings[y][where[y][k] - 1]
+            if (x, k) != (v, e):
+                raise AssertionError("a face does not close on its first dart")
             faces.append((comp_of[v], row))
     faces_in = [0] * len(comps)
     dropped = {}  # component -> (cotree edges, index) of the face it drops
@@ -607,10 +612,11 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     """Certified planarity of g by a left-right embedding of its stripped core.
 
     A planar verdict carries a DualCertificate whose superbase is the
-    embedding's face boundaries; a nonplanar verdict carries verified
-    Kuratowski branch sets.  Each half-edge step of the embedding's walks
-    and each planarity test of the extraction spends one unit of `budget`;
-    running out gives `unknown`.  `seed` does not affect the result."""
+    embedding's face boundaries, handed to the center lemma as they are; a
+    nonplanar verdict carries verified Kuratowski branch sets.  Each
+    half-edge step of the embedding's walks and each planarity test of the
+    extraction spends one unit of `budget`; running out gives `unknown`.
+    `seed` does not affect the result."""
     core, core_edges, loops, isthmuses = _strip_for_planarity(g)
     core_forest = maximal_forest(core)
     counter = SearchBudget(budget)
@@ -623,17 +629,20 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
         if not verify_kuratowski_evidence(g, evidence):
             raise AssertionError("Kuratowski evidence failed verification")
         return PlanarityResult(NONPLANAR, evidence=evidence)
-    core_v0 = default_reduction_spec(core)
-    fm = flow_matrix(core, None, core_forest, core_v0)
-    # row j of fm has -1 in its own cotree column and 0 in the others, so
-    # these coefficients carry fm onto the faces
-    u = IntMatrix.from_rows([[-face.get(e, 0) for e in core_forest.cotree_edges]
-                             for face in faces], cols=fm.rows)
-    a = IntMatrix.zeros(1, fm.cols).vstack(fm)
+    # every face row is a flow, fixed by its cotree entries, and row j of the
+    # flow matrix is -1 at its own cotree edge and 0 at the others: so u
+    # carries the flow matrix onto the faces, and z carries it under a zero
+    # row onto the faces under minus their sum, which the lemma reads
+    cotree = core_forest.cotree_edges
+    u = IntMatrix.from_rows([[-face.get(e, 0) for e in cotree] for face in faces],
+                            cols=len(cotree))
     z = _border_top_witness(u)
-    dual_core, _ = lemma_center_recover(a, z)
+    rows = [[face.get(e, 0) for e in range(core.num_edges)] for face in faces]
+    top = [-sum(col) for col in zip(*rows)]
+    dual_core, _ = _recover(IntMatrix.from_rows([top] + rows, cols=core.num_edges),
+                            2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
-                          2 * core.num_edges, core_forest, core_v0)
+                          2 * core.num_edges, core_forest, default_reduction_spec(core))
     return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
 
 

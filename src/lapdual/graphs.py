@@ -90,9 +90,9 @@ class ForestCertificate:
     cotree_edges: tuple
 
     def __post_init__(self):
-        if list(self.forest_edges) != sorted(self.forest_edges):
+        if any(a >= b for a, b in zip(self.forest_edges, self.forest_edges[1:])):
             raise ValueError("forest edges must be strictly increasing")
-        if list(self.cotree_edges) != sorted(self.cotree_edges):
+        if any(a >= b for a, b in zip(self.cotree_edges, self.cotree_edges[1:])):
             raise ValueError("cotree edges must be strictly increasing")
 
     @staticmethod

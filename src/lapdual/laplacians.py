@@ -388,7 +388,7 @@ def _check_iv_star(g):
 
 def _check_v_star(g):
     hat = superbase_matrix(g)
-    tr = hat.mul(hat.transpose()).trace()
+    tr = sum(x * x for row in hat.data for x in row)  # trace of hat * hat^T
     bound = 2 * (g.num_edges - len(classify_edges(g)[1]))
     return tr % 2 == 0 and tr >= bound, {"trace": tr, "bound": bound}
 

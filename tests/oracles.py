@@ -20,6 +20,10 @@ multigraphs.  Property X compares labelled Laplacians instead, and property
 III reads the edge multiplicities off the Laplacian's entries; the tests
 check both against it.
 
+The center lemma: the Gram form of `lemma_center_recover`, which multiplies
+out (c.a)(c.a)^T and reads its row sums and trace.  The runtime reads both
+conditions off the columns of c.a instead; the tests check it against this.
+
 All of them are exponential and meant for graphs of about a dozen vertices
 or edges.
 """
@@ -28,12 +32,13 @@ import itertools
 
 from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, DualityReport,
                              KuratowskiEvidence, PlanarityResult)
-from lapdual.errors import BudgetExceeded, LapdualError, ShapeMismatch
+from lapdual.errors import (BudgetExceeded, LapdualError, RowSumNonzero,
+                            ShapeMismatch, TraceTooLarge)
 from lapdual.graphs import (ForestCertificate, MultiGraph, Orientation,
                             SearchBudget, TwoIsomorphismResult, classify_edges,
                             forest_size, fundamental_circuit_vector,
                             is_maximal_forest, maximal_forest, neighbour_sets)
-from lapdual.laplacians import laplacian
+from lapdual.laplacians import incidence, laplacian
 
 
 class CapExceeded(LapdualError):
@@ -536,3 +541,42 @@ def verify_abstract_dual_oracle(g1: MultiGraph, g2: MultiGraph, beta, cap=200000
                          forest_size_identity=size_ok,
                          complement_bijection=complement_ok,
                          forest_counts=(len(forests1), len(forests2)))
+
+
+def lemma_center_recover_by_gram(a, c):
+    """The center lemma by its Gram matrix: form the Gram matrix of c.u * a,
+    check its row sums and trace, then read each column.
+    `lemma_center_recover` reads both conditions off the columns instead."""
+    ca = c.u.mul(a)
+    gram = ca.mul(ca.transpose())
+    if any(sum(row) != 0 for row in gram.data):
+        raise RowSumNonzero("Gram matrix rows do not sum to zero")
+    nonzero_cols = len(a.nonzero_columns())
+    trace = gram.trace()
+    if trace > 2 * nonzero_cols:
+        for j in range(ca.cols):
+            col = ca.column(j)
+            entries = [x for x in col if x != 0]
+            if entries and sorted(entries) != [-1, 1]:
+                raise TraceTooLarge(
+                    f"trace {trace} exceeds {2 * nonzero_cols}; column {j} is not "
+                    "a signed incidence column", column=j)
+        raise TraceTooLarge(f"trace {trace} exceeds {2 * nonzero_cols}", column=None)
+    if ca.cols > 0 and ca.rows == 0:
+        raise RowSumNonzero("cannot place edges on an empty vertex set")
+    edges = []
+    for j in range(ca.cols):
+        col = ca.column(j)
+        pos = [i for i in range(ca.rows) if col[i] == 1]
+        neg = [i for i in range(ca.rows) if col[i] == -1]
+        if not pos and not neg:
+            edges.append((0, 0))
+            continue
+        if len(pos) != 1 or len(neg) != 1 or any(abs(x) > 1 for x in col):
+            raise TraceTooLarge(f"column {j} is not a signed incidence column", column=j)
+        edges.append((neg[0], pos[0]))
+    g = MultiGraph(ca.rows, tuple(edges))
+    o = Orientation.default(g)
+    if incidence(g, o) != ca:
+        raise AssertionError("recovered incidence does not replay")
+    return g, o

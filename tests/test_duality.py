@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -6,15 +9,18 @@ from lapdual import (ForestCertificate, IntMatrix, KuratowskiEvidence, MultiGrap
                      NonplanarInput, Orientation, RowSumNonzero, ShapeMismatch,
                      TraceTooLarge, UnimodularWitness, classify_edges,
                      construct_abstract_dual, decide_planarity,
-                     hnf_nonzero_part, incidence, lemma_center_recover, maximal_forest,
+                     hnf_nonzero_part, incidence, inverse_unimodular,
+                     lemma_center_recover, maximal_forest,
                      superbase_matrix, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
+from lapdual.serialization import dumps
 
-from conftest import (cycle_graph, random_connected_multigraph, random_multigraph,
-                      wall_clock_guard)
+from conftest import (cycle_graph, grid_graph, random_connected_multigraph,
+                      random_multigraph, random_unimodular, wall_clock_guard)
 from oracles import (_connected_subsets, count_maximal_forests, kuratowski_oracle,
-                     loopless_isomorphic, maclane_oracle, verify_abstract_dual_oracle)
+                     lemma_center_recover_by_gram, loopless_isomorphic, maclane_oracle,
+                     verify_abstract_dual_oracle)
 
 
 def identity_witness(n):
@@ -61,6 +67,90 @@ def test_recover_rejects_large_trace():
     with pytest.raises(TraceTooLarge) as err:
         lemma_center_recover(a, identity_witness(2))
     assert err.value.column == 0
+
+
+def _lemma_column(rng, r):
+    """A signed incidence column, a zero column, or either perturbed: one
+    entry moved by one, the column doubled, or a zero-sum column of a
+    triangle's weights."""
+    col = [0] * r
+    if r >= 2 and rng.random() < 0.8:
+        i, j = rng.sample(range(r), 2)
+        col[i], col[j] = 1, -1
+    p = rng.random()
+    if r and p < 0.1:
+        col[rng.randrange(r)] += rng.choice((1, -1))
+    elif p < 0.15:
+        col = [2 * x for x in col]
+    elif r >= 3 and p < 0.2:
+        i, j, k = rng.sample(range(r), 3)
+        col[i] += 1
+        col[j] += 1
+        col[k] -= 2
+    return col
+
+
+def _lemma_case(rng):
+    """One (a, c) pair.  c is a product of elementary row operations, or the
+    identity.  a is random small entries (half of them with zero column
+    sums), incidence-like columns, or c's inverse times incidence-like
+    columns, so that c * a is the incidence-like matrix."""
+    r, m = rng.randint(0, 5), rng.randint(0, 6)
+    c = random_unimodular(rng, r, steps=rng.choice((0, 0, 2, 6)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        cols = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        if r and rng.random() < 0.5:
+            for col in cols:
+                col[-1] = -sum(col[:-1])
+    else:
+        cols = [_lemma_column(rng, r) for _ in range(m)]
+    a = IntMatrix.from_rows(list(zip(*cols)) if cols else [[]] * r, cols=m)
+    if kind == 2:
+        a = inverse_unimodular(c).mul(a)
+    return a, UnimodularWitness(c)
+
+
+def _lemma_outcome(recover, a, c):
+    try:
+        return recover(a, c)
+    except (RowSumNonzero, TraceTooLarge) as err:
+        return type(err).__name__, str(err), getattr(err, "column", None)
+
+
+def test_recover_matches_the_gram_oracle():
+    rng = random.Random(18)
+    tally = {}
+    for _ in range(5000):
+        a, c = _lemma_case(rng)
+        got = _lemma_outcome(lemma_center_recover, a, c)
+        assert got == _lemma_outcome(lemma_center_recover_by_gram, a, c)
+        kind = got[0] if isinstance(got[0], str) else "recovered"
+        tally[kind] = tally.get(kind, 0) + 1
+    assert min(tally.get(k, 0) for k in ("recovered", "RowSumNonzero", "TraceTooLarge")) >= 100
+
+
+def _count_products(monkeypatch):
+    calls = []
+    product = IntMatrix.mul
+
+    def counted(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return product(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counted)
+    return calls
+
+
+def test_planar_certificate_takes_no_matrix_product(monkeypatch):
+    """decide_planarity hands the lemma the face rows; the lemma forms no
+    Gram matrix."""
+    g = grid_graph(4, 4)
+    calls = _count_products(monkeypatch)
+    assert decide_planarity(g).status == "planar"
+    assert calls == []
+    lemma_center_recover(incidence(g), identity_witness(16))
+    assert len(calls) == 1
 
 
 def test_trace_minimize_example2_needs_no_moves(example2):
@@ -431,3 +521,50 @@ def test_decide_planarity_deterministic(example3):
     first = decide_planarity(example3, budget=10**6, seed=7)
     second = decide_planarity(example3, budget=10**6, seed=7)
     assert first == second
+
+
+PLANARITY_GOLDEN = pathlib.Path(__file__).parent / "golden" / "planarity_digests.json"
+
+
+def _digest(value):
+    return hashlib.sha256(dumps(value).encode()).hexdigest()
+
+
+def _wheel(spokes):
+    rim = [(i, (i + 1) % spokes) for i in range(spokes)]
+    return MultiGraph.from_edges(spokes + 1, rim + [(spokes, i) for i in range(spokes)],
+                                 name=f"W{spokes}")
+
+
+def planarity_digests(catalog6, k5, k33, petersen):
+    """Per corpus, the digest of `dumps(decide_planarity(g))` and, for a
+    planar g, of `dumps(construct_abstract_dual(g))`.  The corpora are the
+    connected simple graphs on at most six vertices, K5, K3,3, Petersen,
+    grids up to 8x8, wheels, and seeded random multigraphs with loops,
+    parallel edges, isthmuses and several components."""
+    rng = random.Random(18)
+    corpora = {
+        "catalog6": list(catalog6),
+        "kuratowski": [k5, k33, petersen],
+        "grids": [grid_graph(r, c) for r in range(1, 9) for c in range(r, 9)],
+        "wheels": [_wheel(k) for k in range(3, 11)],
+        "random": [random_multigraph(rng, max_n=8, max_m=14) for _ in range(200)],
+    }
+    out = {}
+    for name, graphs in corpora.items():
+        entries = []
+        for g in graphs:
+            result = decide_planarity(g)
+            entry = [_digest(result)]
+            if result.status == "planar":
+                entry.append(_digest(construct_abstract_dual(g)))
+            entries.append(entry)
+        out[name] = entries
+    return out
+
+
+def test_planar_certificates_match_golden(catalog6, k5, k33, petersen):
+    """Certificate and dual bytes, written before the center lemma read its
+    conditions off the columns."""
+    assert planarity_digests(catalog6, k5, k33, petersen) == \
+        json.loads(PLANARITY_GOLDEN.read_text())

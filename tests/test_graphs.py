@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from lapdual import (EmptyOrFullSet, ForestCertificate, MultiGraph,
+from lapdual import (EmptyOrFullSet, ForestCertificate, MalformedInput, MultiGraph,
                      NotCotreeEdge, NotMaximalForest, Orientation, classify_edges,
                      components, cut_vector, decide_2_isomorphism_bruteforce,
                      fundamental_circuit_vector, identify_vertices,
                      maximal_forest, permute_vertices)
 from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, is_maximal_forest,
                             two_isomorphism_candidates)
+from lapdual.serialization import forest_from_json
 
 from conftest import (complete_graph, cycle_graph, random_multigraph,
                       wall_clock_guard)
@@ -271,3 +272,13 @@ def test_empty_graph():
 def test_bad_endpoints_rejected():
     with pytest.raises(ValueError):
         MultiGraph.from_edges(2, [(0, 2)])
+
+
+def test_forest_certificate_refuses_repeated_edges():
+    with pytest.raises(MalformedInput, match="strictly increasing"):
+        forest_from_json({"forest_edges": [0, 0], "cotree_edges": [1, 1]})
+    with pytest.raises(ValueError, match="forest edges must be strictly increasing"):
+        ForestCertificate((0, 0), (1,))
+    with pytest.raises(ValueError, match="cotree edges must be strictly increasing"):
+        ForestCertificate((0,), (1, 1))
+    assert ForestCertificate((0, 2), (1,)).forest_edges == (0, 2)
