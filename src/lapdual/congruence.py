@@ -6,6 +6,13 @@ decision procedure, so every answer here is one of three kinds: a positive
 answer always carries a unimodular witness that replays bit-exactly, a
 negative answer always names a congruence invariant whose values differ, and
 everything else is reported as unknown.
+
+Each side of a semidefinite question is reduced by one unimodular transform,
+`_reduced_core`, and every congruent witness, whether found by the isometry
+search, by the move search or through the block reductions of the unreduced
+proposition, is lifted by `_lift`, which inverts one transform and replays
+the witness.  The isometry search spends one budget unit per node and per
+candidate it tests, so a budget bounds its work.
 """
 
 from __future__ import annotations
@@ -165,6 +172,7 @@ def _extend_isometry(i, chosen, b, by_norm, gram_cache, budget):
     if i == r:
         return True
     for v in by_norm.get(b.data[i][i], ()):
+        budget.spend()
         if all(sum(u[k] * gram_cache[v][k] for k in range(r)) == b.data[i][j]
                for j, u in enumerate(chosen)):
             chosen.append(v)
@@ -174,13 +182,31 @@ def _extend_isometry(i, chosen, b, by_norm, gram_cache, budget):
     return False
 
 
-def _psd_kernel_split(a: IntMatrix):
-    """(witness V, pd_block) with V a V^T = diag(pd_block, 0)."""
-    h, u = hermite_normal_form(a)
-    rank = len([i for i in range(h.rows) if any(h.data[i])])
-    conj = u.u.mul(a).mul(u.u.transpose())
-    block = conj.submatrix(range(rank), range(rank))
-    return u, block, rank
+def _reduced_core(a: IntMatrix):
+    """(T, core) with T a T^T = diag(core, 0) for positive semidefinite a,
+    where T is unimodular and core is positive definite and length reduced.
+
+    T is the Hermite transform v of a, whose zero rows come last and span the
+    kernel, followed by the length reduction p of the conjugate h v^T =
+    v a v^T.  The reduction skips the zero rows and moves no core row against
+    them, so p = diag(p_core, I).  This is the one place where a side of a
+    congruence question is reduced."""
+    h, v = hermite_normal_form(a)
+    rank = len([row for row in h.data if any(row)])
+    reduced, p = gram_length_reduce(h.mul(v.u.transpose()))
+    return p.u.mul(v.u), reduced.submatrix(range(rank), range(rank))
+
+
+def _lift(u: IntMatrix, ta: IntMatrix, tb: IntMatrix, a: IntMatrix, b: IntMatrix):
+    """The congruent verdict with witness W = tb^-1 diag(u, I) ta, which
+    carries a onto b when ta a ta^T = diag(c, d) and tb b tb^T =
+    diag(u c u^T, d).  W is replayed before it is returned."""
+    k = u.rows
+    head = u.mul(ta.submatrix(range(k), range(ta.cols)))
+    w = inverse_unimodular(tb).mul(IntMatrix(ta.rows, ta.cols, head.data + ta.data[k:]))
+    if w.mul(a).mul(w.transpose()) != b:
+        raise AssertionError("congruence witness failed replay")
+    return CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(w))
 
 
 def _elementary_moves(n):
@@ -205,7 +231,8 @@ def _apply_move(state, transform, move):
 
 
 def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
-    """Meet-in-the-middle breadth-first search over elementary congruence moves.
+    """Meet-in-the-middle breadth-first search over elementary congruence moves:
+    the transforms (ua, ub) that carry a and b onto one state, or None.
 
     The moves generate GL_n(Z), so this is complete in the limit; in practice
     it only resolves shallow cases and everything else stays unknown.
@@ -231,10 +258,8 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
                 seen[nxt] = u
                 new_frontier.append(nxt)
                 if nxt in other:
-                    ua = seen[nxt] if grow_a else other[nxt]
-                    ub = other[nxt] if grow_a else seen[nxt]
-                    return inverse_unimodular(IntMatrix.from_rows(ub, cols=n)).mul(
-                        IntMatrix.from_rows(ua, cols=n))
+                    ua, ub = (u, other[nxt]) if grow_a else (other[nxt], u)
+                    return IntMatrix.from_rows(ua, cols=n), IntMatrix.from_rows(ub, cols=n)
         if grow_a:
             frontier_a = new_frontier
         else:
@@ -245,10 +270,11 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
 def decide_congruence(a: IntMatrix, b: IntMatrix, budget=10**6) -> CongruenceVerdict:
     """Tri-state congruence test over the integers.
 
-    Invariant prefilter first; for semidefinite inputs the kernel is split off
-    and the definite cores are compared by a complete isometry backtracking,
-    so positive answers carry explicit witnesses.  Indefinite pairs fall back
-    to a bounded search over elementary congruence moves.
+    Invariant prefilter first; for semidefinite inputs each side is reduced
+    to a definite core beside a zero block, and the cores are compared by a
+    complete isometry backtracking.  Indefinite pairs fall back to a bounded
+    search over elementary congruence moves.  Either way a positive answer
+    carries an explicit witness, lifted and replayed by `_lift`.
     """
     if not a.is_symmetric() or not b.is_symmetric():
         raise NotSymmetric("congruence is decided for symmetric matrices only")
@@ -266,41 +292,20 @@ def decide_congruence(a: IntMatrix, b: IntMatrix, budget=10**6) -> CongruenceVer
     try:
         if n_neg == 0 or n_pos == 0:
             sign = 1 if n_neg == 0 else -1
-            va, core_a, rank_a = _psd_kernel_split(a.scale(sign))
-            vb, core_b, rank_b = _psd_kernel_split(b.scale(sign))
-            red_a, pa = gram_length_reduce(core_a)
-            red_b, pb = gram_length_reduce(core_b)
-            u_core = _pd_isometry(red_a, red_b, counter)
+            ta, core_a = _reduced_core(a.scale(sign))
+            tb, core_b = _reduced_core(b.scale(sign))
+            u_core = _pd_isometry(core_a, core_b, counter)
             if u_core is None:
                 return CongruenceVerdict(
                     UNKNOWN, note="definite cores admit no isometry; no listed "
                     "invariant separates the pair")
-            core_w = inverse_unimodular(pb.u).mul(u_core).mul(pa.u)
-            full = _embed_block(core_w, a.rows)
-            w = inverse_unimodular(vb.u).mul(full).mul(va.u)
-            witness = UnimodularWitness(w)
-            if w.mul(a).mul(w.transpose()) != b:
-                raise AssertionError("isometry witness failed replay")
-            return CongruenceVerdict(CONGRUENT, witness=witness)
-        w = _bidirectional_move_search(a, b, counter)
-        if w is not None:
-            return CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(w))
+            return _lift(u_core, ta, tb, a, b)
+        meeting = _bidirectional_move_search(a, b, counter)
+        if meeting is not None:
+            return _lift(IntMatrix.identity(0), *meeting, a, b)
         return CongruenceVerdict(UNKNOWN, note="move search exhausted")
     except BudgetExceeded:
         return CongruenceVerdict(UNKNOWN, note=f"budget of {budget} exhausted")
-
-
-def _embed_block(u: IntMatrix, size: int) -> IntMatrix:
-    rows = []
-    for i in range(size):
-        row = [0] * size
-        if i < u.rows:
-            for j in range(u.cols):
-                row[j] = u.data[i][j]
-        else:
-            row[i] = 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=size)
 
 
 def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
@@ -532,13 +537,8 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
         rhs = "false"
 
     if cond1.status == CONGRUENT and n1 == n2 and c1 == c2:
-        p1 = block_reduction_witness(g1)
-        p2 = block_reduction_witness(g2)
-        lifted = _embed_block(cond1.witness.u, n1)
-        w = inverse_unimodular(p2.u).mul(lifted).mul(p1.u)
-        if w.mul(l1).mul(w.transpose()) != l2:
-            raise AssertionError("block reduction witness failed replay")
-        lhs = CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(w))
+        lhs = _lift(cond1.witness.u, block_reduction_witness(g1).u,
+                    block_reduction_witness(g2).u, l1, l2)
     else:
         lhs = decide_congruence(l1, l2, budget)
     lhs_status = TRI_STATE[lhs.status]

@@ -576,15 +576,6 @@ def _strip_for_planarity(g: MultiGraph):
     return core, core_edges, loops, isthmuses
 
 
-def _border_top_witness(v: IntMatrix) -> UnimodularWitness:
-    """[[1, -column sums of V], [0, V]]; carries the zero-row-topped flow
-    matrix onto the superbase whose basis rows are V times it."""
-    r = v.rows
-    top = [1] + [-sum(v.data[i][j] for i in range(r)) for j in range(r)]
-    rows = [top] + [[0] + list(v.data[i]) for i in range(r)]
-    return UnimodularWitness(IntMatrix.from_rows(rows, cols=r + 1))
-
-
 def _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z, trace_core,
                    core_forest, core_v0):
     n_core = dual_core.num_vertices
@@ -629,17 +620,17 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
         if not verify_kuratowski_evidence(g, evidence):
             raise AssertionError("Kuratowski evidence failed verification")
         return PlanarityResult(NONPLANAR, evidence=evidence)
-    # every face row is a flow, fixed by its cotree entries, and row j of the
-    # flow matrix is -1 at its own cotree edge and 0 at the others: so u
-    # carries the flow matrix onto the faces, and z carries it under a zero
-    # row onto the faces under minus their sum, which the lemma reads
-    cotree = core_forest.cotree_edges
-    u = IntMatrix.from_rows([[-face.get(e, 0) for e in cotree] for face in faces],
-                            cols=len(cotree))
-    z = _border_top_witness(u)
+    # the lemma reads ca: the faces under minus their sum.  Every face row is
+    # a flow, fixed by its cotree entries, and row j of the flow matrix is -1
+    # at its own cotree edge and 0 at the others, so minus ca's cotree
+    # columns carry the flow matrix onto ca's rows, and z, which puts e_0
+    # before them, carries it under a zero row onto ca
     rows = [[face.get(e, 0) for e in range(core.num_edges)] for face in faces]
-    top = [-sum(col) for col in zip(*rows)]
-    dual_core, _ = _recover(IntMatrix.from_rows([top] + rows, cols=core.num_edges),
+    ca = [[-sum(col) for col in zip(*rows)]] + rows
+    z = UnimodularWitness(IntMatrix.from_rows(
+        [[1 if i == 0 else 0] + [-row[e] for e in core_forest.cotree_edges]
+         for i, row in enumerate(ca)]))
+    dual_core, _ = _recover(IntMatrix.from_rows(ca, cols=core.num_edges),
                             2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
                           2 * core.num_edges, core_forest, default_reduction_spec(core))

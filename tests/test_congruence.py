@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      inertia, laplacian, loose_row_equivalence, permute_vertices,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
+from lapdual import congruence, intmatrix
 from lapdual.congruence import (_constructive_strict_equivalence, block_reduction_witness,
                                 short_vectors)
 from lapdual.graphs import SearchBudget
@@ -309,6 +311,39 @@ def test_property_x_decides_pairs_past_nine_vertices(pair):
     assert report.condition_statuses() == ("true", "true", "true", "true")
     assert report.consistent
     assert report.constructive["ok"]
+
+
+def test_isometry_search_spends_per_candidate():
+    # the isometry search on these reduced Laplacians enters about 2,500
+    # nodes but tests about 30,000 candidates, so a budget between the two
+    # runs out, and a larger one decides
+    g1, g2 = whitney_twisted_pair(0)
+    a, b = reduced_laplacian(g1), reduced_laplacian(g2)
+    with wall_clock_guard(20):
+        assert decide_congruence(a, b, budget=5000).status == "unknown"
+        assert decide_congruence(a, b, budget=10**5).status == "congruent"
+
+
+def test_definite_decision_inverts_one_transform(monkeypatch):
+    # each side is reduced by one Hermite transform, and the lift inverts one
+    # of the two, through one more Hermite form
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    hnf = counted("hermite_normal_form", intmatrix.hermite_normal_form)
+    monkeypatch.setattr(intmatrix, "hermite_normal_form", hnf)
+    monkeypatch.setattr(congruence, "hermite_normal_form", hnf)
+    monkeypatch.setattr(congruence, "inverse_unimodular",
+                        counted("inverse_unimodular", congruence.inverse_unimodular))
+    g1, g2 = relabelled_grid_pair()
+    verdict = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2))
+    assert verdict.status == "congruent"
+    assert calls == {"hermite_normal_form": 3, "inverse_unimodular": 1}
 
 
 def test_labelled_laplacian_check_agrees_with_isomorphism():
