@@ -11,7 +11,9 @@ Each side of a semidefinite question is reduced by one unimodular transform,
 `_reduced_core`, and every congruent witness, whether found by the isometry
 search, by the move search or through the block reductions of the unreduced
 proposition, is lifted by `_lift`, which inverts one transform and replays
-the witness.  The isometry search spends one budget unit per node and per
+the witness.  The transforms are plain matrices, unimodular by construction,
+so the lifted witness's determinant is the one a decision checks.  The
+isometry search spends one budget unit per node and per
 candidate it tests, so a budget bounds its work.
 """
 
@@ -26,9 +28,9 @@ from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
                      components, decide_2_isomorphism_bruteforce, identify_vertices,
                      maximal_forest, two_isomorphism_candidates)
 from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
-                        _negate_row, _pivot_inertia, _swap_cols, _swap_rows,
-                        _symmetric_bareiss, hermite_normal_form, inertia,
-                        inverse_unimodular, smith_normal_form)
+                        _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
+                        _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
+                        inverse_unimodular)
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_matrix, incidence,
                          laplacian, reduced_incidence, reduced_laplacian)
 
@@ -45,6 +47,8 @@ class CongruenceVerdict:
     note: str = ""
 
     def __post_init__(self):
+        if self.status not in (CONGRUENT, NOT_CONGRUENT, UNKNOWN):
+            raise ValueError(f"unknown congruence status {self.status!r}")
         if self.status == CONGRUENT and self.witness is None:
             raise ValueError("congruent verdict requires a witness")
         if self.status == NOT_CONGRUENT and self.separating_invariant is None:
@@ -55,9 +59,9 @@ def congruence_invariants(a: IntMatrix) -> dict:
     """Five invariants of the integer congruence class of a symmetric matrix."""
     if not a.is_symmetric():
         raise NotSymmetric("congruence invariants require a symmetric matrix")
-    snf = smith_normal_form(a).diag
     # inertia and det from one elimination: det is the last minor, 1 for a
-    # 0 x 0 matrix, and 0 when a row is left over
+    # 0 x 0 matrix, and 0 when a row is left over; the Smith diagonal comes
+    # from the elimination behind smith_normal_form, without its witnesses
     _, minors, _ = _symmetric_bareiss(a)
     ine = _pivot_inertia(minors, a.rows)
     return {
@@ -65,7 +69,7 @@ def congruence_invariants(a: IntMatrix) -> dict:
         "rank": a.rows - ine[2],
         "det": 0 if ine[2] else (minors[-1] if minors else 1),
         "inertia": ine,
-        "snf": snf,
+        "snf": _smith_elimination(a)[0],
     }
 
 
@@ -116,9 +120,11 @@ def _short_vectors_from(k, t, bound, minors, columns, coords, out, budget):
 
 
 def gram_length_reduce(a: IntMatrix):
-    """(reduced, witness) with witness * a * witness^T = reduced and every
-    off-diagonal at most half the smaller diagonal; Lagrange-style length
-    reduction keeps the later short-vector enumeration small."""
+    """(reduced, u) with u * a * u^T = reduced and every off-diagonal at most
+    half the smaller diagonal; Lagrange-style length reduction keeps the later
+    short-vector enumeration small.  The transform u is a plain IntMatrix,
+    unimodular by construction: it starts as the identity and takes only the
+    elementary row operations."""
     n = a.rows
     w = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -135,8 +141,7 @@ def gram_length_reduce(a: IntMatrix):
                     _add_row(i, j, -q, w, u)
                     _add_col(i, j, -q, w)
                     changed = True
-    reduced = IntMatrix.from_rows(w, cols=n)
-    return reduced, UnimodularWitness(IntMatrix.from_rows(u, cols=n))
+    return IntMatrix.from_rows(w, cols=n), IntMatrix.from_rows(u, cols=n)
 
 
 def _pd_isometry(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
@@ -184,7 +189,8 @@ def _extend_isometry(i, chosen, b, by_norm, gram_cache, budget):
 
 def _reduced_core(a: IntMatrix):
     """(T, core) with T a T^T = diag(core, 0) for positive semidefinite a,
-    where T is unimodular and core is positive definite and length reduced.
+    where T is a plain transform, unimodular by construction, and core is
+    positive definite and length reduced.
 
     T is the Hermite transform v of a, whose zero rows come last and span the
     kernel, followed by the length reduction p of the conjugate h v^T =
@@ -193,8 +199,8 @@ def _reduced_core(a: IntMatrix):
     congruence question is reduced."""
     h, v = hermite_normal_form(a)
     rank = len([row for row in h.data if any(row)])
-    reduced, p = gram_length_reduce(h.mul(v.u.transpose()))
-    return p.u.mul(v.u), reduced.submatrix(range(rank), range(rank))
+    reduced, p = gram_length_reduce(h.mul(v.transpose()))
+    return p.mul(v), reduced.submatrix(range(rank), range(rank))
 
 
 def _lift(u: IntMatrix, ta: IntMatrix, tb: IntMatrix, a: IntMatrix, b: IntMatrix):
@@ -323,11 +329,10 @@ def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
     hb, ub = hermite_normal_form(b)
     if ha != hb:
         return None
-    w = inverse_unimodular(ub.u).mul(ua.u)
-    witness = UnimodularWitness(w)
+    w = inverse_unimodular(ub).mul(ua)
     if w.mul(a) != b:
         raise AssertionError("row-equivalence witness failed replay")
-    return witness
+    return UnimodularWitness(w)
 
 
 def loose_row_equivalence(a: IntMatrix, b: IntMatrix):
@@ -456,11 +461,10 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     if verdict.status != CONGRUENT:
         return {"attempted": False}
     swap = g2.num_edges > g1.num_edges
+    u = verdict.witness.u
     if swap:
         g1, g2 = g2, g1
-        u = inverse_unimodular(verdict.witness.u)
-    else:
-        u = verdict.witness.u
+        u = inverse_unimodular(u)
     spec1 = default_reduction_spec(g1)
     spec2 = default_reduction_spec(g2)
     if not spec1.v0 or not spec2.v0:
@@ -491,11 +495,13 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     }
 
 
-def block_reduction_witness(g: MultiGraph, spec: ReductionSpec = None) -> UnimodularWitness:
+def block_reduction_witness(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
     """Unimodular P with P L(G) P^T = diag(reduced Laplacian, 0).
 
     Rows for kept vertices come first in ascending order; each deleted row is
-    replaced by the sum of its whole component's rows, which vanishes.
+    replaced by the sum of its whole component's rows, which vanishes.  P is
+    a plain IntMatrix, unimodular by construction: a row permutation of the
+    identity in which each deleted row adds the other rows of its component.
     """
     if spec is None:
         spec = default_reduction_spec(g)
@@ -516,7 +522,7 @@ def block_reduction_witness(g: MultiGraph, spec: ReductionSpec = None) -> Unimod
         else:
             row[v] = 1
         rows.append(row)
-    return UnimodularWitness(IntMatrix.from_rows(rows, cols=n))
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 def _unreduced_proposition(g1, g2, cond1, cond4, budget):
@@ -537,8 +543,8 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
         rhs = "false"
 
     if cond1.status == CONGRUENT and n1 == n2 and c1 == c2:
-        lhs = _lift(cond1.witness.u, block_reduction_witness(g1).u,
-                    block_reduction_witness(g2).u, l1, l2)
+        lhs = _lift(cond1.witness.u, block_reduction_witness(g1),
+                    block_reduction_witness(g2), l1, l2)
     else:
         lhs = decide_congruence(l1, l2, budget)
     lhs_status = TRI_STATE[lhs.status]

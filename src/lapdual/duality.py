@@ -121,6 +121,10 @@ class PlanarityResult:
     best_trace: int = None
     note: str = ""
 
+    def __post_init__(self):
+        if self.status not in (PLANAR, NONPLANAR, UNKNOWN):
+            raise ValueError(f"unknown planarity status {self.status!r}")
+
 
 def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
     """Branch sets must be nonempty, disjoint, connected in g, and pairwise

@@ -378,6 +378,10 @@ class TwoIsomorphismResult:
     reason: str = ""
     nodes_used: int = 0
 
+    def __post_init__(self):
+        if self.status not in ("two_isomorphic", "not_two_isomorphic", "budget_exceeded"):
+            raise ValueError(f"unknown 2-isomorphism status {self.status!r}")
+
 
 class SearchBudget:
     """Mutable node counter shared by the backtracking searches."""

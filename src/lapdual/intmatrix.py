@@ -2,8 +2,14 @@
 
 Every elimination, here and in the layers above, moves rows and columns
 through one set of elementary operations: swap, add a multiple and negate,
-for rows and for columns.  Each operation is mirrored on the witness as it is
-applied, so no witness is built as a product of elementary matrices.
+for rows and for columns.  Each operation is mirrored on the transform as it
+is applied, so no transform is built as a product of elementary matrices.
+
+Each of these operations has determinant +-1, so a transform built from them,
+starting from an identity, is unimodular by construction and is handed back
+as a plain IntMatrix.  Its determinant is checked once, by
+UnimodularWitness, where a witness leaves the library: in a result a caller
+receives, and in every witness a JSON reader builds.
 
 Everything here works on arbitrary-precision Python ints; normal-form
 intermediates and determinant pivots grow far beyond 64 bits even on small
@@ -144,9 +150,10 @@ class SnfResult:
     right: UnimodularWitness
 
     def __post_init__(self):
-        for d in self.diag:
-            if d < 0:
-                raise ValueError("Smith diagonal entries must be nonnegative")
+        if len(self.diag) != min(self.left.u.rows, self.right.u.rows):
+            raise ValueError("Smith diagonal length must be the smaller dimension")
+        if any(d < 0 for d in self.diag):
+            raise ValueError("Smith diagonal entries must be nonnegative")
         for d, nxt in zip(self.diag, self.diag[1:]):
             if d == 0 and nxt != 0:
                 raise ValueError("zero entries must close the Smith diagonal")
@@ -155,7 +162,7 @@ class SnfResult:
 
 
 # The elementary operations.  Each applies one row or column operation in
-# place to every matrix it is passed, given as a list of rows, so a witness
+# place to every matrix it is passed, given as a list of rows, so a transform
 # moves with its matrix.  A row operation rebinds the rows it changes and a
 # column operation edits every row, so a matrix that only ever takes row
 # operations may share its rows with a copy.  A congruence move on a symmetric
@@ -228,7 +235,9 @@ def det_bareiss(a: IntMatrix) -> int:
 
 
 def hermite_normal_form(a: IntMatrix):
-    """Canonical row HNF: returns (h, u) with u*a = h and u unimodular.
+    """Canonical row HNF: returns (h, u) with u*a = h.  The transform u is a
+    plain IntMatrix, unimodular by construction: it starts as the identity
+    and takes only the elementary row operations.
 
     Convention: pivots positive, pivot columns strictly increasing, entries
     above each pivot reduced into [0, pivot), zero rows collected at the
@@ -267,9 +276,7 @@ def hermite_normal_form(a: IntMatrix):
             r += 1
             if r == a.rows:
                 break
-    h = IntMatrix.from_rows(m, cols=a.cols)
-    witness = UnimodularWitness(IntMatrix.from_rows(u, cols=a.rows))
-    return h, witness
+    return IntMatrix.from_rows(m, cols=a.cols), IntMatrix.from_rows(u, cols=a.rows)
 
 
 def hnf_nonzero_part(a: IntMatrix) -> IntMatrix:
@@ -280,7 +287,14 @@ def hnf_nonzero_part(a: IntMatrix) -> IntMatrix:
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular left/right witnesses."""
+    """Smith normal form with checked unimodular left/right witnesses."""
+    diag, left, right = _smith_elimination(a)
+    return SnfResult(diag, UnimodularWitness(left), UnimodularWitness(right))
+
+
+def _smith_elimination(a: IntMatrix):
+    """(diag, left, right) with left*a*right the diagonal embedding of diag;
+    left and right are plain transforms, unimodular by construction."""
     m = [list(row) for row in a.data]
     left = [[1 if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]
     right = [[1 if i == j else 0 for j in range(a.cols)] for i in range(a.cols)]
@@ -337,22 +351,19 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             _negate_col(t, m, right)
         t += 1
 
-    diag = tuple([m[i][i] for i in range(limit)])
-    return SnfResult(
-        diag=diag,
-        left=UnimodularWitness(IntMatrix.from_rows(left, cols=a.rows)),
-        right=UnimodularWitness(IntMatrix.from_rows(right, cols=a.cols)),
-    )
+    return (tuple([m[i][i] for i in range(limit)]), IntMatrix.from_rows(left, cols=a.rows),
+            IntMatrix.from_rows(right, cols=a.cols))
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix."""
+    """Exact integer inverse of a unimodular matrix: the Hermite transform u,
+    since u*a = h = I."""
     if a.rows != a.cols:
         raise NotSquare("inverse of non-square matrix")
     h, u = hermite_normal_form(a)
     if h != IntMatrix.identity(a.rows):
         raise NotUnimodular("matrix is not invertible over the integers")
-    return u.u
+    return u
 
 
 def _symmetric_bareiss(a: IntMatrix):

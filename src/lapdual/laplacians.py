@@ -157,11 +157,9 @@ def border_first(r: IntMatrix) -> IntMatrix:
 
 def border_witness_last(u: UnimodularWitness) -> UnimodularWitness:
     """Extend a congruence witness of R to one of border_last(R)."""
-    n = u.u.rows
-    col_deficit = [1 - sum(u.u.data[i][j] for i in range(n)) for j in range(n)]
     rows = [row + (0,) for row in u.u.data]
-    rows.append(tuple(col_deficit) + (1,))
-    return UnimodularWitness(IntMatrix.from_rows(rows, cols=n + 1))
+    rows.append(tuple([1 - sum(col) for col in u.u.transpose().data]) + (1,))
+    return UnimodularWitness(IntMatrix.from_rows(rows, cols=u.u.rows + 1))
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,81 @@ def test_evidence_of_unknown_kind_is_malformed():
         evidence_from_json({"kind": "K7", "branch_sets": [[0], [1], [2], [3], [4], [5]]})
 
 
+def test_snf_reader_refuses_a_diagonal_of_the_wrong_length():
+    from lapdual import MalformedInput, SnfResult, UnimodularWitness
+    from lapdual.serialization import snf_from_json
+
+    left, right = IntMatrix.identity(2), IntMatrix.identity(3)
+    with pytest.raises(MalformedInput, match="Smith diagonal length"):
+        snf_from_json({"diag": ["1"], "left": matrix_to_json(left),
+                       "right": matrix_to_json(right)})
+    with pytest.raises(ValueError, match="Smith diagonal length"):
+        SnfResult((1, 1, 1), UnimodularWitness(left), UnimodularWitness(right))
+    assert snf_from_json({"diag": ["1", "1"], "left": matrix_to_json(left),
+                          "right": matrix_to_json(right)}).diag == (1, 1)
+
+
+# each reader takes its own decider's status words and no other word
+@pytest.mark.parametrize("reader, own, foreign", [
+    ("verdict_from_json", ("congruent", "not_congruent", "unknown"), "planar"),
+    ("two_iso_from_json", ("two_isomorphic", "not_two_isomorphic", "budget_exceeded"),
+     "unknown"),
+    ("planarity_from_json", ("planar", "nonplanar", "unknown"), "budget_exceeded"),
+], ids=["verdict", "two_iso", "planarity"])
+def test_reader_refuses_a_foreign_status_word(reader, own, foreign):
+    from lapdual import MalformedInput, serialization
+
+    read = getattr(serialization, reader)
+    witness = matrix_to_json(IntMatrix.identity(1))
+    separating = {"name": "det", "left": "1", "right": "2"}
+    for status in own:
+        # the fields a verdict of this status needs
+        read({"status": status, "witness": witness, "separating_invariant": separating})
+    for status in ("banana", foreign, ""):
+        with pytest.raises(MalformedInput, match="status"):
+            read({"status": status, "witness": witness, "separating_invariant": separating})
+
+
+def _det_two(obj):
+    """The wire form of a matrix with its first row doubled: determinant 2
+    for a unimodular matrix with determinant 1, and -2 for one with -1."""
+    data = [list(row) for row in obj["data"]]
+    data[0] = [str(2 * int(x)) for x in data[0]]
+    return dict(obj, data=data)
+
+
+def test_readers_refuse_a_witness_whose_determinant_is_not_one():
+    # a witness that a reader builds is checked whatever it is read into
+    from lapdual import (NotUnimodular, construct_abstract_dual, reduced_dual_laplacian,
+                         smith_normal_form)
+    from lapdual.serialization import (certificate_from_json, dual_pair_from_json,
+                                       snf_from_json, to_jsonable, verdict_from_json,
+                                       witness_from_json)
+
+    k4 = MultiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    identity = matrix_to_json(IntMatrix.identity(2))
+    snf = to_jsonable(smith_normal_form(IntMatrix.from_rows([[4, 6], [6, 10]])))
+    cert = to_jsonable(construct_abstract_dual(k4))
+    pair = to_jsonable(reduced_dual_laplacian(k4))
+    refused = [
+        lambda: witness_from_json(_det_two(identity)),
+        lambda: verdict_from_json({"status": "congruent", "witness": _det_two(identity)}),
+        lambda: snf_from_json(dict(snf, left=_det_two(snf["left"]))),
+        lambda: snf_from_json(dict(snf, right=_det_two(snf["right"]))),
+        lambda: certificate_from_json(dict(cert, witness_z=_det_two(cert["witness_z"]))),
+        lambda: certificate_from_json(dict(
+            cert, laplacian_witness=_det_two(cert["laplacian_witness"]))),
+        lambda: dual_pair_from_json(dict(pair, witness=_det_two(pair["witness"]))),
+    ]
+    for read in refused:
+        with pytest.raises(NotUnimodular, match="determinant is not"):
+            read()
+    # the unaltered objects read back
+    certificate_from_json(cert)
+    dual_pair_from_json(pair)
+    snf_from_json(snf)
+
+
 def test_emitted_graph_json_reparses(files, capsys):
     code, out = run(capsys, "find-dual", files["ex2"])
     dual = graph_from_json(json.loads(out)["dual_graph"])

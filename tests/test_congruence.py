@@ -346,6 +346,24 @@ def test_definite_decision_inverts_one_transform(monkeypatch):
     assert calls == {"hermite_normal_form": 3, "inverse_unimodular": 1}
 
 
+def test_definite_decision_takes_one_determinant(monkeypatch):
+    # the transforms are unimodular by construction, so the one determinant
+    # checks the witness the caller receives
+    sizes = []
+    det = intmatrix.det_bareiss
+
+    def counted(a):
+        sizes.append(a.rows)
+        return det(a)
+
+    monkeypatch.setattr(intmatrix, "det_bareiss", counted)
+    g1, g2 = relabelled_grid_pair()
+    a, b = reduced_laplacian(g1), reduced_laplacian(g2)
+    verdict = decide_congruence(a, b)
+    assert verdict.status == "congruent"
+    assert sizes == [a.rows]
+
+
 def test_labelled_laplacian_check_agrees_with_isomorphism():
     rng = random.Random(12)
     attempted = 0
@@ -410,7 +428,7 @@ def test_block_reduction_witness_diagonalizes():
     for _ in range(10):
         g = random_connected_multigraph(rng, max_n=4, max_m=6)
         p = block_reduction_witness(g)
-        conj = p.u.mul(laplacian(g)).mul(p.u.transpose())
+        conj = p.mul(laplacian(g)).mul(p.transpose())
         red = reduced_laplacian(g)
         for i in range(conj.rows):
             for j in range(conj.cols):

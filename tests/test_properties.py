@@ -187,7 +187,7 @@ def test_two_isomorphism_reflexive_symmetric(g, seed):
 def test_hnf_witness_and_canonicality(data, a):
     EXECUTED["test_hnf_witness_and_canonicality"] += 1
     h, u = hermite_normal_form(a)
-    assert u.u.mul(a) == h
+    assert u.mul(a) == h
     v = data.draw(unimodular(a.rows))
     assert hnf_nonzero_part(a) == hnf_nonzero_part(v.mul(a))
 
