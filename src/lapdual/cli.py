@@ -55,17 +55,16 @@ class _Parser(argparse.ArgumentParser):
 class CliConfig:
     """One parsed invocation: subcommand, input paths and the shared knobs."""
 
-    __slots__ = ("command", "inputs", "budget", "seed", "forest", "v0", "beta", "tag", "out")
+    __slots__ = ("command", "inputs", "budget", "forest", "v0", "beta", "tag", "out")
 
     def __init__(self, command: str, inputs: tuple, budget: int = DEFAULT_BUDGET,
-                 seed: int = 0, forest: str = None, v0: str = None,
-                 beta: str = "identity", tag: str = None, out: str = None):
+                 forest: str = None, v0: str = None, beta: str = "identity",
+                 tag: str = None, out: str = None):
         if budget < 0:
             raise ValueError("budget must be nonnegative")
         self.command = command
         self.inputs = inputs
         self.budget = budget
-        self.seed = seed
         self.forest = forest
         self.v0 = v0
         self.beta = beta
@@ -101,7 +100,7 @@ def _load_json(path):
 
 
 # subcommand -> (help, positional names, flag names), in --help order; every
-# subcommand also takes the common --budget, --seed and --out
+# subcommand also takes the common --budget and --out
 _COMMANDS = {
     "laplacian": ("Laplacian matrix", ("graph",), ()),
     "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",)),
@@ -139,7 +138,6 @@ def build_parser():
     common.add_argument("--budget", type=int,
                         default=os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
                         help="elementary steps allowed for searches")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized restarts")
     common.add_argument("--out", help="write the JSON/DOT result to this path")
 
     parser = _Parser(prog="lapdual",
@@ -180,7 +178,7 @@ def _dispatch(config: CliConfig):
         return laplacians.ReductionSpec.of(_parse_index_tokens(config.v0, "v"))
 
     def decision(result):
-        return result, DECISION_EXITS[graphs.TRI_STATE[result.status]]
+        return result, DECISION_EXITS[result.truth]
 
     cmd = config.command
     if cmd == "emit-dot":
@@ -220,10 +218,10 @@ def _dispatch(config: CliConfig):
         return report, EXIT_OK if report.passed else EXIT_NEGATIVE
     if cmd == "planarity":
         from . import duality
-        return decision(duality.decide_planarity(graph(), config.budget, config.seed))
+        return decision(duality.decide_planarity(graph(), config.budget))
     if cmd == "find-dual":
         from . import duality
-        return duality.construct_abstract_dual(graph(), config.budget, config.seed), EXIT_OK
+        return duality.construct_abstract_dual(graph(), config.budget), EXIT_OK
     if cmd == "verify-dual":
         from . import duality
         g1 = graph(0)
@@ -242,7 +240,7 @@ def config_from_args(args) -> CliConfig:
     # every positional but `tag` is an input path; each flag sets its field: `--v0`, `v0`
     return CliConfig(args.command,
                      tuple([getattr(args, name) for name in positionals if name != "tag"]),
-                     args.budget, args.seed, tag=getattr(args, "tag", None), out=args.out,
+                     args.budget, tag=getattr(args, "tag", None), out=args.out,
                      **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
 
 

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
-from .graphs import (TRI_STATE, ForestCertificate, MultiGraph, SearchBudget,
-                     TwoIsomorphismResult, _bfs_tree, adjacency, component_count,
-                     components, decide_2_isomorphism_bruteforce, identify_vertices,
-                     maximal_forest, two_isomorphism_candidates)
+from .graphs import (ForestCertificate, MultiGraph, SearchBudget, TwoIsomorphismResult,
+                     _bfs_tree, _Verdict, adjacency, component_count, components,
+                     decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest,
+                     two_isomorphism_candidates)
 from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
@@ -40,15 +40,14 @@ UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
-class CongruenceVerdict:
-    status: str
+class CongruenceVerdict(_Verdict):
+    WORDS = (CONGRUENT, NOT_CONGRUENT, UNKNOWN)
     witness: UnimodularWitness = None
     separating_invariant: tuple = None  # (name, value_a, value_b)
     note: str = ""
 
     def __post_init__(self):
-        if self.status not in (CONGRUENT, NOT_CONGRUENT, UNKNOWN):
-            raise ValueError(f"unknown congruence status {self.status!r}")
+        super().__post_init__()
         if self.status == CONGRUENT and self.witness is None:
             raise ValueError("congruent verdict requires a witness")
         if self.status == NOT_CONGRUENT and self.separating_invariant is None:
@@ -321,6 +320,13 @@ def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
     canonical Hermite forms coincide; the witness is assembled from the two
     Hermite transforms.
     """
+    w = _row_transform(a, b)
+    return None if w is None else UnimodularWitness(w)
+
+
+def _row_transform(a: IntMatrix, b: IntMatrix):
+    """The transform of strict_row_equivalence as a plain IntMatrix,
+    unimodular by construction and replayed, or None."""
     if a.cols != b.cols:
         raise ShapeMismatch("strict row equivalence needs equal column counts")
     if a.rows != b.rows:
@@ -332,7 +338,7 @@ def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
     w = inverse_unimodular(ub).mul(ua)
     if w.mul(a) != b:
         raise AssertionError("row-equivalence witness failed replay")
-    return UnimodularWitness(w)
+    return w
 
 
 def loose_row_equivalence(a: IntMatrix, b: IntMatrix):
@@ -392,8 +398,7 @@ def _apply_beta_and_signs(matrix: IntMatrix, beta, signs) -> IntMatrix:
 
 
 @dataclass(frozen=True)
-class ConditionOutcome:
-    status: str  # "true" | "false" | "unknown"
+class ConditionOutcome(_Verdict):
     detail: dict = field(default_factory=dict)
 
 
@@ -403,14 +408,18 @@ class PropertyXReport:
     cond2_strict_reduced: ConditionOutcome
     cond3_loose_unreduced: ConditionOutcome
     cond4_two_isomorphism: TwoIsomorphismResult
-    consistent: bool
     constructive: dict
     unreduced_proposition: dict
 
     def condition_statuses(self):
-        return tuple([TRI_STATE[c.status] for c in (
+        return tuple([c.truth for c in (
             self.cond1_reduced_congruence, self.cond2_strict_reduced,
             self.cond3_loose_unreduced, self.cond4_two_isomorphism)])
+
+    @property
+    def consistent(self):
+        """Whether no two conditions are decided differently."""
+        return len(set(self.condition_statuses()) - {"unknown"}) <= 1
 
 
 def _search_row_equivalent_beta(g1, g2, budget):
@@ -538,7 +547,7 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
     # rank n - c means nullity c, which the inertia reads off
     rank_ok = inertia(l1)[2] == c1 and inertia(l2)[2] == c2
 
-    rhs = TRI_STATE[cond4.status]
+    rhs = cond4.truth
     if rhs == "true" and (n1 != n2 or c1 != c2):
         rhs = "false"
 
@@ -547,8 +556,7 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
                     block_reduction_witness(g2), l1, l2)
     else:
         lhs = decide_congruence(l1, l2, budget)
-    lhs_status = TRI_STATE[lhs.status]
-    agree = "unknown" in (lhs_status, rhs) or lhs_status == rhs
+    agree = "unknown" in (lhs.truth, rhs) or lhs.truth == rhs
     return {"laplacian_congruence": lhs, "two_iso_with_counts": rhs,
             "agree": agree, "rank_matches_vertices_minus_components": rank_ok}
 
@@ -564,9 +572,6 @@ def property_x_report(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> PropertyX
     cond1 = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2), budget)
     cond2, cond3 = _search_row_equivalent_beta(g1, g2, budget)
 
-    decided = {TRI_STATE[c.status] for c in (cond1, cond2, cond3, cond4)} - {"unknown"}
-    consistent = len(decided) <= 1
-
     constructive = _constructive_strict_equivalence(g1, g2, cond1)
     unreduced = _unreduced_proposition(g1, g2, cond1, cond4, budget)
 
@@ -575,7 +580,6 @@ def property_x_report(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> PropertyX
         cond2_strict_reduced=cond2,
         cond3_loose_unreduced=cond3,
         cond4_two_isomorphism=cond4,
-        consistent=consistent,
         constructive=constructive,
         unreduced_proposition=unreduced,
     )

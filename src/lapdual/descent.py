@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .congruence import strict_row_equivalence
+from .congruence import _row_transform
 from .errors import BudgetExceeded
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
                      adjacency, circuit_through, classify_edges, greedy_forest,
@@ -145,7 +145,9 @@ def _random_forest(g, rng):
 
 def _short_cycle_basis(g, o, f_start):
     """Flow-lattice basis assembled from shortest circuits, as rows plus the
-    witness mapping f_start onto it; None when the greedy pick comes up short.
+    plain transform mapping f_start onto it; None when the greedy pick comes
+    up short.  The transform is checked once, in the state the descent
+    returns.
 
     Planar graphs have minimal superbases made of face boundaries, so starting
     the descent from short circuits instead of long fundamental ones usually
@@ -182,7 +184,7 @@ def _short_cycle_basis(g, o, f_start):
     if len(chosen) < r:
         return None
     basis = IntMatrix.from_rows(chosen, cols=g.num_edges)
-    u = strict_row_equivalence(f_start, basis)
+    u = _row_transform(f_start, basis)
     if u is None:
         return None
     return basis, u
@@ -228,13 +230,13 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
                 if short is None:
                     continue
                 basis_m, u = short
-                descent = _Descent(basis_m.data, u.u.data, f_start.cols, counter,
+                descent = _Descent(basis_m.data, u.data, f_start.cols, counter,
                                    [("short-basis",)])
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
                 f_alt = flow_matrix(g, o, alt, spec)
-                u = strict_row_equivalence(f_start, f_alt)
-                descent = _Descent(f_alt.data, u.u.data, f_start.cols, counter,
+                u = _row_transform(f_start, f_alt)
+                descent = _Descent(f_alt.data, u.data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])
             else:
                 descent = best.copy()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
 from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     _bfs_tree, adjacency, classify_edges, components,
+                     _bfs_tree, _Verdict, adjacency, classify_edges, components,
                      forest_count, forest_size, fundamental_circuits,
                      in_cut_space, maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
@@ -114,16 +114,12 @@ class DualCertificate:
 
 
 @dataclass(frozen=True)
-class PlanarityResult:
-    status: str
+class PlanarityResult(_Verdict):
+    WORDS = (PLANAR, NONPLANAR, UNKNOWN)
     certificate: DualCertificate = None
     evidence: KuratowskiEvidence = None
     best_trace: int = None
     note: str = ""
-
-    def __post_init__(self):
-        if self.status not in (PLANAR, NONPLANAR, UNKNOWN):
-            raise ValueError(f"unknown planarity status {self.status!r}")
 
 
 def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
@@ -611,7 +607,8 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     nonplanar verdict carries verified Kuratowski branch sets.  Each
     half-edge step of the embedding's walks and each planarity test of the
     extraction spends one unit of `budget`; running out gives `unknown`.
-    `seed` does not affect the result."""
+    `seed` does not affect the result; it stays for the callers that pass it
+    positionally, such as the benchmark's planarity op."""
     core, core_edges, loops, isthmuses = _strip_for_planarity(g)
     core_forest = maximal_forest(core)
     counter = SearchBudget(budget)
@@ -641,7 +638,7 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
 
 
-def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertificate:
+def construct_abstract_dual(g: MultiGraph, budget=10**6) -> DualCertificate:
     """Build and verify an abstract dual of a planar graph.
 
     The dual's loop count equals the primal isthmus count by construction,
@@ -649,7 +646,7 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6, seed=0) -> DualCertific
     flow Gram matrix through an explicit row-equivalence witness."""
     from .congruence import strict_row_equivalence
 
-    result = decide_planarity(g, budget, seed)
+    result = decide_planarity(g, budget)
     if result.status == NONPLANAR:
         raise NonplanarInput("graph is nonplanar; it has no abstract dual")
     if result.status == UNKNOWN:

@@ -361,26 +361,30 @@ def identify_vertices(g: MultiGraph, vertex_set) -> MultiGraph:
     return MultiGraph(nxt, tuple([(remap[u], remap[v]) for u, v in g.edges]), g.name)
 
 
-# Each decider answers in its own wire words; this is their one reading as
-# the tri-state "true" | "false" | "unknown", which reads itself unchanged.
-TRI_STATE = {
-    "congruent": "true", "two_isomorphic": "true", "planar": "true", "true": "true",
-    "not_congruent": "false", "not_two_isomorphic": "false", "nonplanar": "false",
-    "false": "false",
-    "budget_exceeded": "unknown", "unknown": "unknown",
-}
+@dataclass(frozen=True)
+class _Verdict:
+    """A decider's answer.  `status` is its wire word, one of the class's
+    WORDS, which name true, false and unknown in that order; `truth` reads
+    it as the tri-state "true" | "false" | "unknown"."""
+
+    WORDS = ("true", "false", "unknown")
+    status: str
+
+    def __post_init__(self):
+        if self.status not in self.WORDS:
+            raise ValueError(f"unknown {type(self).__name__} status {self.status!r}")
+
+    @property
+    def truth(self):
+        return _Verdict.WORDS[self.WORDS.index(self.status)]
 
 
 @dataclass(frozen=True)
-class TwoIsomorphismResult:
-    status: str  # "two_isomorphic" | "not_two_isomorphic" | "budget_exceeded"
+class TwoIsomorphismResult(_Verdict):
+    WORDS = ("two_isomorphic", "not_two_isomorphic", "budget_exceeded")
     bijection: tuple = None  # edge k of g1 -> bijection[k] in g2
     reason: str = ""
     nodes_used: int = 0
-
-    def __post_init__(self):
-        if self.status not in ("two_isomorphic", "not_two_isomorphic", "budget_exceeded"):
-            raise ValueError(f"unknown 2-isomorphism status {self.status!r}")
 
 
 class SearchBudget:

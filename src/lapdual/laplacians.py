@@ -138,18 +138,18 @@ def superbase_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate 
 
 
 def border_last(r: IntMatrix) -> IntMatrix:
-    """Append one row and column making all row/column sums zero."""
+    """Append one row and column making all row/column sums zero: the new
+    column is minus the row sums, the new row minus the column sums."""
     sums = [sum(row) for row in r.data]
-    corner = sum(sums)
     rows = [row + (-s,) for row, s in zip(r.data, sums)]
-    rows.append(tuple([-s for s in sums]) + (corner,))
+    rows.append(tuple([-sum(col) for col in r.transpose().data]) + (sum(sums),))
     return IntMatrix.from_rows(rows, cols=r.cols + 1)
 
 
 def border_first(r: IntMatrix) -> IntMatrix:
+    """border_last with the new row and column put first."""
     sums = [sum(row) for row in r.data]
-    corner = sum(sums)
-    rows = [(corner,) + tuple([-s for s in sums])]
+    rows = [(sum(sums),) + tuple([-sum(col) for col in r.transpose().data])]
     for row, s in zip(r.data, sums):
         rows.append((-s,) + row)
     return IntMatrix.from_rows(rows, cols=r.cols + 1)

@@ -267,7 +267,7 @@ def test_cli_config_drives_run(files, tmp_path, monkeypatch):
     from lapdual.cli import CliConfig, run
     out = tmp_path / "out.json"
     code = run(CliConfig(command="planarity", inputs=(files["ex2"],),
-                         seed=0, out=str(out)))
+                         out=str(out)))
     assert code == 0
     assert json.loads(out.read_text())["status"] == "planar"
     # the keyword defaults are the parser's defaults: same bytes as main

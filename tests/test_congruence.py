@@ -12,8 +12,8 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
 from lapdual import congruence, intmatrix
-from lapdual.congruence import (_constructive_strict_equivalence, block_reduction_witness,
-                                short_vectors)
+from lapdual.congruence import (ConditionOutcome, _constructive_strict_equivalence,
+                                block_reduction_witness, short_vectors)
 from lapdual.graphs import SearchBudget
 from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
 
@@ -234,6 +234,14 @@ def test_loose_row_equivalence_negative(example1, k3):
     ok, witness = loose_row_equivalence(incidence(k3), incidence(example1).vstack(
         IntMatrix.zeros(1, 3)))
     assert not ok and witness is None
+
+
+def test_condition_outcome_refuses_a_foreign_status_word():
+    for word in ("true", "false", "unknown"):
+        assert ConditionOutcome(word).truth == word
+    for word in ("banana", "congruent", ""):
+        with pytest.raises(ValueError, match="status"):
+            ConditionOutcome(word)
 
 
 def test_property_x_positive_pair(k4):

@@ -9,8 +9,10 @@ import pathlib
 
 import networkx as nx
 
-from lapdual import superbase_trace_minimize
+from lapdual import intmatrix, superbase_trace_minimize
 from lapdual.serialization import dumps
+
+from conftest import complete_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "descent_states.json"
 
@@ -39,3 +41,20 @@ def descent_digests(catalog6, example3, k5):
 
 def test_descent_states_match_golden(catalog6, example3, k5):
     assert descent_digests(catalog6, example3, k5) == json.loads(GOLDEN.read_text())
+
+
+def test_descent_takes_one_determinant(petersen, monkeypatch):
+    # the short-basis and forest hops take plain transforms; only the
+    # returned state's basis witness is checked
+    det = intmatrix.det_bareiss
+    calls = []
+
+    def counted(a):
+        calls.append(a.rows)
+        return det(a)
+
+    monkeypatch.setattr(intmatrix, "det_bareiss", counted)
+    for g in (petersen, complete_graph(6), complete_graph(7)):
+        calls.clear()
+        state = superbase_trace_minimize(g, budget=10**5)
+        assert calls == [state.basis_witness.u.rows], g.name

@@ -251,13 +251,13 @@ def test_decide_planarity_handles_loops_and_isthmuses():
 
 
 def test_construct_dual_example1(example1, k3):
-    cert = construct_abstract_dual(example1, budget=10**5, seed=0)
+    cert = construct_abstract_dual(example1, budget=10**5)
     assert loopless_isomorphic(cert.dual_graph, k3)
     assert cert.laplacian_witness is not None
 
 
 def test_construct_dual_k3_gives_triple_edge(k3, example1):
-    cert = construct_abstract_dual(k3, budget=10**5, seed=0)
+    cert = construct_abstract_dual(k3, budget=10**5)
     assert cert.dual_graph.num_vertices == 2
     assert cert.dual_graph.num_edges == 3
     assert loopless_isomorphic(cert.dual_graph, example1)
@@ -265,19 +265,19 @@ def test_construct_dual_k3_gives_triple_edge(k3, example1):
 
 def test_construct_dual_of_tree_is_loop_bouquet():
     tree = MultiGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    cert = construct_abstract_dual(tree, budget=10**5, seed=0)
+    cert = construct_abstract_dual(tree, budget=10**5)
     assert all(cert.dual_graph.is_loop(e) for e in range(3))
     assert verify_abstract_dual(tree, cert.dual_graph, cert.edge_bijection).ok
 
 
 def test_construct_dual_rejects_nonplanar(k5):
     with pytest.raises(NonplanarInput):
-        construct_abstract_dual(k5, budget=2 * 10**5, seed=0)
+        construct_abstract_dual(k5, budget=2 * 10**5)
 
 
 def test_construct_dual_congruence_witness(example3):
     from lapdual.laplacians import flow_gram
-    cert = construct_abstract_dual(example3, budget=10**6, seed=0)
+    cert = construct_abstract_dual(example3, budget=10**6)
     w = cert.laplacian_witness.u
     assert w.mul(flow_gram(example3)).mul(w.transpose()) == \
         reduced_laplacian(cert.dual_graph)

@@ -250,13 +250,14 @@ def test_reduction_change_witness_moves_both_matrices(example2):
 
 def test_border_helpers():
     r = IntMatrix.from_rows([[2, 1], [1, 2]])
-    last = border_last(r)
-    first = border_first(r)
-    for m in (last, first):
+    # a non-symmetric input: its row and column sums differ
+    skew = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for m in (border_last(r), border_first(r), border_last(skew), border_first(skew)):
         assert all(sum(row) == 0 for row in m.data)
         assert all(sum(m.column(j)) == 0 for j in range(m.cols))
-    assert last.to_lists() == [[2, 1, -3], [1, 2, -3], [-3, -3, 6]]
-    assert first.to_lists() == [[6, -3, -3], [-3, 2, 1], [-3, 1, 2]]
+    assert border_last(r).to_lists() == [[2, 1, -3], [1, 2, -3], [-3, -3, 6]]
+    assert border_first(r).to_lists() == [[6, -3, -3], [-3, 2, 1], [-3, 1, 2]]
+    assert border_last(skew).to_lists() == [[1, 2, -3], [3, 4, -7], [-4, -6, 10]]
 
 
 @pytest.mark.parametrize("tag", PROPERTY_TAGS)
