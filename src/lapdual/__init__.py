@@ -14,11 +14,11 @@ _EXPORTS = {
                "NonplanarInput", "NotCotreeEdge", "NotMaximalForest",
                "NotSquare", "NotSymmetric", "NotUnimodular", "RowSumNonzero",
                "ShapeMismatch", "TraceTooLarge", "UnknownTag"),
-    "graphs": ("ForestCertificate", "MultiGraph", "Orientation",
-               "TwoIsomorphismResult", "classify_edges", "components",
-               "cut_vector", "decide_2_isomorphism_bruteforce",
-               "fundamental_circuit_vector", "identify_vertices",
-               "is_connected", "maximal_forest", "permute_vertices"),
+    "graphs": ("ForestCertificate", "MultiGraph", "TwoIsomorphismResult",
+               "classify_edges", "components", "cut_vector",
+               "decide_2_isomorphism_bruteforce", "fundamental_circuit_vector",
+               "identify_vertices", "is_connected", "maximal_forest",
+               "permute_vertices"),
     "intmatrix": ("IntMatrix", "SnfResult", "UnimodularWitness", "det_bareiss",
                   "hermite_normal_form", "hnf_nonzero_part", "inertia",
                   "inverse_unimodular", "rank", "smith_normal_form"),

@@ -197,16 +197,16 @@ def _dispatch(config: CliConfig):
         g = graph()
         if config.v0 is None:
             return laplacians.incidence(g), EXIT_OK
-        return laplacians.reduced_incidence(g, None, spec(g)), EXIT_OK
+        return laplacians.reduced_incidence(g, spec(g)), EXIT_OK
     if cmd == "cut-block":
         g = graph()
-        return laplacians.cut_block(g, None, forest(g), spec(g)), EXIT_OK
+        return laplacians.cut_block(g, forest(g), spec(g)), EXIT_OK
     if cmd == "flow-matrix":
         g = graph()
-        return laplacians.flow_matrix(g, None, forest(g), spec(g)), EXIT_OK
+        return laplacians.flow_matrix(g, forest(g), spec(g)), EXIT_OK
     if cmd == "dual-laplacian":
         g = graph()
-        return laplacians.reduced_dual_laplacian(g, None, forest(g), spec(g)), EXIT_OK
+        return laplacians.reduced_dual_laplacian(g, forest(g), spec(g)), EXIT_OK
     if cmd == "snf":
         from .intmatrix import smith_normal_form
         return smith_normal_form(matrix()), EXIT_OK

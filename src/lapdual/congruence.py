@@ -365,7 +365,7 @@ def _resolve_orientation_signs(f1, rows1, g2, beta):
     flips whole tied blocks, which leaves the columns' cut lattice alone."""
     m = g2.num_edges
     f2 = ForestCertificate.from_forest(g2, [beta[e] for e in f1.forest_edges])
-    circuits2 = dict(zip(f2.cotree_edges, flow_matrix(g2, None, f2).data))
+    circuits2 = dict(zip(f2.cotree_edges, flow_matrix(g2, f2).data))
     ties, tie_signs = [], []  # tie k: d[y] = tie_signs[k] * d[anchor]
     for e, v in zip(f1.cotree_edges, rows1):
         w = circuits2[beta[e]]
@@ -432,7 +432,7 @@ def _search_row_equivalent_beta(g1, g2, budget):
     full1 = incidence(g1)
     full2 = incidence(g2)
     f1 = maximal_forest(g1)
-    rows1 = flow_matrix(g1, None, f1).data
+    rows1 = flow_matrix(g1, f1).data
     try:
         for beta in two_isomorphism_candidates(g1, g2, counter):
             signs = _resolve_orientation_signs(f1, rows1, g2, beta)
@@ -488,7 +488,7 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     # lemma_center_recover raises unless the recovered incidence equals z*a,
     # and rows 1..k of z*a are u times rows 1..k of a: strict row equivalence
     # holds once it returns
-    recovered, _ = lemma_center_recover(a, z)
+    recovered = lemma_center_recover(a, z)
     # The rows of u are g2's kept vertices in order, so the recovered reduced
     # Laplacian is u L1 u^T = L2, and a labelled Laplacian determines a
     # multigraph up to its loops: equal Laplacians mean the same graph.
@@ -540,22 +540,29 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
 
     Rank of each Laplacian is cross-checked against vertex count minus
     component count, and a positive answer is witnessed explicitly through the
-    block reductions to diag(reduced, 0)."""
+    block reductions to diag(reduced, 0).  With matching counts those
+    reductions make the full Laplacians congruent exactly when the reduced
+    ones are, so an unknown condition 1 leaves this side unknown; otherwise
+    `decide_congruence` names the full Laplacians' separating invariant."""
     l1, l2 = laplacian(g1), laplacian(g2)
     n1, n2 = g1.num_vertices, g2.num_vertices
     c1, c2 = component_count(g1), component_count(g2)
     # rank n - c means nullity c, which the inertia reads off
     rank_ok = inertia(l1)[2] == c1 and inertia(l2)[2] == c2
 
+    same_counts = n1 == n2 and c1 == c2
     rhs = cond4.truth
-    if rhs == "true" and (n1 != n2 or c1 != c2):
+    if rhs == "true" and not same_counts:
         rhs = "false"
 
-    if cond1.status == CONGRUENT and n1 == n2 and c1 == c2:
+    if not same_counts or cond1.status == NOT_CONGRUENT:
+        lhs = decide_congruence(l1, l2, budget)
+    elif cond1.status == CONGRUENT:
         lhs = _lift(cond1.witness.u, block_reduction_witness(g1),
                     block_reduction_witness(g2), l1, l2)
     else:
-        lhs = decide_congruence(l1, l2, budget)
+        lhs = CongruenceVerdict(UNKNOWN, note="condition 1 is unknown, and the "
+                                "block reductions make this its question")
     agree = "unknown" in (lhs.truth, rhs) or lhs.truth == rhs
     return {"laplacian_congruence": lhs, "two_iso_with_counts": rhs,
             "agree": agree, "rank_matches_vertices_minus_components": rank_ok}

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from .congruence import _row_transform
 from .errors import BudgetExceeded
-from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     adjacency, circuit_through, classify_edges, greedy_forest,
-                     maximal_forest)
+from .graphs import (ForestCertificate, MultiGraph, SearchBudget, adjacency,
+                     circuit_through, classify_edges, greedy_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
 from .laplacians import ReductionSpec, border_first, flow_matrix
 
@@ -143,7 +142,7 @@ def _random_forest(g, rng):
     return greedy_forest(g, order)
 
 
-def _short_cycle_basis(g, o, f_start):
+def _short_cycle_basis(g, f_start):
     """Flow-lattice basis assembled from shortest circuits, as rows plus the
     plain transform mapping f_start onto it; None when the greedy pick comes
     up short.  The transform is checked once, in the state the descent
@@ -160,7 +159,7 @@ def _short_cycle_basis(g, o, f_start):
     adj = adjacency(g, range(g.num_edges))
     candidates = []
     for e in range(g.num_edges):
-        vec = circuit_through(g, o, e, adj)
+        vec = circuit_through(g, e, adj)
         if vec is not None:
             candidates.append(vec)
     candidates.sort(key=lambda v: sum(x * x for x in v))
@@ -190,9 +189,8 @@ def _short_cycle_basis(g, o, f_start):
     return basis, u
 
 
-def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
-                             f: ForestCertificate = None, spec: ReductionSpec = None,
-                             budget=10**6, seed=0) -> SuperbaseState:
+def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
+                             spec: ReductionSpec = None, budget=10**6, seed=0) -> SuperbaseState:
     """Seeded basin-hopping descent on the superbase Gram trace.
 
     Greedy descent first; afterwards the best state is repeatedly shaken by a
@@ -204,12 +202,10 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
     exhaustion returns the best state found, flagged.  Each candidate move
     scanned spends one unit of `budget`.
     """
-    if o is None:
-        o = Orientation.default(g)
     _, isthmuses = classify_edges(g)
     floor_trace = 2 * (g.num_edges - len(isthmuses))
     base_forest = f if f is not None else maximal_forest(g)
-    f_start = flow_matrix(g, o, base_forest, spec)
+    f_start = flow_matrix(g, base_forest, spec)
     r = f_start.rows
     rng = random.Random(seed)
     counter = SearchBudget(budget)
@@ -226,7 +222,7 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
             if best.trace <= floor_trace or r < 2:
                 break
             if hop == 0:
-                short = _short_cycle_basis(g, o, f_start)
+                short = _short_cycle_basis(g, f_start)
                 if short is None:
                     continue
                 basis_m, u = short
@@ -234,7 +230,7 @@ def superbase_trace_minimize(g: MultiGraph, o: Orientation = None,
                                    [("short-basis",)])
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
-                f_alt = flow_matrix(g, o, alt, spec)
+                f_alt = flow_matrix(g, alt, spec)
                 u = _row_transform(f_start, f_alt)
                 descent = _Descent(f_alt.data, u.data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
                      ShapeMismatch, TraceTooLarge)
-from .graphs import (ForestCertificate, MultiGraph, Orientation, SearchBudget,
-                     _bfs_tree, _Verdict, adjacency, classify_edges, components,
-                     forest_count, forest_size, fundamental_circuits,
-                     in_cut_space, maximal_forest, neighbour_sets)
+from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
+                     _Verdict, adjacency, classify_edges, components, forest_count,
+                     forest_size, fundamental_circuits, in_cut_space,
+                     maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
 from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
                          flow_matrix, incidence, reduced_incidence,
@@ -70,10 +70,9 @@ def _recover(ca: IntMatrix, bound: int):
         raise RowSumNonzero("cannot place edges on an empty vertex set")
     g = MultiGraph(ca.rows, tuple([(col.index(-1), col.index(1)) if sq else (0, 0)
                                    for col, sq in zip(cols, squares)]))
-    o = Orientation.default(g)
-    if incidence(g, o) != ca:
+    if incidence(g) != ca:
         raise AssertionError("recovered incidence does not replay")
-    return g, o
+    return g
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,10 @@ class KuratowskiEvidence:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Witnessed abstract dual: the recovered graph in its default orientation,
-    the unimodular transform that carries the bordered flow matrix onto its
-    incidence matrix, and the positional primal-to-dual edge bijection."""
+    """Witnessed abstract dual: the recovered graph, each edge listed from tail
+    to head, the unimodular transform that carries the bordered flow matrix
+    onto its incidence matrix, and the positional primal-to-dual edge
+    bijection."""
 
     dual_graph: MultiGraph
     witness_z: UnimodularWitness
@@ -104,7 +104,7 @@ class DualCertificate:
         """Re-derive the bordered flow matrix of the stripped core and check
         the witness maps it onto the dual core's incidence matrix."""
         core = self.core_graph(g)
-        fm = flow_matrix(core, None, self.core_forest, self.core_v0)
+        fm = flow_matrix(core, self.core_forest, self.core_v0)
         a = IntMatrix.zeros(1, fm.cols).vstack(fm)
         ca = self.witness_z.u.mul(a)
         core_rows = range(self.witness_z.u.rows)
@@ -631,8 +631,7 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     z = UnimodularWitness(IntMatrix.from_rows(
         [[1 if i == 0 else 0] + [-row[e] for e in core_forest.cotree_edges]
          for i, row in enumerate(ca)]))
-    dual_core, _ = _recover(IntMatrix.from_rows(ca, cols=core.num_edges),
-                            2 * core.num_edges)
+    dual_core = _recover(IntMatrix.from_rows(ca, cols=core.num_edges), 2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
                           2 * core.num_edges, core_forest, default_reduction_spec(core))
     return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)

@@ -1,9 +1,10 @@
 """Multigraphs with stable edge indices, forests, circuits and cuts, and the
 GF(2) cycle-space tests that decide 2-isomorphism and abstract duality.
 
-Edges are unordered pairs; loops and parallel edges are allowed.  Edge k
-keeps index k for the life of the object, so matrices indexed by edges stay
-aligned across operations.
+Loops and parallel edges are allowed.  Edge k keeps index k for the life of
+the object, so matrices indexed by edges stay aligned across operations.
+The signed matrices read edge (u, v) as running u -> v, so relisting it as
+(v, u) reverses it; graph properties ignore the direction.
 
 One walk serves every layer: `_bfs_tree` grows a breadth-first forest over
 an `adjacency` map, and fundamental circuits, cut 2-colourings, Kuratowski
@@ -59,27 +60,6 @@ class MultiGraph:
     def is_loop(self, e):
         u, v = self.edges[e]
         return u == v
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """Per-edge direction bits; edge k runs u -> v unless reversed[k]."""
-
-    reversed: tuple
-
-    @staticmethod
-    def default(g: MultiGraph):
-        return Orientation((False,) * g.num_edges)
-
-    @staticmethod
-    def from_flips(g: MultiGraph, flipped_edges):
-        flipped = set(flipped_edges)
-        return Orientation(tuple([k in flipped for k in range(g.num_edges)]))
-
-    def endpoints(self, g: MultiGraph, e):
-        """(tail, head) of edge e under this orientation."""
-        u, v = g.edges[e]
-        return (v, u) if self.reversed[e] else (u, v)
 
 
 @dataclass(frozen=True)
@@ -234,7 +214,7 @@ def _bfs_tree(adj, roots, skip=None, stop=None):
     return tree
 
 
-def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
+def circuit_through(g: MultiGraph, e: int, adj) -> EdgeVector:
     """Signed circuit vector closing edge e by the head-to-tail path of the
     breadth-first tree that `_bfs_tree` grows over `adj` without e, or None.
 
@@ -244,7 +224,7 @@ def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
     coords[e] = -1
     if g.is_loop(e):
         return tuple(coords)
-    tail, head = o.endpoints(g, e)
+    tail, head = g.edges[e]
     parent = _bfs_tree(adj, (head,), skip=e, stop=tail)
     if tail not in parent:
         return None
@@ -253,23 +233,23 @@ def circuit_through(g: MultiGraph, o: Orientation, e: int, adj) -> EdgeVector:
         prev, k = parent[cur]
         # the tail->head walk passes k from cur to prev; +1 when that agrees
         # with k's own direction
-        coords[k] = 1 if o.endpoints(g, k) == (cur, prev) else -1
+        coords[k] = 1 if g.edges[k] == (cur, prev) else -1
         cur = prev
     return tuple(coords)
 
 
-def fundamental_circuit_vector(g: MultiGraph, o: Orientation, f: ForestCertificate, e: int) -> EdgeVector:
+def fundamental_circuit_vector(g: MultiGraph, f: ForestCertificate, e: int) -> EdgeVector:
     """Signed circuit vector of cotree edge e: entry -1 at e, forest entries
     oriented so the vector lies in the kernel of the incidence matrix."""
     if e not in f.cotree_edges:
         raise NotCotreeEdge(f"edge {e} is not a cotree edge")
-    circuit = circuit_through(g, o, e, adjacency(g, f.forest_edges))
+    circuit = circuit_through(g, e, adjacency(g, f.forest_edges))
     if circuit is None:
         raise NotMaximalForest(f"the forest does not join the ends of edge {e}")
     return circuit
 
 
-def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
+def cut_vector(g: MultiGraph, vertex_set) -> EdgeVector:
     """Signed cut vector of W: +1 for non-loop edges directed into W, -1 out."""
     w = set(vertex_set)
     if not w or len(w) >= g.num_vertices:
@@ -277,10 +257,7 @@ def cut_vector(g: MultiGraph, o: Orientation, vertex_set) -> EdgeVector:
     if not all(0 <= v < g.num_vertices for v in w):
         raise ValueError("vertex out of range")
     coords = [0] * g.num_edges
-    for e in range(g.num_edges):
-        if g.is_loop(e):
-            continue
-        tail, head = o.endpoints(g, e)
+    for e, (tail, head) in enumerate(g.edges):
         if head in w and tail not in w:
             coords[e] = 1
         elif tail in w and head not in w:
@@ -294,9 +271,8 @@ def fundamental_circuits(g: MultiGraph):
     before a cotree edge already join its ends: the edge is the largest in
     its circuit."""
     f = maximal_forest(g)
-    o = Orientation.default(g)
     adj = adjacency(g, f.forest_edges)
-    return {e: tuple([k for k, x in enumerate(circuit_through(g, o, e, adj)) if x])
+    return {e: tuple([k for k, x in enumerate(circuit_through(g, e, adj)) if x])
             for e in f.cotree_edges}
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import (BudgetExceeded, InvalidReductionSpec, NotMaximalForest,
                      NotUnimodular, UnknownTag)
-from .graphs import (ForestCertificate, MultiGraph, Orientation, adjacency,
-                     circuit_through, classify_edges, components, forest_count,
-                     greedy_forest, is_maximal_forest, maximal_forest)
+from .graphs import (ForestCertificate, MultiGraph, adjacency, circuit_through,
+                     classify_edges, components, forest_count, greedy_forest,
+                     is_maximal_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
 
@@ -68,26 +68,23 @@ def reduced_laplacian(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
     return laplacian(g).submatrix(kept, kept)
 
 
-def incidence(g: MultiGraph, o: Orientation = None) -> IntMatrix:
-    """Vertex-by-edge matrix: -1 at the tail, +1 at the head, loop columns zero."""
-    if o is None:
-        o = Orientation.default(g)
+def incidence(g: MultiGraph) -> IntMatrix:
+    """Vertex-by-edge matrix: edge (u, v) has -1 at its tail u and +1 at its
+    head v; loop columns are zero."""
     m = [[0] * g.num_edges for _ in range(g.num_vertices)]
-    for e in range(g.num_edges):
-        if g.is_loop(e):
-            continue
-        tail, head = o.endpoints(g, e)
-        m[tail][e] = -1
-        m[head][e] = 1
+    for e, (tail, head) in enumerate(g.edges):
+        if tail != head:
+            m[tail][e] = -1
+            m[head][e] = 1
     return IntMatrix.from_rows(m, cols=g.num_edges)
 
 
-def reduced_incidence(g: MultiGraph, o: Orientation = None, spec: ReductionSpec = None) -> IntMatrix:
+def reduced_incidence(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
     if spec is None:
         spec = default_reduction_spec(g)
     spec.validate(g)
     kept = spec.kept_vertices(g)
-    return incidence(g, o).submatrix(kept, range(g.num_edges))
+    return incidence(g).submatrix(kept, range(g.num_edges))
 
 
 def _require_maximal_forest(g, f):
@@ -97,15 +94,13 @@ def _require_maximal_forest(g, f):
         raise NotMaximalForest("forest and cotree do not partition the edge set")
 
 
-def flow_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
+def flow_matrix(g: MultiGraph, f: ForestCertificate = None,
                 spec: ReductionSpec = None) -> IntMatrix:
     """Fundamental-circuit matrix: one row per cotree edge (ascending), with
     -1 in its own column and its signed forest path in the forest columns.
 
     Each row is read off one walk of the forest.  `spec` is validated but
     changes nothing: the rows lie in the kernel of every reduced incidence."""
-    if o is None:
-        o = Orientation.default(g)
     if f is None:
         f = maximal_forest(g)
     if spec is None:
@@ -113,26 +108,25 @@ def flow_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = Non
     _require_maximal_forest(g, f)
     spec.validate(g)
     adj = adjacency(g, f.forest_edges)
-    return IntMatrix.from_rows((circuit_through(g, o, e, adj) for e in f.cotree_edges),
+    return IntMatrix.from_rows((circuit_through(g, e, adj) for e in f.cotree_edges),
                                cols=g.num_edges)
 
 
-def cut_block(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
-              spec: ReductionSpec = None) -> IntMatrix:
+def cut_block(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
     """Fundamental-cut block C: rows indexed by forest edges, columns by cotree
     edges, both ascending; the flow matrix's forest columns, transposed.  The
     reduced incidence's forest columns times C are its cotree columns."""
     if f is None:
         f = maximal_forest(g)
-    fm = flow_matrix(g, o, f, spec)
+    fm = flow_matrix(g, f, spec)
     return fm.submatrix(range(fm.rows), f.forest_edges).transpose()
 
 
-def superbase_matrix(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
+def superbase_matrix(g: MultiGraph, f: ForestCertificate = None,
                      spec: ReductionSpec = None) -> IntMatrix:
     """Flow matrix with the dependent row (negative of the row sum) on top, so
     all rows sum to the zero vector."""
-    fm = flow_matrix(g, o, f, spec)
+    fm = flow_matrix(g, f, spec)
     dep = tuple([-sum(col) for col in fm.transpose().data])
     return IntMatrix(fm.rows + 1, fm.cols, (dep,) + fm.data)
 
@@ -184,25 +178,23 @@ class DualLaplacianPair:
             raise ValueError("unreduced trace must be even")
 
 
-def flow_gram(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
-              spec: ReductionSpec = None) -> IntMatrix:
+def flow_gram(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
     """Gram matrix of the fundamental circuits (identity plus transposed cut
     block times cut block)."""
-    c = cut_block(g, o, f, spec)
+    c = cut_block(g, f, spec)
     return IntMatrix.identity(c.cols).add(c.transpose().mul(c))
 
 
-def cut_gram(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
-             spec: ReductionSpec = None) -> IntMatrix:
+def cut_gram(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
     """Gram matrix of the fundamental cuts (identity plus cut block times its
     transpose)."""
-    c = cut_block(g, o, f, spec)
+    c = cut_block(g, f, spec)
     return IntMatrix.identity(c.rows).add(c.mul(c.transpose()))
 
 
-def reduced_dual_laplacian(g: MultiGraph, o: Orientation = None, f: ForestCertificate = None,
+def reduced_dual_laplacian(g: MultiGraph, f: ForestCertificate = None,
                            spec: ReductionSpec = None, u: UnimodularWitness = None) -> DualLaplacianPair:
-    base = flow_gram(g, o, f, spec)
+    base = flow_gram(g, f, spec)
     if u is None:
         u = UnimodularWitness(IntMatrix.identity(base.rows))
     if u.u.rows != base.rows:
@@ -282,7 +274,7 @@ def _forest_change(g):
     from .congruence import strict_row_equivalence
     f1 = maximal_forest(g)
     f2 = _second_forest(g, f1)
-    fm1, fm2 = flow_matrix(g, None, f1), flow_matrix(g, None, f2)
+    fm1, fm2 = flow_matrix(g, f1), flow_matrix(g, f2)
     return f1, f2, fm1, fm2, strict_row_equivalence(fm1, fm2)
 
 
@@ -328,14 +320,14 @@ def _check_vi(g):
 
 def _check_vii(g):
     spec = default_reduction_spec(g)
-    n_full, n_red = incidence(g), reduced_incidence(g, None, spec)
+    n_full, n_red = incidence(g), reduced_incidence(g, spec)
     ok = n_full.mul(n_full.transpose()) == laplacian(g) and \
         n_red.mul(n_red.transpose()) == reduced_laplacian(g, spec)
     return ok, {"incidence": n_full}
 
 def _check_viii(g):
     spec1, spec2, u = _reduction_change(g)
-    ok = u.u.mul(reduced_incidence(g, None, spec1)) == reduced_incidence(g, None, spec2)
+    ok = u.u.mul(reduced_incidence(g, spec1)) == reduced_incidence(g, spec2)
     return ok, {"witness": u, "specs": (spec1, spec2)}
 
 def _check_ix(g):
@@ -355,7 +347,7 @@ def _check_x(g):
 def _check_xi(g):
     spec, f = default_reduction_spec(g), maximal_forest(g)
     forest_cols = incidence(g).submatrix(spec.kept_vertices(g), f.forest_edges)
-    gram = cut_gram(g, None, f, spec)
+    gram = cut_gram(g, f, spec)
     ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g, spec)
     return ok, {"witness": forest_cols}
 
@@ -409,7 +401,7 @@ def _check_vii_star(g):
 
 def _check_viii_star(g):
     f1, f2, fm1, fm2, u = _forest_change(g)
-    same_under_spec = flow_matrix(g, None, f1, _alternate_spec(g)) == fm1
+    same_under_spec = flow_matrix(g, f1, _alternate_spec(g)) == fm1
     ok = same_under_spec and u is not None and u.u.mul(fm1) == fm2
     return ok, {"witness": u, "forests": (f1, f2)}
 

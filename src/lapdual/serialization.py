@@ -15,8 +15,7 @@ import json
 from dataclasses import is_dataclass
 
 from .errors import MalformedInput
-from .graphs import (ForestCertificate, MultiGraph, Orientation,
-                     TwoIsomorphismResult)
+from .graphs import ForestCertificate, MultiGraph, TwoIsomorphismResult
 
 
 def _reader(what):
@@ -142,8 +141,8 @@ def evidence_from_json(obj) -> KuratowskiEvidence:
 
 @_reader("certificate")
 def certificate_from_json(obj) -> DualCertificate:
-    """Rebuild a dual certificate, whose dual graph carries the default
-    orientation."""
+    """Rebuild a dual certificate; its dual graph lists each edge from tail to
+    head."""
     from .duality import DualCertificate
     from .laplacians import ReductionSpec
     lap = obj.get("laplacian_witness")
@@ -227,7 +226,6 @@ _TO_JSON = {
     "IntMatrix": matrix_to_json,
     "UnimodularWitness": lambda w: matrix_to_json(w.u),
     "MultiGraph": graph_to_json,
-    "Orientation": lambda o: [bool(b) for b in o.reversed],
     "ForestCertificate": lambda f: {"forest_edges": list(f.forest_edges),
                                     "cotree_edges": list(f.cotree_edges)},
     "ReductionSpec": lambda spec: list(spec.v0),
@@ -236,7 +234,7 @@ _TO_JSON = {
                             "right": matrix_to_json(r.right.u)},
     "CongruenceVerdict": _verdict_json,
     "TwoIsomorphismResult": lambda r: {"status": r.status,
-                                       "bijection": list(r.bijection) if r.bijection else None,
+                                       "bijection": to_jsonable(r.bijection),
                                        "reason": r.reason, "nodes_used": r.nodes_used},
     "KuratowskiEvidence": lambda ev: {"kind": ev.kind,
                                       "branch_sets": [list(s) for s in ev.branch_sets]},
@@ -287,15 +285,12 @@ def dumps(value) -> str:
     return json.dumps(to_jsonable(value), sort_keys=True, indent=2) + "\n"
 
 
-def emit_dot(g: MultiGraph, o: Orientation = None) -> str:
+def emit_dot(g: MultiGraph) -> str:
     """Presentation-only DOT rendering; carries no mathematical content."""
-    if o is None:
-        o = Orientation.default(g)
     lines = ["digraph {0} {{".format(json.dumps(g.name or "g"))]
     for v in range(g.num_vertices):
         lines.append(f"  v{v};")
-    for e in range(g.num_edges):
-        tail, head = o.endpoints(g, e)
+    for e, (tail, head) in enumerate(g.edges):
         lines.append(f"  v{tail} -> v{head} [label=\"e{e + 1}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

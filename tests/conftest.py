@@ -125,6 +125,13 @@ def random_multigraph(rng, max_n=5, max_m=8, connected=False, allow_loops=True):
             return g
 
 
+def relist(g, flipped):
+    """g with each edge in `flipped` listed as (v, u), which reverses it."""
+    flipped = set(flipped)
+    return MultiGraph(g.num_vertices, tuple([(v, u) if k in flipped else (u, v)
+                                             for k, (u, v) in enumerate(g.edges)]), g.name)
+
+
 def random_connected_multigraph(rng, max_n=5, max_m=8, allow_loops=True):
     return random_multigraph(rng, max_n, max_m, connected=True, allow_loops=allow_loops)
 

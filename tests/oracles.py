@@ -34,8 +34,8 @@ from lapdual.duality import (NONPLANAR, PLANAR, UNKNOWN, DualityReport,
                              KuratowskiEvidence, PlanarityResult)
 from lapdual.errors import (BudgetExceeded, LapdualError, RowSumNonzero,
                             ShapeMismatch, TraceTooLarge)
-from lapdual.graphs import (ForestCertificate, MultiGraph, Orientation,
-                            SearchBudget, TwoIsomorphismResult, classify_edges,
+from lapdual.graphs import (ForestCertificate, MultiGraph, SearchBudget,
+                            TwoIsomorphismResult, classify_edges,
                             forest_size, fundamental_circuit_vector,
                             is_maximal_forest, maximal_forest, neighbour_sets)
 from lapdual.laplacians import incidence, laplacian
@@ -215,10 +215,9 @@ def kuratowski_oracle(g: MultiGraph, budget=10**6) -> PlanarityResult:
 def _gf2_cycle_space(g: MultiGraph):
     """Bitmask basis of the binary cycle space (fundamental circuits)."""
     f = maximal_forest(g)
-    o = Orientation.default(g)
     basis = []
     for e in f.cotree_edges:
-        vec = fundamental_circuit_vector(g, o, f, e)
+        vec = fundamental_circuit_vector(g, f, e)
         mask = 0
         for k, x in enumerate(vec):
             if x % 2:
@@ -576,7 +575,6 @@ def lemma_center_recover_by_gram(a, c):
             raise TraceTooLarge(f"column {j} is not a signed incidence column", column=j)
         edges.append((neg[0], pos[0]))
     g = MultiGraph(ca.rows, tuple(edges))
-    o = Orientation.default(g)
-    if incidence(g, o) != ca:
+    if incidence(g) != ca:
         raise AssertionError("recovered incidence does not replay")
-    return g, o
+    return g

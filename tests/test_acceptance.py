@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from lapdual import (ForestCertificate, IntMatrix, MultiGraph, Orientation,
+from lapdual import (ForestCertificate, IntMatrix, MultiGraph,
                      classify_edges, components, decide_planarity, det_bareiss,
                      incidence,
                      lemma_center_recover, maximal_forest,
@@ -22,7 +22,7 @@ from lapdual.laplacians import (ReductionSpec, cut_block, flow_gram,
 
 from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
                       EXAMPLE2_FLOW, EXAMPLE2_INCIDENCE,
-                      EXAMPLE2_SUPERBASE_GRAM, random_connected_multigraph)
+                      EXAMPLE2_SUPERBASE_GRAM, random_connected_multigraph, relist)
 from oracles import (enumerate_maximal_forests, kuratowski_oracle, loopless_isomorphic,
                      maclane_oracle)
 
@@ -37,13 +37,13 @@ def test_criterion_1_example1_goldens(example1):
     started = time.monotonic()
     forest = ForestCertificate.from_forest(example1, [0])
     spec = ReductionSpec.of([1])
-    o_pp = Orientation.default(example1)
-    o_pm = Orientation.from_flips(example1, [2])
-    blocks = {cut_block(example1, o, forest, spec).data[0] for o in (o_pp, o_pm)}
+    g_pp = example1
+    g_pm = relist(example1, [2])
+    blocks = {cut_block(g, forest, spec).data[0] for g in (g_pp, g_pm)}
     assert blocks == {(1, 1), (1, -1)}
-    assert reduced_dual_laplacian(example1, o_pm, forest, spec).unreduced.to_lists() \
+    assert reduced_dual_laplacian(g_pm, forest, spec).unreduced.to_lists() \
         == EXAMPLE1_UNREDUCED_PM
-    assert reduced_dual_laplacian(example1, o_pp, forest, spec).unreduced.to_lists() \
+    assert reduced_dual_laplacian(g_pp, forest, spec).unreduced.to_lists() \
         == EXAMPLE1_UNREDUCED_PP
     _report("criterion 1 (triple-edge goldens)", started, 1.0)
 
@@ -54,13 +54,13 @@ def test_criterion_2_example2_goldens(example2, example2_dual):
     forest = maximal_forest(example2)
     assert forest.forest_edges == (0, 1, 3, 4, 5, 7)
     assert incidence(example2).to_lists() == EXAMPLE2_INCIDENCE
-    assert flow_matrix(example2, None, forest, spec).to_lists() == EXAMPLE2_FLOW
-    hat = superbase_matrix(example2, None, forest, spec)
+    assert flow_matrix(example2, forest, spec).to_lists() == EXAMPLE2_FLOW
+    hat = superbase_matrix(example2, forest, spec)
     gram = hat.mul(hat.transpose())
     assert gram.to_lists() == EXAMPLE2_SUPERBASE_GRAM
     loops, isthmuses = classify_edges(example2)
     assert gram.trace() == 16 == 2 * (example2.num_edges - len(isthmuses))
-    recovered, _ = lemma_center_recover(hat, UnimodularWitness(IntMatrix.identity(4)))
+    recovered = lemma_center_recover(hat, UnimodularWitness(IntMatrix.identity(4)))
     assert loopless_isomorphic(recovered, example2_dual)
     assert verify_abstract_dual(example2, recovered, range(9)).ok
     _report("criterion 2 (seven-vertex goldens and dual recovery)", started, 5.0)
@@ -75,8 +75,7 @@ def test_criterion_3_example3_trace_floor(example3):
     best_raw = None
     for f in enumerate_maximal_forests(example3):
         for flips in itertools.product((False, True), repeat=9):
-            o = Orientation(flips)
-            hat = superbase_matrix(example3, o, f)
+            hat = superbase_matrix(relist(example3, itertools.compress(range(9), flips)), f)
             tr = hat.mul(hat.transpose()).trace()
             best_raw = tr if best_raw is None else min(best_raw, tr)
     assert best_raw > 18
@@ -105,8 +104,8 @@ def test_criterion_4_matrix_tree_corpus():
         assert det_bareiss(reduced_laplacian(g, spec_default)) == count
         assert det_bareiss(reduced_laplacian(g, spec_random)) == count
         for f in forests:
-            assert det_bareiss(flow_gram(g, None, f, spec_default)) == count
-            assert det_bareiss(flow_gram(g, None, f, spec_random)) == count
+            assert det_bareiss(flow_gram(g, f, spec_default)) == count
+            assert det_bareiss(flow_gram(g, f, spec_random)) == count
             checked += 1
     assert len(graphs) >= 500
     _report(f"criterion 4 (matrix-tree, {len(graphs)} graphs, "

@@ -336,6 +336,11 @@ def test_emitted_objects_reparse_exactly():
 
     iso = decide_2_isomorphism_bruteforce(g, g)
     assert two_iso_from_json(to_jsonable(iso)) == iso
+    # two edgeless graphs are 2-isomorphic by the empty bijection, kept as []
+    edgeless = decide_2_isomorphism_bruteforce(MultiGraph.from_edges(2, []),
+                                               MultiGraph.from_edges(3, []))
+    assert to_jsonable(edgeless)["bijection"] == []
+    assert two_iso_from_json(to_jsonable(edgeless)) == edgeless
 
     pair = reduced_dual_laplacian(g)
     assert dual_pair_from_json(to_jsonable(pair)) == pair

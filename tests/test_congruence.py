@@ -18,7 +18,7 @@ from lapdual.graphs import SearchBudget
 from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
-                      wall_clock_guard)
+                      relist, wall_clock_guard)
 from oracles import loopless_isomorphic
 
 
@@ -57,12 +57,11 @@ def test_invariants_identical_for_identical_input(k4):
 
 
 def test_invariants_agree_for_example1_duals(example1):
-    from lapdual import Orientation, ForestCertificate
+    from lapdual import ForestCertificate
     f = ForestCertificate.from_forest(example1, [0])
     spec = ReductionSpec.of([1])
-    u1 = reduced_dual_laplacian(example1, Orientation.default(example1), f, spec).unreduced
-    u2 = reduced_dual_laplacian(example1, Orientation.from_flips(example1, [2]), f,
-                                spec).unreduced
+    u1 = reduced_dual_laplacian(example1, f, spec).unreduced
+    u2 = reduced_dual_laplacian(relist(example1, [2]), f, spec).unreduced
     assert congruence_invariants(u1) == congruence_invariants(u2)
 
 
@@ -79,12 +78,11 @@ def test_congruence_reflexive(k4):
 
 
 def test_congruence_of_example1_duals_with_witness(example1):
-    from lapdual import Orientation, ForestCertificate
+    from lapdual import ForestCertificate
     f = ForestCertificate.from_forest(example1, [0])
     spec = ReductionSpec.of([1])
-    u1 = reduced_dual_laplacian(example1, Orientation.default(example1), f, spec).unreduced
-    u2 = reduced_dual_laplacian(example1, Orientation.from_flips(example1, [2]), f,
-                                spec).unreduced
+    u1 = reduced_dual_laplacian(example1, f, spec).unreduced
+    u2 = reduced_dual_laplacian(relist(example1, [2]), f, spec).unreduced
     verdict = decide_congruence(u1, u2)
     assert verdict.status == "congruent"
     w = verdict.witness.u
@@ -198,8 +196,8 @@ def _norm(a, v):
 
 
 def test_strict_row_equivalence_for_two_reductions(example2):
-    n1 = reduced_incidence(example2, None, ReductionSpec.of([2]))
-    n2 = reduced_incidence(example2, None, ReductionSpec.of([0]))
+    n1 = reduced_incidence(example2, ReductionSpec.of([2]))
+    n2 = reduced_incidence(example2, ReductionSpec.of([0]))
     u = strict_row_equivalence(n1, n2)
     assert u is not None
     assert u.u.mul(n1) == n2
@@ -416,6 +414,23 @@ def test_unreduced_proposition_witness(k4):
     assert lhs.status == "congruent"
     w = lhs.witness.u
     assert w.mul(laplacian(k4)).mul(w.transpose()) == laplacian(relabeled)
+
+
+def test_unreduced_proposition_asks_condition_one_once(k4, monkeypatch):
+    # with matching counts the block reductions make the full Laplacians'
+    # congruence condition 1's question, so an unknown answer is not re-asked
+    sizes = []
+
+    def undecided(a, b, budget):
+        sizes.append(a.rows)
+        return congruence.CongruenceVerdict("unknown", note="stand-in")
+
+    monkeypatch.setattr(congruence, "decide_congruence", undecided)
+    report = property_x_report(k4, permute_vertices(k4, (1, 3, 2, 0)), budget=10**5)
+    assert sizes == [3]
+    lhs = report.unreduced_proposition["laplacian_congruence"]
+    assert lhs.status == "unknown" and "condition 1" in lhs.note
+    assert report.unreduced_proposition["agree"]
 
 
 def test_unreduced_proposition_vertex_count_matters(k3):

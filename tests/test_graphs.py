@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lapdual import (EmptyOrFullSet, ForestCertificate, MalformedInput, MultiGraph,
-                     NotCotreeEdge, NotMaximalForest, Orientation, classify_edges,
+                     NotCotreeEdge, NotMaximalForest, classify_edges,
                      components, cut_vector, decide_2_isomorphism_bruteforce,
                      fundamental_circuit_vector, identify_vertices,
                      maximal_forest, permute_vertices)
@@ -13,7 +13,7 @@ from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, is_maximal_fores
                             two_isomorphism_candidates)
 from lapdual.serialization import forest_from_json
 
-from conftest import (complete_graph, cycle_graph, random_multigraph,
+from conftest import (complete_graph, cycle_graph, random_multigraph, relist,
                       wall_clock_guard)
 from oracles import (CapExceeded, decide_2_isomorphism_oracle, enumerate_circuits,
                      enumerate_maximal_forests, loopless_isomorphic,
@@ -77,28 +77,28 @@ def test_enumerate_forests_cap():
 
 def test_fundamental_circuit_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
-    o = Orientation.from_flips(example1, [2])  # the C = (1, -1) orientation
-    assert fundamental_circuit_vector(example1, o, f, 1) == (1, -1, 0)
-    assert fundamental_circuit_vector(example1, o, f, 2) == (-1, 0, -1)
+    g = relist(example1, [2])  # the C = (1, -1) orientation
+    assert fundamental_circuit_vector(g, f, 1) == (1, -1, 0)
+    assert fundamental_circuit_vector(g, f, 2) == (-1, 0, -1)
 
 
 def test_fundamental_circuit_loop():
     g = MultiGraph.from_edges(2, [(0, 1), (1, 1)])
     f = maximal_forest(g)
-    assert fundamental_circuit_vector(g, Orientation.default(g), f, 1) == (0, -1)
+    assert fundamental_circuit_vector(g, f, 1) == (0, -1)
 
 
 def test_fundamental_circuit_rejects_forest_edge(k3):
     f = maximal_forest(k3)
     with pytest.raises(NotCotreeEdge):
-        fundamental_circuit_vector(k3, Orientation.default(k3), f, 0)
+        fundamental_circuit_vector(k3, f, 0)
 
 
 def test_fundamental_circuit_rejects_non_spanning_forest():
     g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
     f = ForestCertificate.from_forest(g, [0])
     with pytest.raises(NotMaximalForest):
-        fundamental_circuit_vector(g, Orientation.default(g), f, 1)
+        fundamental_circuit_vector(g, f, 1)
 
 
 def test_bfs_tree_long_path():
@@ -115,28 +115,26 @@ def test_bfs_tree_long_path():
 
 
 def test_cut_vector_k3(k3):
-    o = Orientation.default(k3)  # every edge leaves vertex 0
-    assert cut_vector(k3, o, {0}) == (-1, -1, 0)
+    # every edge leaves vertex 0
+    assert cut_vector(k3, {0}) == (-1, -1, 0)
 
 
 def test_cut_vector_whole_component_is_zero():
     g = MultiGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    assert cut_vector(g, Orientation.default(g), {3, 4}) == (0, 0, 0, 0)
+    assert cut_vector(g, {3, 4}) == (0, 0, 0, 0)
 
 
 def test_cut_vector_single_vertex_is_incidence_row(example2):
     # the cut at {v1} reads off row v1 of the incidence matrix
     from lapdual.laplacians import incidence
-    o = Orientation.default(example2)
-    assert cut_vector(example2, o, {0}) == incidence(example2, o).row(0)
+    assert cut_vector(example2, {0}) == incidence(example2).row(0)
 
 
 def test_cut_vector_rejects_trivial_sets(k3):
-    o = Orientation.default(k3)
     with pytest.raises(EmptyOrFullSet):
-        cut_vector(k3, o, set())
+        cut_vector(k3, set())
     with pytest.raises(EmptyOrFullSet):
-        cut_vector(k3, o, {0, 1, 2})
+        cut_vector(k3, {0, 1, 2})
 
 
 def test_classify_edges_example2(example2):

@@ -7,7 +7,7 @@ import pytest
 
 from lapdual import (BudgetExceeded, ForestCertificate, IntMatrix,
                      InvalidReductionSpec, LapdualError, MultiGraph, NotMaximalForest,
-                     Orientation, UnknownTag, det_bareiss,
+                     UnknownTag, det_bareiss,
                      fundamental_circuit_vector, maximal_forest, permute_vertices)
 from lapdual import laplacians
 from lapdual.errors import PROPERTY_TAGS
@@ -23,7 +23,7 @@ from lapdual.serialization import dumps
 from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
                       EXAMPLE2_FLOW, EXAMPLE2_INCIDENCE,
                       EXAMPLE2_SUPERBASE_GRAM, complete_graph, grid_graph,
-                      random_connected_multigraph, random_multigraph,
+                      random_connected_multigraph, random_multigraph, relist,
                       wall_clock_guard)
 from oracles import (count_maximal_forests, enumerate_maximal_forests,
                      laplacian_automorphisms_are_isomorphisms)
@@ -71,14 +71,6 @@ def test_incidence_example2_matches_golden(example2):
     assert incidence(example2).to_lists() == EXAMPLE2_INCIDENCE
 
 
-def test_incidence_reversal_negates_single_column(k3):
-    base = incidence(k3)
-    flipped = incidence(k3, Orientation.from_flips(k3, [1]))
-    for e in range(3):
-        col = [(-x if e == 1 else x) for x in base.column(e)]
-        assert list(flipped.column(e)) == col
-
-
 def test_incidence_loops_only():
     g = MultiGraph.from_edges(2, [(0, 0), (1, 1)])
     assert incidence(g) == IntMatrix.zeros(2, 2)
@@ -87,9 +79,8 @@ def test_incidence_loops_only():
 def test_cut_block_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
     spec = ReductionSpec.of([1])
-    assert cut_block(example1, Orientation.default(example1), f, spec).to_lists() == [[1, 1]]
-    assert cut_block(example1, Orientation.from_flips(example1, [2]), f,
-                     spec).to_lists() == [[1, -1]]
+    assert cut_block(example1, f, spec).to_lists() == [[1, 1]]
+    assert cut_block(relist(example1, [2]), f, spec).to_lists() == [[1, -1]]
 
 
 def test_cut_block_tree_is_empty():
@@ -100,18 +91,17 @@ def test_cut_block_tree_is_empty():
 
 def test_cut_block_rejects_non_forest(k3):
     with pytest.raises(NotMaximalForest):
-        cut_block(k3, None, ForestCertificate.from_forest(k3, [0]), None)
+        cut_block(k3, ForestCertificate.from_forest(k3, [0]), None)
 
 
 def test_incidence_factorization(example2):
     # reduced incidence equals the forest block times (identity | cut block)
     # written back into edge order
-    o = Orientation.default(example2)
     spec = ReductionSpec.of([2])
     f = maximal_forest(example2)
-    n_red = reduced_incidence(example2, o, spec)
+    n_red = reduced_incidence(example2, spec)
     forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
-    c = cut_block(example2, o, f, spec)
+    c = cut_block(example2, f, spec)
     for i, e in enumerate(f.forest_edges):
         assert n_red.column(e) == forest_block.column(i)
     for j, e in enumerate(f.cotree_edges):
@@ -121,13 +111,13 @@ def test_incidence_factorization(example2):
 
 
 def test_flow_matrix_example2_matches_golden(example2):
-    fm = flow_matrix(example2, None, None, ReductionSpec.of([2]))
+    fm = flow_matrix(example2, None, ReductionSpec.of([2]))
     assert fm.to_lists() == EXAMPLE2_FLOW
 
 
 def test_flow_matrix_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
-    fm = flow_matrix(example1, Orientation.from_flips(example1, [2]), f)
+    fm = flow_matrix(relist(example1, [2]), f)
     assert fm.to_lists() == [[1, -1, 0], [-1, 0, -1]]
 
 
@@ -139,21 +129,19 @@ def test_flow_matrix_of_forest_is_empty():
 
 def test_cut_block_recoverable_from_flow_matrix(example2):
     # the transposed cut block sits in the forest columns of the flow matrix
-    o = Orientation.default(example2)
     spec = ReductionSpec.of([2])
     f = maximal_forest(example2)
-    c = cut_block(example2, o, f, spec)
-    fm = flow_matrix(example2, o, f, spec)
+    c = cut_block(example2, f, spec)
+    fm = flow_matrix(example2, f, spec)
     recovered = [[fm.data[j][e] for j in range(fm.rows)] for e in f.forest_edges]
     assert IntMatrix.from_rows(recovered, cols=c.cols) == c
 
 
 def test_flow_rows_are_fundamental_circuits(example2):
-    o = Orientation.default(example2)
     f = maximal_forest(example2)
-    fm = flow_matrix(example2, o, f)
+    fm = flow_matrix(example2, f)
     for row, e in zip(fm.data, f.cotree_edges):
-        assert row == fundamental_circuit_vector(example2, o, f, e)
+        assert row == fundamental_circuit_vector(example2, f, e)
 
 
 def test_flow_orthogonal_to_reduced_incidence(example2):
@@ -168,15 +156,14 @@ def test_isthmus_column_of_flow_matrix_is_zero(example2):
 
 
 def test_superbase_example2(example2):
-    hat = superbase_matrix(example2, None, None, ReductionSpec.of([2]))
+    hat = superbase_matrix(example2, None, ReductionSpec.of([2]))
     assert hat.mul(hat.transpose()).to_lists() == EXAMPLE2_SUPERBASE_GRAM
     assert hat.mul(hat.transpose()).trace() == 16  # = 2 * (9 edges - 1 isthmus)
 
 
 def test_superbase_example1_gives_k3_laplacian(example1, k3):
     f = ForestCertificate.from_forest(example1, [0])
-    hat = superbase_matrix(example1, Orientation.from_flips(example1, [2]), f,
-                           ReductionSpec.of([1]))
+    hat = superbase_matrix(relist(example1, [2]), f, ReductionSpec.of([1]))
     assert hat.mul(hat.transpose()) == laplacian(k3)
 
 
@@ -190,18 +177,17 @@ def test_superbase_of_forest_is_zero_row():
 def test_reduced_dual_laplacian_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
     spec = ReductionSpec.of([1])
-    pair_pp = reduced_dual_laplacian(example1, Orientation.default(example1), f, spec)
+    pair_pp = reduced_dual_laplacian(example1, f, spec)
     assert pair_pp.reduced.to_lists() == [[2, 1], [1, 2]]
     assert pair_pp.unreduced.to_lists() == EXAMPLE1_UNREDUCED_PP
-    pair_pm = reduced_dual_laplacian(example1, Orientation.from_flips(example1, [2]),
-                                     f, spec)
+    pair_pm = reduced_dual_laplacian(relist(example1, [2]), f, spec)
     assert pair_pm.unreduced.to_lists() == EXAMPLE1_UNREDUCED_PM
 
 
 def test_dual_pair_with_witness(example1):
     from lapdual import UnimodularWitness
     u = UnimodularWitness(IntMatrix.from_rows([[1, 1], [0, 1]]))
-    pair = reduced_dual_laplacian(example1, None, None, None, u)
+    pair = reduced_dual_laplacian(example1, None, None, u)
     assert pair.reduced == u.u.mul(pair.gram_base).mul(u.u.transpose())
     assert pair.unreduced == border_last(pair.reduced)
 
@@ -209,12 +195,11 @@ def test_dual_pair_with_witness(example1):
 def test_property_xi_witness(k3):
     # the forest block of the reduced incidence conjugates the cut Gram
     # matrix onto the reduced Laplacian
-    o = Orientation.default(k3)
     spec = default_reduction_spec(k3)
     f = maximal_forest(k3)
     kept = spec.kept_vertices(k3)
-    block = incidence(k3, o).submatrix(kept, f.forest_edges)
-    gram = cut_gram(k3, o, f, spec)
+    block = incidence(k3).submatrix(kept, f.forest_edges)
+    gram = cut_gram(k3, f, spec)
     assert block.mul(gram).mul(block.transpose()) == reduced_laplacian(k3, spec)
 
 
@@ -222,12 +207,12 @@ def test_two_forests_of_k4_give_congruent_duals(k4):
     from lapdual import strict_row_equivalence
     forests = enumerate_maximal_forests(k4)
     f1, f2 = forests[0], forests[5]
-    fm1 = flow_matrix(k4, None, f1)
-    fm2 = flow_matrix(k4, None, f2)
+    fm1 = flow_matrix(k4, f1)
+    fm2 = flow_matrix(k4, f2)
     u = strict_row_equivalence(fm1, fm2)
     assert u is not None
-    r1 = flow_gram(k4, None, f1)
-    r2 = flow_gram(k4, None, f2)
+    r1 = flow_gram(k4, f1)
+    r2 = flow_gram(k4, f2)
     assert u.u.mul(r1).mul(u.u.transpose()) == r2
 
 
@@ -235,15 +220,14 @@ def test_matrix_tree_for_flow_gram(k4):
     count = count_maximal_forests(k4)
     assert count == 16
     for f in enumerate_maximal_forests(k4):
-        assert det_bareiss(flow_gram(k4, None, f)) == count
+        assert det_bareiss(flow_gram(k4, f)) == count
 
 
 def test_reduction_change_witness_moves_both_matrices(example2):
     spec1 = ReductionSpec.of([2])
     spec2 = ReductionSpec.of([6])
     u = reduction_change_witness(example2, spec1, spec2)
-    assert u.u.mul(reduced_incidence(example2, None, spec1)) == \
-        reduced_incidence(example2, None, spec2)
+    assert u.u.mul(reduced_incidence(example2, spec1)) == reduced_incidence(example2, spec2)
     assert u.u.mul(reduced_laplacian(example2, spec1)).mul(u.u.transpose()) == \
         reduced_laplacian(example2, spec2)
 

@@ -9,7 +9,7 @@ from collections import Counter
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lapdual import (IntMatrix, MultiGraph, Orientation, UnimodularWitness,
+from lapdual import (IntMatrix, MultiGraph, UnimodularWitness,
                      classify_edges, components, cut_vector,
                      decide_2_isomorphism_bruteforce, decide_congruence,
                      decide_planarity, det_bareiss, fundamental_circuit_vector,
@@ -21,7 +21,7 @@ from lapdual import (IntMatrix, MultiGraph, Orientation, UnimodularWitness,
                      verify_kuratowski_evidence)
 from lapdual.laplacians import ReductionSpec, cut_block, flow_gram, flow_matrix
 
-from conftest import wall_clock_guard
+from conftest import relist, wall_clock_guard
 from oracles import (count_maximal_forests, enumerate_maximal_forests,
                      kuratowski_oracle, maclane_oracle)
 
@@ -40,7 +40,7 @@ CASE_BUDGETS = {
     "test_incidence_forest_factorization": 700,
     "test_flow_rows_circuits_and_orthogonality": 700,
     "test_flow_hnf_independent_of_choices": 500,
-    "test_edge_reversal_action_on_flow_gram": 500,
+    "test_edge_reversal_action": 500,
     "test_forest_count_equals_both_determinants": 600,
     "test_loop_and_isthmus_insertion_invariance": 400,
     "test_congruence_verdicts_replay": 400,
@@ -76,13 +76,6 @@ def multigraphs(draw, max_n=5, max_m=7, min_n=1, allow_loops=True):
                 continue
         edges.append((u, v))
     return MultiGraph.from_edges(n, edges)
-
-
-@st.composite
-def oriented_multigraphs(draw, **kwargs):
-    g = draw(multigraphs(**kwargs))
-    flips = draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
-    return g, Orientation(tuple(flips))
 
 
 @st.composite
@@ -141,16 +134,15 @@ def test_matrix_tree_counts(g):
 
 
 @prop_settings("test_circuits_orthogonal_to_cuts")
-@given(data=st.data(), pair=oriented_multigraphs(max_n=5, max_m=7, min_n=2))
-def test_circuits_orthogonal_to_cuts(data, pair):
+@given(data=st.data(), g=multigraphs(max_n=5, max_m=7, min_n=2))
+def test_circuits_orthogonal_to_cuts(data, g):
     EXECUTED["test_circuits_orthogonal_to_cuts"] += 1
-    g, o = pair
     f = maximal_forest(g)
     size = data.draw(st.integers(1, g.num_vertices - 1))
     w = set(data.draw(st.permutations(range(g.num_vertices)))[:size])
-    cut = cut_vector(g, o, w)
+    cut = cut_vector(g, w)
     for e in f.cotree_edges:
-        circ = fundamental_circuit_vector(g, o, f, e)
+        circ = fundamental_circuit_vector(g, f, e)
         assert sum(a * b for a, b in zip(circ, cut)) == 0
 
 
@@ -223,28 +215,26 @@ def test_inverse_unimodular_round_trip(data, n):
 # ------------------------------------------------------------- laplacian-core
 
 @prop_settings("test_incidence_gram_identity")
-@given(data=st.data(), pair=oriented_multigraphs(max_n=5, max_m=7))
-def test_incidence_gram_identity(data, pair):
+@given(data=st.data(), g=multigraphs(max_n=5, max_m=7))
+def test_incidence_gram_identity(data, g):
     EXECUTED["test_incidence_gram_identity"] += 1
-    g, o = pair
     spec = random_spec(g, data.draw(st.booleans()))
-    n_full = incidence(g, o)
+    n_full = incidence(g)
     assert n_full.mul(n_full.transpose()) == laplacian(g)
-    n_red = reduced_incidence(g, o, spec)
+    n_red = reduced_incidence(g, spec)
     assert n_red.mul(n_red.transpose()) == reduced_laplacian(g, spec)
 
 
 @prop_settings("test_incidence_forest_factorization")
-@given(data=st.data(), pair=oriented_multigraphs(max_n=5, max_m=7))
-def test_incidence_forest_factorization(data, pair):
+@given(data=st.data(), g=multigraphs(max_n=5, max_m=7))
+def test_incidence_forest_factorization(data, g):
     EXECUTED["test_incidence_forest_factorization"] += 1
-    g, o = pair
     spec = random_spec(g, data.draw(st.booleans()))
-    n_red = reduced_incidence(g, o, spec)
+    n_red = reduced_incidence(g, spec)
     any_forest = data.draw(st.sampled_from(enumerate_maximal_forests(g, cap=4096)))
     for f in (maximal_forest(g), any_forest):
         forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
-        c = cut_block(g, o, f, spec)
+        c = cut_block(g, f, spec)
         # the forest block times (identity | cut block) rebuilds every column
         rebuilt = [[0] * g.num_edges for _ in range(n_red.rows)]
         for i, e in enumerate(f.forest_edges):
@@ -258,52 +248,57 @@ def test_incidence_forest_factorization(data, pair):
 
 
 @prop_settings("test_flow_rows_circuits_and_orthogonality")
-@given(data=st.data(), pair=oriented_multigraphs(max_n=5, max_m=7))
-def test_flow_rows_circuits_and_orthogonality(data, pair):
+@given(data=st.data(), g=multigraphs(max_n=5, max_m=7))
+def test_flow_rows_circuits_and_orthogonality(data, g):
     EXECUTED["test_flow_rows_circuits_and_orthogonality"] += 1
-    g, o = pair
     spec = random_spec(g, data.draw(st.booleans()))
     f = maximal_forest(g)
-    fm = flow_matrix(g, o, f, spec)
-    assert fm.mul(reduced_incidence(g, o, spec).transpose()).is_zero()
-    assert fm.mul(incidence(g, o).transpose()).is_zero()
+    fm = flow_matrix(g, f, spec)
+    assert fm.mul(reduced_incidence(g, spec).transpose()).is_zero()
+    assert fm.mul(incidence(g).transpose()).is_zero()
     for row, e in zip(fm.data, f.cotree_edges):
-        assert row == fundamental_circuit_vector(g, o, f, e)
+        assert row == fundamental_circuit_vector(g, f, e)
 
 
 @prop_settings("test_flow_hnf_independent_of_choices")
-@given(data=st.data(), pair=oriented_multigraphs(max_n=5, max_m=6))
-def test_flow_hnf_independent_of_choices(data, pair):
+@given(data=st.data(), g=multigraphs(max_n=5, max_m=6))
+def test_flow_hnf_independent_of_choices(data, g):
     EXECUTED["test_flow_hnf_independent_of_choices"] += 1
-    g, o = pair
     forests = enumerate_maximal_forests(g, cap=4096)
     f1 = maximal_forest(g)
     f2 = data.draw(st.sampled_from(forests))
     spec1 = random_spec(g, False)
     spec2 = random_spec(g, True)
-    lattices = {hnf_nonzero_part(flow_matrix(g, o, f, s))
+    lattices = {hnf_nonzero_part(flow_matrix(g, f, s))
                 for f in (f1, f2) for s in (spec1, spec2)}
     assert len(lattices) == 1
 
 
-@prop_settings("test_edge_reversal_action_on_flow_gram")
+def sign_matrix(edges, flipped):
+    """Diagonal matrix indexed by `edges`: -1 at the flipped ones, +1 elsewhere."""
+    return IntMatrix.from_rows([[(-1 if e in flipped else 1) if i == j else 0
+                                 for j in range(len(edges))] for i, e in enumerate(edges)],
+                               cols=len(edges))
+
+
+@prop_settings("test_edge_reversal_action")
 @given(data=st.data(), g=multigraphs(max_n=5, max_m=7))
-def test_edge_reversal_action_on_flow_gram(data, g):
-    EXECUTED["test_edge_reversal_action_on_flow_gram"] += 1
-    assume(g.num_edges > 0)
+def test_edge_reversal_action(data, g):
+    # the matrices are taken for any orientation: relisting the edges F as
+    # (v, u) negates their columns (D) and the rows of the cotree edges
+    # among them (S), and leaves the Laplacian alone
+    EXECUTED["test_edge_reversal_action"] += 1
+    bits = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+    flipped = {e for e, bit in enumerate(bits) if bit}
+    h = relist(g, flipped)
     f = maximal_forest(g)
-    o = Orientation.default(g)
-    base = flow_gram(g, o, f)
-    e = data.draw(st.integers(0, g.num_edges - 1))
-    flipped = flow_gram(g, Orientation.from_flips(g, [e]), f)
-    if e in f.forest_edges:
-        assert flipped == base
-    else:
-        pos = f.cotree_edges.index(e)
-        diag = IntMatrix.from_rows(
-            [[(-1 if i == j == pos else (1 if i == j else 0))
-              for j in range(base.cols)] for i in range(base.rows)], cols=base.cols)
-        assert flipped == diag.mul(base).mul(diag.transpose())
+    assert maximal_forest(h) == f
+    d = sign_matrix(range(g.num_edges), flipped)
+    s = sign_matrix(f.cotree_edges, flipped)
+    assert laplacian(h) == laplacian(g)
+    assert incidence(h) == incidence(g).mul(d)
+    assert flow_matrix(h, f) == s.mul(flow_matrix(g, f)).mul(d)
+    assert flow_gram(h, f) == s.mul(flow_gram(g, f)).mul(s)
 
 
 @prop_settings("test_forest_count_equals_both_determinants")
@@ -314,7 +309,7 @@ def test_forest_count_equals_both_determinants(data, g):
     f = data.draw(st.sampled_from(forests))
     spec = random_spec(g, data.draw(st.booleans()))
     assert det_bareiss(reduced_laplacian(g, spec)) == len(forests)
-    assert det_bareiss(flow_gram(g, None, f, spec)) == len(forests)
+    assert det_bareiss(flow_gram(g, f, spec)) == len(forests)
 
 
 @prop_settings("test_loop_and_isthmus_insertion_invariance")
@@ -406,16 +401,15 @@ def test_superbase_state_invariants(g, seed):
 
 
 @prop_settings("test_recover_round_trip")
-@given(pair=oriented_multigraphs(max_n=5, max_m=7))
-def test_recover_round_trip(pair):
+@given(g=multigraphs(max_n=5, max_m=7))
+def test_recover_round_trip(g):
     EXECUTED["test_recover_round_trip"] += 1
-    g, o = pair
-    n = incidence(g, o)
-    recovered, ro = lemma_center_recover(n, UnimodularWitness(IntMatrix.identity(g.num_vertices)))
-    assert incidence(recovered, ro) == n
+    n = incidence(g)
+    recovered = lemma_center_recover(n, UnimodularWitness(IntMatrix.identity(g.num_vertices)))
+    assert incidence(recovered) == n
     non_loops = [e for e in range(g.num_edges) if not g.is_loop(e)]
     for e in non_loops:
-        assert recovered.edges[e] == o.endpoints(g, e)
+        assert recovered.edges[e] == g.edges[e]
 
 
 @prop_settings("test_planarity_certificates_sound")
