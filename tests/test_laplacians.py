@@ -71,6 +71,14 @@ def test_incidence_example2_matches_golden(example2):
     assert incidence(example2).to_lists() == EXAMPLE2_INCIDENCE
 
 
+def test_incidence_reversal_negates_single_column(k3):
+    base = incidence(k3)
+    flipped = incidence(relist(k3, [1]))
+    for e in range(3):
+        col = [(-x if e == 1 else x) for x in base.column(e)]
+        assert list(flipped.column(e)) == col
+
+
 def test_incidence_loops_only():
     g = MultiGraph.from_edges(2, [(0, 0), (1, 1)])
     assert incidence(g) == IntMatrix.zeros(2, 2)

@@ -40,7 +40,7 @@ CASE_BUDGETS = {
     "test_incidence_forest_factorization": 700,
     "test_flow_rows_circuits_and_orthogonality": 700,
     "test_flow_hnf_independent_of_choices": 500,
-    "test_edge_reversal_action": 500,
+    "test_edge_reversal_action_on_flow_gram": 500,
     "test_forest_count_equals_both_determinants": 600,
     "test_loop_and_isthmus_insertion_invariance": 400,
     "test_congruence_verdicts_replay": 400,
@@ -281,13 +281,13 @@ def sign_matrix(edges, flipped):
                                cols=len(edges))
 
 
-@prop_settings("test_edge_reversal_action")
+@prop_settings("test_edge_reversal_action_on_flow_gram")
 @given(data=st.data(), g=multigraphs(max_n=5, max_m=7))
-def test_edge_reversal_action(data, g):
+def test_edge_reversal_action_on_flow_gram(data, g):
     # the matrices are taken for any orientation: relisting the edges F as
     # (v, u) negates their columns (D) and the rows of the cotree edges
     # among them (S), and leaves the Laplacian alone
-    EXECUTED["test_edge_reversal_action"] += 1
+    EXECUTED["test_edge_reversal_action_on_flow_gram"] += 1
     bits = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
     flipped = {e for e, bit in enumerate(bits) if bit}
     h = relist(g, flipped)
