@@ -105,10 +105,9 @@ _COMMANDS = {
     "laplacian": ("Laplacian matrix", ("graph",), ()),
     "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",)),
     "incidence": ("incidence matrix (reduced when --v0 is given)", ("graph",), ("--v0",)),
-    "cut-block": ("fundamental-cut block", ("graph",), ("--forest", "--v0")),
-    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest", "--v0")),
-    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",),
-                       ("--forest", "--v0")),
+    "cut-block": ("fundamental-cut block", ("graph",), ("--forest",)),
+    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest",)),
+    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",), ("--forest",)),
     "snf": ("Smith normal form with witnesses", ("matrix",), ()),
     "check-congruence": ("integer congruence of two symmetric matrices",
                          ("matrix_a", "matrix_b"), ()),
@@ -167,14 +166,14 @@ def _dispatch(config: CliConfig):
         return serialization.matrix_from_json(_load_json(config.inputs[i]))
 
     def forest(g):
-        if config.forest is None or config.forest == "auto":
+        if config.forest is None:
             return graphs.maximal_forest(g)
         edges = _parse_index_tokens(config.forest, "e")
         return graphs.ForestCertificate.from_forest(g, edges)
 
-    def spec(g):
-        if config.v0 is None or config.v0 == "auto":
-            return laplacians.default_reduction_spec(g)
+    def spec():
+        if config.v0 is None:
+            return None  # the default reduction
         return laplacians.ReductionSpec.of(_parse_index_tokens(config.v0, "v"))
 
     def decision(result):
@@ -191,22 +190,20 @@ def _dispatch(config: CliConfig):
     if cmd == "laplacian":
         return laplacians.laplacian(graph()), EXIT_OK
     if cmd == "reduced-laplacian":
-        g = graph()
-        return laplacians.reduced_laplacian(g, spec(g)), EXIT_OK
+        return laplacians.reduced_laplacian(graph(), spec()), EXIT_OK
     if cmd == "incidence":
-        g = graph()
         if config.v0 is None:
-            return laplacians.incidence(g), EXIT_OK
-        return laplacians.reduced_incidence(g, spec(g)), EXIT_OK
+            return laplacians.incidence(graph()), EXIT_OK
+        return laplacians.reduced_incidence(graph(), spec()), EXIT_OK
     if cmd == "cut-block":
         g = graph()
-        return laplacians.cut_block(g, forest(g), spec(g)), EXIT_OK
+        return laplacians.cut_block(g, forest(g)), EXIT_OK
     if cmd == "flow-matrix":
         g = graph()
-        return laplacians.flow_matrix(g, forest(g), spec(g)), EXIT_OK
+        return laplacians.flow_matrix(g, forest(g)), EXIT_OK
     if cmd == "dual-laplacian":
         g = graph()
-        return laplacians.reduced_dual_laplacian(g, forest(g), spec(g)), EXIT_OK
+        return laplacians.reduced_dual_laplacian(g, forest(g)), EXIT_OK
     if cmd == "snf":
         from .intmatrix import smith_normal_form
         return smith_normal_form(matrix()), EXIT_OK

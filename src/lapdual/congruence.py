@@ -31,8 +31,8 @@ from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negat
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
                         inverse_unimodular)
-from .laplacians import (ReductionSpec, default_reduction_spec, flow_matrix, incidence,
-                         laplacian, reduced_incidence, reduced_laplacian)
+from .laplacians import (default_reduction_spec, flow_matrix, incidence, laplacian,
+                         reduced_incidence, reduced_laplacian)
 
 CONGRUENT = "congruent"
 NOT_CONGRUENT = "not_congruent"
@@ -285,8 +285,13 @@ def decide_congruence(a: IntMatrix, b: IntMatrix, budget=10**6) -> CongruenceVer
         raise NotSymmetric("congruence is decided for symmetric matrices only")
     if a == b:
         return CongruenceVerdict(CONGRUENT, witness=UnimodularWitness(IntMatrix.identity(a.rows)))
-    inv_a = congruence_invariants(a)
-    inv_b = congruence_invariants(b)
+    return _decide_from_invariants(a, b, congruence_invariants(a),
+                                   congruence_invariants(b), budget)
+
+
+def _decide_from_invariants(a, b, inv_a, inv_b, budget):
+    """`decide_congruence` past its symmetry and equality checks, given the
+    invariants of a and b."""
     for name in ("size", "rank", "det", "inertia", "snf"):
         if inv_a[name] != inv_b[name]:
             return CongruenceVerdict(NOT_CONGRUENT,
@@ -504,33 +509,22 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     }
 
 
-def block_reduction_witness(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
-    """Unimodular P with P L(G) P^T = diag(reduced Laplacian, 0).
+def block_reduction_witness(g: MultiGraph) -> IntMatrix:
+    """Unimodular P with P L(G) P^T = diag(reduced Laplacian, 0), for the
+    default reduction, which deletes each component's smallest vertex.
 
     Rows for kept vertices come first in ascending order; each deleted row is
     replaced by the sum of its whole component's rows, which vanishes.  P is
     a plain IntMatrix, unimodular by construction: a row permutation of the
     identity in which each deleted row adds the other rows of its component.
     """
-    if spec is None:
-        spec = default_reduction_spec(g)
-    spec.validate(g)
     n = g.num_vertices
-    deleted = set(spec.v0)
-    comp_of = {}
-    for comp in components(g):
-        for v in comp:
-            comp_of[v] = tuple(comp)
-    order = spec.kept_vertices(g) + list(spec.v0)
-    rows = []
-    for v in order:
-        row = [0] * n
-        if v in deleted:
-            for w in comp_of[v]:
-                row[w] = 1
-        else:
-            row[v] = 1
-        rows.append(row)
+    comps = components(g)
+    deleted = {comp[0] for comp in comps}
+    rows = [[int(w == v) for w in range(n)] for v in range(n) if v not in deleted]
+    for comp in comps:
+        members = set(comp)
+        rows.append([int(w in members) for w in range(n)])
     return IntMatrix.from_rows(rows, cols=n)
 
 
@@ -547,16 +541,26 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
     l1, l2 = laplacian(g1), laplacian(g2)
     n1, n2 = g1.num_vertices, g2.num_vertices
     c1, c2 = component_count(g1), component_count(g2)
-    # rank n - c means nullity c, which the inertia reads off
-    rank_ok = inertia(l1)[2] == c1 and inertia(l2)[2] == c2
-
     same_counts = n1 == n2 and c1 == c2
+    # the invariants' elimination gives the inertia too, so the Smith form is
+    # taken only where the decision needs it
+    decide = not same_counts or cond1.status == NOT_CONGRUENT
+    if decide:
+        inv1, inv2 = congruence_invariants(l1), congruence_invariants(l2)
+        nullities = inv1["inertia"][2], inv2["inertia"][2]
+    else:
+        nullities = inertia(l1)[2], inertia(l2)[2]
+    # rank n - c means nullity c, which the inertia reads off
+    rank_ok = nullities == (c1, c2)
+
     rhs = cond4.truth
     if rhs == "true" and not same_counts:
         rhs = "false"
 
-    if not same_counts or cond1.status == NOT_CONGRUENT:
-        lhs = decide_congruence(l1, l2, budget)
+    if decide:
+        # l1 != l2 here: equal Laplacians give equal reduced ones, so
+        # condition 1 would be congruent and the counts would match
+        lhs = _decide_from_invariants(l1, l2, inv1, inv2, budget)
     elif cond1.status == CONGRUENT:
         lhs = _lift(cond1.witness.u, block_reduction_witness(g1),
                     block_reduction_witness(g2), l1, l2)

@@ -21,7 +21,7 @@ from .errors import BudgetExceeded
 from .graphs import (ForestCertificate, MultiGraph, SearchBudget, adjacency,
                      circuit_through, classify_edges, greedy_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
-from .laplacians import ReductionSpec, border_first, flow_matrix
+from .laplacians import border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
 
@@ -190,7 +190,7 @@ def _short_cycle_basis(g, f_start):
 
 
 def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
-                             spec: ReductionSpec = None, budget=10**6, seed=0) -> SuperbaseState:
+                             budget=10**6, seed=0) -> SuperbaseState:
     """Seeded basin-hopping descent on the superbase Gram trace.
 
     Greedy descent first; afterwards the best state is repeatedly shaken by a
@@ -205,7 +205,7 @@ def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
     _, isthmuses = classify_edges(g)
     floor_trace = 2 * (g.num_edges - len(isthmuses))
     base_forest = f if f is not None else maximal_forest(g)
-    f_start = flow_matrix(g, base_forest, spec)
+    f_start = flow_matrix(g, base_forest)
     r = f_start.rows
     rng = random.Random(seed)
     counter = SearchBudget(budget)
@@ -230,7 +230,7 @@ def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
                                    [("short-basis",)])
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
-                f_alt = flow_matrix(g, alt, spec)
+                f_alt = flow_matrix(g, alt)
                 u = _row_transform(f_start, f_alt)
                 descent = _Descent(f_alt.data, u.data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])

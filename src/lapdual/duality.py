@@ -102,9 +102,12 @@ class DualCertificate:
 
     def replay_core(self, g: MultiGraph) -> bool:
         """Re-derive the bordered flow matrix of the stripped core and check
-        the witness maps it onto the dual core's incidence matrix."""
+        the witness maps it onto the dual core's incidence matrix.  The flow
+        matrix does not depend on V0, but a `core_v0` that is not one vertex
+        per component of the core is still refused."""
         core = self.core_graph(g)
-        fm = flow_matrix(core, self.core_forest, self.core_v0)
+        fm = flow_matrix(core, self.core_forest)
+        self.core_v0.validate(core)
         a = IntMatrix.zeros(1, fm.cols).vstack(fm)
         ca = self.witness_z.u.mul(a)
         core_rows = range(self.witness_z.u.rows)

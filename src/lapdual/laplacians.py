@@ -5,6 +5,12 @@ its columns in ascending edge order, and block formulas are assembled by
 writing each column into its edge position directly.  The flow matrix is
 read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
+
+The vertex side takes a ReductionSpec, the vertices V0 whose rows it
+deletes.  The flow side (flow matrix, cut block, superbase, flow and cut
+Grams, dual Laplacian) depends on the maximal forest only: its rows span
+the kernel of the incidence matrix, which is the kernel of every reduced
+incidence whatever V0 deletes.
 """
 
 from collections import Counter
@@ -88,45 +94,41 @@ def reduced_incidence(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
 
 
 def _require_maximal_forest(g, f):
-    if not is_maximal_forest(g, f.forest_edges):
-        raise NotMaximalForest("edge set is not a maximal forest")
+    # the partition check comes first: it keeps out-of-range edges away from
+    # is_maximal_forest, which indexes g.edges
     if tuple(sorted(f.forest_edges + f.cotree_edges)) != tuple(range(g.num_edges)):
         raise NotMaximalForest("forest and cotree do not partition the edge set")
+    if not is_maximal_forest(g, f.forest_edges):
+        raise NotMaximalForest("edge set is not a maximal forest")
 
 
-def flow_matrix(g: MultiGraph, f: ForestCertificate = None,
-                spec: ReductionSpec = None) -> IntMatrix:
+def flow_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Fundamental-circuit matrix: one row per cotree edge (ascending), with
     -1 in its own column and its signed forest path in the forest columns.
 
-    Each row is read off one walk of the forest.  `spec` is validated but
-    changes nothing: the rows lie in the kernel of every reduced incidence."""
+    Each row is read off one walk of the forest."""
     if f is None:
         f = maximal_forest(g)
-    if spec is None:
-        spec = default_reduction_spec(g)
     _require_maximal_forest(g, f)
-    spec.validate(g)
     adj = adjacency(g, f.forest_edges)
     return IntMatrix.from_rows((circuit_through(g, e, adj) for e in f.cotree_edges),
                                cols=g.num_edges)
 
 
-def cut_block(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
+def cut_block(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Fundamental-cut block C: rows indexed by forest edges, columns by cotree
     edges, both ascending; the flow matrix's forest columns, transposed.  The
     reduced incidence's forest columns times C are its cotree columns."""
     if f is None:
         f = maximal_forest(g)
-    fm = flow_matrix(g, f, spec)
+    fm = flow_matrix(g, f)
     return fm.submatrix(range(fm.rows), f.forest_edges).transpose()
 
 
-def superbase_matrix(g: MultiGraph, f: ForestCertificate = None,
-                     spec: ReductionSpec = None) -> IntMatrix:
+def superbase_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Flow matrix with the dependent row (negative of the row sum) on top, so
     all rows sum to the zero vector."""
-    fm = flow_matrix(g, f, spec)
+    fm = flow_matrix(g, f)
     dep = tuple([-sum(col) for col in fm.transpose().data])
     return IntMatrix(fm.rows + 1, fm.cols, (dep,) + fm.data)
 
@@ -178,23 +180,23 @@ class DualLaplacianPair:
             raise ValueError("unreduced trace must be even")
 
 
-def flow_gram(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
+def flow_gram(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Gram matrix of the fundamental circuits (identity plus transposed cut
     block times cut block)."""
-    c = cut_block(g, f, spec)
+    c = cut_block(g, f)
     return IntMatrix.identity(c.cols).add(c.transpose().mul(c))
 
 
-def cut_gram(g: MultiGraph, f: ForestCertificate = None, spec: ReductionSpec = None) -> IntMatrix:
+def cut_gram(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Gram matrix of the fundamental cuts (identity plus cut block times its
     transpose)."""
-    c = cut_block(g, f, spec)
+    c = cut_block(g, f)
     return IntMatrix.identity(c.rows).add(c.mul(c.transpose()))
 
 
 def reduced_dual_laplacian(g: MultiGraph, f: ForestCertificate = None,
-                           spec: ReductionSpec = None, u: UnimodularWitness = None) -> DualLaplacianPair:
-    base = flow_gram(g, f, spec)
+                           u: UnimodularWitness = None) -> DualLaplacianPair:
+    base = flow_gram(g, f)
     if u is None:
         u = UnimodularWitness(IntMatrix.identity(base.rows))
     if u.u.rows != base.rows:
@@ -347,7 +349,7 @@ def _check_x(g):
 def _check_xi(g):
     spec, f = default_reduction_spec(g), maximal_forest(g)
     forest_cols = incidence(g).submatrix(spec.kept_vertices(g), f.forest_edges)
-    gram = cut_gram(g, f, spec)
+    gram = cut_gram(g, f)
     ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g, spec)
     return ok, {"witness": forest_cols}
 
@@ -401,8 +403,9 @@ def _check_vii_star(g):
 
 def _check_viii_star(g):
     f1, f2, fm1, fm2, u = _forest_change(g)
-    same_under_spec = flow_matrix(g, f1, _alternate_spec(g)) == fm1
-    ok = same_under_spec and u is not None and u.u.mul(fm1) == fm2
+    # the flow rows lie in the kernel of the reduced incidence for any V0
+    in_kernel = fm1.mul(reduced_incidence(g, _alternate_spec(g)).transpose()).is_zero()
+    ok = in_kernel and u is not None and u.u.mul(fm1) == fm2
     return ok, {"witness": u, "forests": (f1, f2)}
 
 def _check_ix_star(g):

@@ -36,26 +36,24 @@ def _report(name, started, limit):
 def test_criterion_1_example1_goldens(example1):
     started = time.monotonic()
     forest = ForestCertificate.from_forest(example1, [0])
-    spec = ReductionSpec.of([1])
     g_pp = example1
     g_pm = relist(example1, [2])
-    blocks = {cut_block(g, forest, spec).data[0] for g in (g_pp, g_pm)}
+    blocks = {cut_block(g, forest).data[0] for g in (g_pp, g_pm)}
     assert blocks == {(1, 1), (1, -1)}
-    assert reduced_dual_laplacian(g_pm, forest, spec).unreduced.to_lists() \
+    assert reduced_dual_laplacian(g_pm, forest).unreduced.to_lists() \
         == EXAMPLE1_UNREDUCED_PM
-    assert reduced_dual_laplacian(g_pp, forest, spec).unreduced.to_lists() \
+    assert reduced_dual_laplacian(g_pp, forest).unreduced.to_lists() \
         == EXAMPLE1_UNREDUCED_PP
     _report("criterion 1 (triple-edge goldens)", started, 1.0)
 
 
 def test_criterion_2_example2_goldens(example2, example2_dual):
     started = time.monotonic()
-    spec = ReductionSpec.of([2])
     forest = maximal_forest(example2)
     assert forest.forest_edges == (0, 1, 3, 4, 5, 7)
     assert incidence(example2).to_lists() == EXAMPLE2_INCIDENCE
-    assert flow_matrix(example2, forest, spec).to_lists() == EXAMPLE2_FLOW
-    hat = superbase_matrix(example2, forest, spec)
+    assert flow_matrix(example2, forest).to_lists() == EXAMPLE2_FLOW
+    hat = superbase_matrix(example2, forest)
     gram = hat.mul(hat.transpose())
     assert gram.to_lists() == EXAMPLE2_SUPERBASE_GRAM
     loops, isthmuses = classify_edges(example2)
@@ -104,8 +102,7 @@ def test_criterion_4_matrix_tree_corpus():
         assert det_bareiss(reduced_laplacian(g, spec_default)) == count
         assert det_bareiss(reduced_laplacian(g, spec_random)) == count
         for f in forests:
-            assert det_bareiss(flow_gram(g, f, spec_default)) == count
-            assert det_bareiss(flow_gram(g, f, spec_random)) == count
+            assert det_bareiss(flow_gram(g, f)) == count
             checked += 1
     assert len(graphs) >= 500
     _report(f"criterion 4 (matrix-tree, {len(graphs)} graphs, "

@@ -82,8 +82,7 @@ def test_check_congruence_exit_codes(files, capsys, tmp_path):
 
 
 def test_explicit_forest_and_v0_reproduce_golden_flow(files, capsys):
-    code, out = run(capsys, "flow-matrix", files["ex2"],
-                    "--forest", "e1,e2,e4,e5,e6,e8", "--v0", "v3")
+    code, out = run(capsys, "flow-matrix", files["ex2"], "--forest", "e1,e2,e4,e5,e6,e8")
     assert code == 0
     rows = json.loads(out)["data"]
     assert rows[0] == ["-1", "1", "-1", "0", "0", "0", "0", "0", "0"]
@@ -288,14 +287,17 @@ def test_cli_config_drives_run(files, tmp_path, monkeypatch):
 
 
 def test_usage_error_exit():
-    with pytest.raises(SystemExit) as err:
-        main(["not-a-command"])
-    assert err.value.code == 64
+    # --v0 is taken only by the commands whose output it changes
+    for argv in (["not-a-command"], ["flow-matrix", "--v0", "v1", "k4.json"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
 
 
 def test_bad_flag_tokens_are_usage_errors(files, capsys):
-    code, _ = run(capsys, "flow-matrix", files["k3"], "--forest", "zap")
-    assert code == 64
+    for token in ("zap", "auto"):
+        code, _ = run(capsys, "flow-matrix", files["k3"], "--forest", token)
+        assert code == 64
     code, _ = run(capsys, "flow-matrix", files["k3"], "--forest", "e9")
     assert code == 64  # edge label out of range
 

@@ -59,9 +59,8 @@ def test_invariants_identical_for_identical_input(k4):
 def test_invariants_agree_for_example1_duals(example1):
     from lapdual import ForestCertificate
     f = ForestCertificate.from_forest(example1, [0])
-    spec = ReductionSpec.of([1])
-    u1 = reduced_dual_laplacian(example1, f, spec).unreduced
-    u2 = reduced_dual_laplacian(relist(example1, [2]), f, spec).unreduced
+    u1 = reduced_dual_laplacian(example1, f).unreduced
+    u2 = reduced_dual_laplacian(relist(example1, [2]), f).unreduced
     assert congruence_invariants(u1) == congruence_invariants(u2)
 
 
@@ -80,9 +79,8 @@ def test_congruence_reflexive(k4):
 def test_congruence_of_example1_duals_with_witness(example1):
     from lapdual import ForestCertificate
     f = ForestCertificate.from_forest(example1, [0])
-    spec = ReductionSpec.of([1])
-    u1 = reduced_dual_laplacian(example1, f, spec).unreduced
-    u2 = reduced_dual_laplacian(relist(example1, [2]), f, spec).unreduced
+    u1 = reduced_dual_laplacian(example1, f).unreduced
+    u2 = reduced_dual_laplacian(relist(example1, [2]), f).unreduced
     verdict = decide_congruence(u1, u2)
     assert verdict.status == "congruent"
     w = verdict.witness.u
@@ -431,6 +429,26 @@ def test_unreduced_proposition_asks_condition_one_once(k4, monkeypatch):
     lhs = report.unreduced_proposition["laplacian_congruence"]
     assert lhs.status == "unknown" and "condition 1" in lhs.note
     assert report.unreduced_proposition["agree"]
+
+
+def test_unreduced_proposition_eliminates_each_laplacian_once(monkeypatch):
+    # where the full Laplacians are decided, their invariants' elimination
+    # also gives the nullities the rank check reads
+    sizes = []
+    bareiss = intmatrix._symmetric_bareiss
+
+    def counted(a):
+        sizes.append(a.rows)
+        return bareiss(a)
+
+    monkeypatch.setattr(intmatrix, "_symmetric_bareiss", counted)
+    monkeypatch.setattr(congruence, "_symmetric_bareiss", counted)
+    c4_chord = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    other = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 2)])
+    report = property_x_report(c4_chord, other, budget=10**5)
+    assert sizes == [3, 3, 4, 4]
+    assert report.unreduced_proposition["laplacian_congruence"].separating_invariant[0] == "snf"
+    assert report.unreduced_proposition["rank_matches_vertices_minus_components"]
 
 
 def test_unreduced_proposition_vertex_count_matters(k3):

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from lapdual import (ForestCertificate, IntMatrix, KuratowskiEvidence, MultiGraph,
-                     NonplanarInput, RowSumNonzero, ShapeMismatch,
+from lapdual import (ForestCertificate, IntMatrix, InvalidReductionSpec,
+                     KuratowskiEvidence, MultiGraph, NonplanarInput, NotMaximalForest,
+                     RowSumNonzero, ShapeMismatch,
                      TraceTooLarge, UnimodularWitness, classify_edges,
                      construct_abstract_dual, decide_planarity,
                      hnf_nonzero_part, incidence, inverse_unimodular,
                      lemma_center_recover, maximal_forest,
                      superbase_matrix, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
-from lapdual.laplacians import ReductionSpec, flow_matrix, reduced_laplacian
-from lapdual.serialization import dumps
+from lapdual.laplacians import flow_matrix, reduced_laplacian
+from lapdual.serialization import certificate_from_json, dumps
 
 from conftest import (cycle_graph, grid_graph, random_connected_multigraph,
                       random_multigraph, random_unimodular, relist, wall_clock_guard)
@@ -29,13 +30,13 @@ def identity_witness(n):
 
 def test_recover_example1_superbase_is_k3(example1, k3):
     f = ForestCertificate.from_forest(example1, [0])
-    hat = superbase_matrix(relist(example1, [2]), f, ReductionSpec.of([1]))
+    hat = superbase_matrix(relist(example1, [2]), f)
     g = lemma_center_recover(hat, identity_witness(3))
     assert loopless_isomorphic(g, k3)
 
 
 def test_recover_example2_superbase_is_golden_dual(example2, example2_dual):
-    hat = superbase_matrix(example2, None, ReductionSpec.of([2]))
+    hat = superbase_matrix(example2)
     g = lemma_center_recover(hat, identity_witness(4))
     assert g.num_vertices == 4 and g.num_edges == 9
     assert loopless_isomorphic(g, example2_dual)
@@ -153,8 +154,7 @@ def test_planar_certificate_takes_no_matrix_product(monkeypatch):
 
 
 def test_trace_minimize_example2_needs_no_moves(example2):
-    state = superbase_trace_minimize(example2, None, ReductionSpec.of([2]),
-                                     budget=10**5, seed=0)
+    state = superbase_trace_minimize(example2, budget=10**5, seed=0)
     assert state.trace == 16
     assert state.move_log == ()
     assert not state.budget_exhausted
@@ -192,6 +192,20 @@ def test_decide_planarity_example2(example2, example2_dual):
     assert loopless_isomorphic(cert.dual_graph, example2_dual)
     assert verify_abstract_dual(example2, cert.dual_graph, cert.edge_bijection).ok
     assert cert.replay_core(example2)
+
+
+def test_replay_core_refuses_a_tampered_core(k3, k4):
+    # an out-of-range forest edge fails the partition check before any edge
+    # is looked up, and a core V0 that is not one vertex per component is
+    # refused although the flow matrix does not read it
+    cert = json.loads(dumps(decide_planarity(k4).certificate))
+    forest = dict(cert["core_forest"], forest_edges=[0, 1, 9])
+    with pytest.raises(NotMaximalForest):
+        certificate_from_json(dict(cert, core_forest=forest)).replay_core(k4)
+    with pytest.raises(NotMaximalForest):
+        flow_matrix(k3, ForestCertificate((0, 5), (1, 2)))
+    with pytest.raises(InvalidReductionSpec):
+        certificate_from_json(dict(cert, core_v0=[0, 1])).replay_core(k4)
 
 
 def test_decide_planarity_k33(k33):

@@ -195,7 +195,7 @@ def test_inertia_goldens(k3, example2):
     from lapdual.laplacians import laplacian, superbase_matrix
     assert inertia(laplacian(k3)) == (2, 0, 1)
     assert inertia(IntMatrix.zeros(1, 1)) == (0, 0, 1)
-    hat = superbase_matrix(example2, None, None)
+    hat = superbase_matrix(example2)
     assert inertia(hat.mul(hat.transpose())) == (3, 0, 1)
 
 

@@ -86,9 +86,8 @@ def test_incidence_loops_only():
 
 def test_cut_block_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
-    spec = ReductionSpec.of([1])
-    assert cut_block(example1, f, spec).to_lists() == [[1, 1]]
-    assert cut_block(relist(example1, [2]), f, spec).to_lists() == [[1, -1]]
+    assert cut_block(example1, f).to_lists() == [[1, 1]]
+    assert cut_block(relist(example1, [2]), f).to_lists() == [[1, -1]]
 
 
 def test_cut_block_tree_is_empty():
@@ -99,7 +98,7 @@ def test_cut_block_tree_is_empty():
 
 def test_cut_block_rejects_non_forest(k3):
     with pytest.raises(NotMaximalForest):
-        cut_block(k3, ForestCertificate.from_forest(k3, [0]), None)
+        cut_block(k3, ForestCertificate.from_forest(k3, [0]))
 
 
 def test_incidence_factorization(example2):
@@ -109,7 +108,7 @@ def test_incidence_factorization(example2):
     f = maximal_forest(example2)
     n_red = reduced_incidence(example2, spec)
     forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
-    c = cut_block(example2, f, spec)
+    c = cut_block(example2, f)
     for i, e in enumerate(f.forest_edges):
         assert n_red.column(e) == forest_block.column(i)
     for j, e in enumerate(f.cotree_edges):
@@ -119,7 +118,7 @@ def test_incidence_factorization(example2):
 
 
 def test_flow_matrix_example2_matches_golden(example2):
-    fm = flow_matrix(example2, None, ReductionSpec.of([2]))
+    fm = flow_matrix(example2)
     assert fm.to_lists() == EXAMPLE2_FLOW
 
 
@@ -137,10 +136,9 @@ def test_flow_matrix_of_forest_is_empty():
 
 def test_cut_block_recoverable_from_flow_matrix(example2):
     # the transposed cut block sits in the forest columns of the flow matrix
-    spec = ReductionSpec.of([2])
     f = maximal_forest(example2)
-    c = cut_block(example2, f, spec)
-    fm = flow_matrix(example2, f, spec)
+    c = cut_block(example2, f)
+    fm = flow_matrix(example2, f)
     recovered = [[fm.data[j][e] for j in range(fm.rows)] for e in f.forest_edges]
     assert IntMatrix.from_rows(recovered, cols=c.cols) == c
 
@@ -164,14 +162,14 @@ def test_isthmus_column_of_flow_matrix_is_zero(example2):
 
 
 def test_superbase_example2(example2):
-    hat = superbase_matrix(example2, None, ReductionSpec.of([2]))
+    hat = superbase_matrix(example2)
     assert hat.mul(hat.transpose()).to_lists() == EXAMPLE2_SUPERBASE_GRAM
     assert hat.mul(hat.transpose()).trace() == 16  # = 2 * (9 edges - 1 isthmus)
 
 
 def test_superbase_example1_gives_k3_laplacian(example1, k3):
     f = ForestCertificate.from_forest(example1, [0])
-    hat = superbase_matrix(relist(example1, [2]), f, ReductionSpec.of([1]))
+    hat = superbase_matrix(relist(example1, [2]), f)
     assert hat.mul(hat.transpose()) == laplacian(k3)
 
 
@@ -184,18 +182,17 @@ def test_superbase_of_forest_is_zero_row():
 
 def test_reduced_dual_laplacian_example1(example1):
     f = ForestCertificate.from_forest(example1, [0])
-    spec = ReductionSpec.of([1])
-    pair_pp = reduced_dual_laplacian(example1, f, spec)
+    pair_pp = reduced_dual_laplacian(example1, f)
     assert pair_pp.reduced.to_lists() == [[2, 1], [1, 2]]
     assert pair_pp.unreduced.to_lists() == EXAMPLE1_UNREDUCED_PP
-    pair_pm = reduced_dual_laplacian(relist(example1, [2]), f, spec)
+    pair_pm = reduced_dual_laplacian(relist(example1, [2]), f)
     assert pair_pm.unreduced.to_lists() == EXAMPLE1_UNREDUCED_PM
 
 
 def test_dual_pair_with_witness(example1):
     from lapdual import UnimodularWitness
     u = UnimodularWitness(IntMatrix.from_rows([[1, 1], [0, 1]]))
-    pair = reduced_dual_laplacian(example1, None, None, u)
+    pair = reduced_dual_laplacian(example1, None, u)
     assert pair.reduced == u.u.mul(pair.gram_base).mul(u.u.transpose())
     assert pair.unreduced == border_last(pair.reduced)
 
@@ -207,7 +204,7 @@ def test_property_xi_witness(k3):
     f = maximal_forest(k3)
     kept = spec.kept_vertices(k3)
     block = incidence(k3).submatrix(kept, f.forest_edges)
-    gram = cut_gram(k3, f, spec)
+    gram = cut_gram(k3, f)
     assert block.mul(gram).mul(block.transpose()) == reduced_laplacian(k3, spec)
 
 

@@ -234,7 +234,7 @@ def test_incidence_forest_factorization(data, g):
     any_forest = data.draw(st.sampled_from(enumerate_maximal_forests(g, cap=4096)))
     for f in (maximal_forest(g), any_forest):
         forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
-        c = cut_block(g, f, spec)
+        c = cut_block(g, f)
         # the forest block times (identity | cut block) rebuilds every column
         rebuilt = [[0] * g.num_edges for _ in range(n_red.rows)]
         for i, e in enumerate(f.forest_edges):
@@ -253,7 +253,7 @@ def test_flow_rows_circuits_and_orthogonality(data, g):
     EXECUTED["test_flow_rows_circuits_and_orthogonality"] += 1
     spec = random_spec(g, data.draw(st.booleans()))
     f = maximal_forest(g)
-    fm = flow_matrix(g, f, spec)
+    fm = flow_matrix(g, f)
     assert fm.mul(reduced_incidence(g, spec).transpose()).is_zero()
     assert fm.mul(incidence(g).transpose()).is_zero()
     for row, e in zip(fm.data, f.cotree_edges):
@@ -267,10 +267,7 @@ def test_flow_hnf_independent_of_choices(data, g):
     forests = enumerate_maximal_forests(g, cap=4096)
     f1 = maximal_forest(g)
     f2 = data.draw(st.sampled_from(forests))
-    spec1 = random_spec(g, False)
-    spec2 = random_spec(g, True)
-    lattices = {hnf_nonzero_part(flow_matrix(g, f, s))
-                for f in (f1, f2) for s in (spec1, spec2)}
+    lattices = {hnf_nonzero_part(flow_matrix(g, f)) for f in (f1, f2)}
     assert len(lattices) == 1
 
 
@@ -309,7 +306,7 @@ def test_forest_count_equals_both_determinants(data, g):
     f = data.draw(st.sampled_from(forests))
     spec = random_spec(g, data.draw(st.booleans()))
     assert det_bareiss(reduced_laplacian(g, spec)) == len(forests)
-    assert det_bareiss(flow_gram(g, f, spec)) == len(forests)
+    assert det_bareiss(flow_gram(g, f)) == len(forests)
 
 
 @prop_settings("test_loop_and_isthmus_insertion_invariance")
