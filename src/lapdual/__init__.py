@@ -22,10 +22,9 @@ _EXPORTS = {
     "intmatrix": ("IntMatrix", "SnfResult", "UnimodularWitness", "det_bareiss",
                   "hermite_normal_form", "hnf_nonzero_part", "inertia",
                   "inverse_unimodular", "rank", "smith_normal_form"),
-    "laplacians": ("DualLaplacianPair", "PropertyReport", "ReductionSpec",
-                   "border_first", "border_last", "cut_block", "cut_gram",
-                   "default_reduction_spec", "flow_gram", "flow_matrix",
-                   "incidence", "laplacian", "reduced_dual_laplacian",
+    "laplacians": ("DualLaplacianPair", "PropertyReport", "border_first",
+                   "border_last", "cut_block", "cut_gram", "flow_gram",
+                   "flow_matrix", "incidence", "laplacian", "reduced_dual_laplacian",
                    "reduced_incidence", "reduced_laplacian",
                    "reduction_change_witness", "superbase_matrix",
                    "verify_property"),

@@ -171,10 +171,8 @@ def _dispatch(config: CliConfig):
         edges = _parse_index_tokens(config.forest, "e")
         return graphs.ForestCertificate.from_forest(g, edges)
 
-    def spec():
-        if config.v0 is None:
-            return None  # the default reduction
-        return laplacians.ReductionSpec.of(_parse_index_tokens(config.v0, "v"))
+    def v0():
+        return None if config.v0 is None else _parse_index_tokens(config.v0, "v")
 
     def decision(result):
         return result, DECISION_EXITS[result.truth]
@@ -190,11 +188,11 @@ def _dispatch(config: CliConfig):
     if cmd == "laplacian":
         return laplacians.laplacian(graph()), EXIT_OK
     if cmd == "reduced-laplacian":
-        return laplacians.reduced_laplacian(graph(), spec()), EXIT_OK
+        return laplacians.reduced_laplacian(graph(), v0()), EXIT_OK
     if cmd == "incidence":
         if config.v0 is None:
             return laplacians.incidence(graph()), EXIT_OK
-        return laplacians.reduced_incidence(graph(), spec()), EXIT_OK
+        return laplacians.reduced_incidence(graph(), v0()), EXIT_OK
     if cmd == "cut-block":
         g = graph()
         return laplacians.cut_block(g, forest(g)), EXIT_OK

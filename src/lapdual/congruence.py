@@ -31,7 +31,7 @@ from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negat
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
                         inverse_unimodular)
-from .laplacians import (default_reduction_spec, flow_matrix, incidence, laplacian,
+from .laplacians import (_reduction, flow_matrix, incidence, laplacian,
                          reduced_incidence, reduced_laplacian)
 
 CONGRUENT = "congruent"
@@ -479,12 +479,11 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     if swap:
         g1, g2 = g2, g1
         u = inverse_unimodular(u)
-    spec1 = default_reduction_spec(g1)
-    spec2 = default_reduction_spec(g2)
-    if not spec1.v0 or not spec2.v0:
+    v1, v2 = _reduction(g1)[0], _reduction(g2)[0]
+    if not v1 or not v2:
         return {"attempted": False}
-    g1p = identify_vertices(g1, spec1.v0)
-    g2p = identify_vertices(g2, spec2.v0)
+    g1p = identify_vertices(g1, v1)
+    g2p = identify_vertices(g2, v2)
     k = u.rows
     z = UnimodularWitness(IntMatrix.from_rows(
         [[1] + [1 - sum(col) for col in u.transpose().data]] + [[0] + list(row) for row in u.data],
@@ -519,10 +518,8 @@ def block_reduction_witness(g: MultiGraph) -> IntMatrix:
     identity in which each deleted row adds the other rows of its component.
     """
     n = g.num_vertices
-    comps = components(g)
-    deleted = {comp[0] for comp in comps}
-    rows = [[int(w == v) for w in range(n)] for v in range(n) if v not in deleted]
-    for comp in comps:
+    rows = [[int(w == v) for w in range(n)] for v in _reduction(g)[1]]
+    for comp in components(g):
         members = set(comp)
         rows.append([int(w in members) for w in range(n)])
     return IntMatrix.from_rows(rows, cols=n)

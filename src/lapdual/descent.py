@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .congruence import _row_transform
 from .errors import BudgetExceeded
-from .graphs import (ForestCertificate, MultiGraph, SearchBudget, adjacency,
-                     circuit_through, classify_edges, greedy_forest, maximal_forest)
+from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
+                     classify_edges, greedy_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
 from .laplacians import border_first, flow_matrix
 
@@ -189,8 +189,7 @@ def _short_cycle_basis(g, f_start):
     return basis, u
 
 
-def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
-                             budget=10**6, seed=0) -> SuperbaseState:
+def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseState:
     """Seeded basin-hopping descent on the superbase Gram trace.
 
     Greedy descent first; afterwards the best state is repeatedly shaken by a
@@ -204,8 +203,7 @@ def superbase_trace_minimize(g: MultiGraph, f: ForestCertificate = None,
     """
     _, isthmuses = classify_edges(g)
     floor_trace = 2 * (g.num_edges - len(isthmuses))
-    base_forest = f if f is not None else maximal_forest(g)
-    f_start = flow_matrix(g, base_forest)
+    f_start = flow_matrix(g)
     r = f_start.rows
     rng = random.Random(seed)
     counter = SearchBudget(budget)

@@ -26,9 +26,8 @@ from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
                      forest_size, fundamental_circuits, in_cut_space,
                      maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import (ReductionSpec, default_reduction_spec, flow_gram,
-                         flow_matrix, incidence, reduced_incidence,
-                         reduced_laplacian)
+from .laplacians import (_reduction, flow_gram, flow_matrix, incidence,
+                         reduced_incidence, reduced_laplacian)
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
@@ -94,7 +93,7 @@ class DualCertificate:
     trace: int
     core_edges: tuple
     core_forest: ForestCertificate
-    core_v0: ReductionSpec
+    core_v0: tuple  # sorted
     laplacian_witness: UnimodularWitness = None
 
     def core_graph(self, g: MultiGraph) -> MultiGraph:
@@ -104,10 +103,16 @@ class DualCertificate:
         """Re-derive the bordered flow matrix of the stripped core and check
         the witness maps it onto the dual core's incidence matrix.  The flow
         matrix does not depend on V0, but a `core_v0` that is not one vertex
-        per component of the core is still refused."""
+        per component of the core is still refused.  A `beta` that is not a
+        permutation of g's edges, or a core edge outside them, replays
+        False."""
+        m = g.num_edges
+        if sorted(self.edge_bijection) != list(range(m)) or \
+                not all(0 <= e < m for e in self.core_edges):
+            return False
         core = self.core_graph(g)
         fm = flow_matrix(core, self.core_forest)
-        self.core_v0.validate(core)
+        _reduction(core, self.core_v0)
         a = IntMatrix.zeros(1, fm.cols).vstack(fm)
         ca = self.witness_z.u.mul(a)
         core_rows = range(self.witness_z.u.rows)
@@ -636,7 +641,7 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
          for i, row in enumerate(ca)]))
     dual_core = _recover(IntMatrix.from_rows(ca, cols=core.num_edges), 2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
-                          2 * core.num_edges, core_forest, default_reduction_spec(core))
+                          2 * core.num_edges, core_forest, _reduction(core)[0])
     return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
 
 

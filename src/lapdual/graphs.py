@@ -316,6 +316,8 @@ def classify_edges(g: MultiGraph):
 
 def permute_vertices(g: MultiGraph, perm) -> MultiGraph:
     """Relabel vertices: old vertex v becomes perm[v]."""
+    if sorted(perm) != list(range(g.num_vertices)):
+        raise ValueError("perm is not a permutation of the vertices")
     return MultiGraph(g.num_vertices,
                       tuple([(perm[u], perm[v]) for u, v in g.edges]), g.name)
 
@@ -326,6 +328,8 @@ def identify_vertices(g: MultiGraph, vertex_set) -> MultiGraph:
     merged = set(vertex_set)
     if not merged:
         raise ValueError("cannot identify an empty vertex set")
+    if not all(0 <= v < g.num_vertices for v in merged):
+        raise ValueError("vertex out of range")
     remap = {}
     nxt = 1
     for v in range(g.num_vertices):

@@ -6,11 +6,11 @@ writing each column into its edge position directly.  The flow matrix is
 read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
 
-The vertex side takes a ReductionSpec, the vertices V0 whose rows it
-deletes.  The flow side (flow matrix, cut block, superbase, flow and cut
-Grams, dual Laplacian) depends on the maximal forest only: its rows span
-the kernel of the incidence matrix, which is the kernel of every reduced
-incidence whatever V0 deletes.
+The vertex side takes V0, a list of vertices with one from each component,
+whose rows it deletes.  The flow side (flow matrix, cut block, superbase,
+flow and cut Grams, dual Laplacian) depends on the maximal forest only: its
+rows span the kernel of the incidence matrix, which is the kernel of every
+reduced incidence whatever V0 deletes.
 """
 
 from collections import Counter
@@ -24,33 +24,21 @@ from .graphs import (ForestCertificate, MultiGraph, adjacency, circuit_through,
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
 
-@dataclass(frozen=True)
-class ReductionSpec:
-    """Vertex set with exactly one member per connected component."""
-
-    v0: tuple
-
-    @staticmethod
-    def of(vertices):
-        return ReductionSpec(tuple(sorted(set(int(v) for v in vertices))))
-
-    def validate(self, g: MultiGraph):
-        chosen = set(self.v0)
+def _reduction(g: MultiGraph, v0=None):
+    """V0, sorted and checked, and the vertices it keeps, ascending.  V0 is
+    any iterable of vertices holding exactly one of each component; by
+    default it is each component's smallest vertex."""
+    comps = components(g)
+    if v0 is None:
+        chosen = {comp[0] for comp in comps}
+    else:
+        chosen = set(int(v) for v in v0)
         if not all(0 <= v < g.num_vertices for v in chosen):
             raise InvalidReductionSpec("vertex out of range")
-        for comp in components(g):
+        for comp in comps:
             if len(chosen.intersection(comp)) != 1:
-                raise InvalidReductionSpec(
-                    f"need exactly one vertex from component {comp}")
-
-    def kept_vertices(self, g: MultiGraph):
-        chosen = set(self.v0)
-        return [v for v in range(g.num_vertices) if v not in chosen]
-
-
-def default_reduction_spec(g: MultiGraph) -> ReductionSpec:
-    """Smallest-index vertex of every component."""
-    return ReductionSpec.of(comp[0] for comp in components(g))
+                raise InvalidReductionSpec(f"need exactly one vertex from component {comp}")
+    return tuple(sorted(chosen)), [v for v in range(g.num_vertices) if v not in chosen]
 
 
 def laplacian(g: MultiGraph) -> IntMatrix:
@@ -66,11 +54,8 @@ def laplacian(g: MultiGraph) -> IntMatrix:
     return IntMatrix.from_rows(m, cols=n)
 
 
-def reduced_laplacian(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
-    if spec is None:
-        spec = default_reduction_spec(g)
-    spec.validate(g)
-    kept = spec.kept_vertices(g)
+def reduced_laplacian(g: MultiGraph, v0=None) -> IntMatrix:
+    _, kept = _reduction(g, v0)
     return laplacian(g).submatrix(kept, kept)
 
 
@@ -85,11 +70,8 @@ def incidence(g: MultiGraph) -> IntMatrix:
     return IntMatrix.from_rows(m, cols=g.num_edges)
 
 
-def reduced_incidence(g: MultiGraph, spec: ReductionSpec = None) -> IntMatrix:
-    if spec is None:
-        spec = default_reduction_spec(g)
-    spec.validate(g)
-    kept = spec.kept_vertices(g)
+def reduced_incidence(g: MultiGraph, v0=None) -> IntMatrix:
+    _, kept = _reduction(g, v0)
     return incidence(g).submatrix(kept, range(g.num_edges))
 
 
@@ -194,29 +176,21 @@ def cut_gram(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     return IntMatrix.identity(c.rows).add(c.mul(c.transpose()))
 
 
-def reduced_dual_laplacian(g: MultiGraph, f: ForestCertificate = None,
-                           u: UnimodularWitness = None) -> DualLaplacianPair:
+def reduced_dual_laplacian(g: MultiGraph, f: ForestCertificate = None) -> DualLaplacianPair:
     base = flow_gram(g, f)
-    if u is None:
-        u = UnimodularWitness(IntMatrix.identity(base.rows))
-    if u.u.rows != base.rows:
-        raise NotUnimodular("witness size does not match the flow Gram matrix")
-    reduced = u.u.mul(base).mul(u.u.transpose())
-    return DualLaplacianPair(reduced=reduced, unreduced=border_last(reduced),
-                             witness=u, gram_base=base)
+    return DualLaplacianPair(reduced=base, unreduced=border_last(base),
+                             witness=UnimodularWitness(IntMatrix.identity(base.rows)),
+                             gram_base=base)
 
 
-def reduction_change_witness(g: MultiGraph, spec_from: ReductionSpec,
-                             spec_to: ReductionSpec) -> UnimodularWitness:
+def reduction_change_witness(g: MultiGraph, v0_from, v0_to) -> UnimodularWitness:
     """Unimodular U with U * N_from = N_to and U * L_from * U^T = L_to.
 
-    Built componentwise: a row deleted by `spec_from` but kept by `spec_to`
-    is minus the sum of that component's surviving rows.
+    Built componentwise: a row deleted by `v0_from` but kept by `v0_to` is
+    minus the sum of that component's surviving rows.
     """
-    spec_from.validate(g)
-    spec_to.validate(g)
-    kept_from = spec_from.kept_vertices(g)
-    kept_to = spec_to.kept_vertices(g)
+    _, kept_from = _reduction(g, v0_from)
+    _, kept_to = _reduction(g, v0_to)
     pos_from = {v: i for i, v in enumerate(kept_from)}
     comp_of = {v: comp for comp in components(g) for v in comp}
     rows = []
@@ -225,7 +199,7 @@ def reduction_change_witness(g: MultiGraph, spec_from: ReductionSpec,
         if w in pos_from:
             row[pos_from[w]] = 1
         else:
-            # w is deleted by spec_from; expand it over its component
+            # w is deleted by v0_from; expand it over its component
             for x in comp_of[w]:
                 if x != w and x in pos_from:
                     row[pos_from[x]] = -1
@@ -240,8 +214,8 @@ class PropertyReport:
     details: dict
 
 
-def _alternate_spec(g):
-    return ReductionSpec.of(comp[-1] for comp in components(g))
+def _alternate_v0(g):
+    return tuple(sorted(comp[-1] for comp in components(g)))
 
 
 def _zero_line_sums(m):
@@ -250,9 +224,9 @@ def _zero_line_sums(m):
 
 
 def _reduction_change(g):
-    """The default and alternate reduction specs, and the witness between them."""
-    spec1, spec2 = default_reduction_spec(g), _alternate_spec(g)
-    return spec1, spec2, reduction_change_witness(g, spec1, spec2)
+    """The default and alternate V0, and the witness between them."""
+    v1, v2 = _reduction(g)[0], _alternate_v0(g)
+    return v1, v2, reduction_change_witness(g, v1, v2)
 
 
 def _second_forest(g, f1):
@@ -321,21 +295,20 @@ def _check_vi(g):
     return ok, {"components": comps}
 
 def _check_vii(g):
-    spec = default_reduction_spec(g)
-    n_full, n_red = incidence(g), reduced_incidence(g, spec)
+    n_full, n_red = incidence(g), reduced_incidence(g)
     ok = n_full.mul(n_full.transpose()) == laplacian(g) and \
-        n_red.mul(n_red.transpose()) == reduced_laplacian(g, spec)
+        n_red.mul(n_red.transpose()) == reduced_laplacian(g)
     return ok, {"incidence": n_full}
 
 def _check_viii(g):
-    spec1, spec2, u = _reduction_change(g)
-    ok = u.u.mul(reduced_incidence(g, spec1)) == reduced_incidence(g, spec2)
-    return ok, {"witness": u, "specs": (spec1, spec2)}
+    v1, v2, u = _reduction_change(g)
+    ok = u.u.mul(reduced_incidence(g, v1)) == reduced_incidence(g, v2)
+    return ok, {"witness": u, "specs": (v1, v2)}
 
 def _check_ix(g):
-    spec1, spec2, u = _reduction_change(g)
-    l1 = reduced_laplacian(g, spec1)
-    return u.u.mul(l1).mul(u.u.transpose()) == reduced_laplacian(g, spec2), {"witness": u}
+    v1, v2, u = _reduction_change(g)
+    l1 = reduced_laplacian(g, v1)
+    return u.u.mul(l1).mul(u.u.transpose()) == reduced_laplacian(g, v2), {"witness": u}
 
 def _check_x(g):
     from .congruence import property_x_report
@@ -347,10 +320,10 @@ def _check_x(g):
     return report.consistent and statuses == ("true",) * 4, {"report": report}
 
 def _check_xi(g):
-    spec, f = default_reduction_spec(g), maximal_forest(g)
-    forest_cols = incidence(g).submatrix(spec.kept_vertices(g), f.forest_edges)
+    f = maximal_forest(g)
+    forest_cols = incidence(g).submatrix(_reduction(g)[1], f.forest_edges)
     gram = cut_gram(g, f)
-    ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g, spec)
+    ok = forest_cols.mul(gram).mul(forest_cols.transpose()) == reduced_laplacian(g)
     return ok, {"witness": forest_cols}
 
 def _check_i_star(g):
@@ -404,7 +377,7 @@ def _check_vii_star(g):
 def _check_viii_star(g):
     f1, f2, fm1, fm2, u = _forest_change(g)
     # the flow rows lie in the kernel of the reduced incidence for any V0
-    in_kernel = fm1.mul(reduced_incidence(g, _alternate_spec(g)).transpose()).is_zero()
+    in_kernel = fm1.mul(reduced_incidence(g, _alternate_v0(g)).transpose()).is_zero()
     ok = in_kernel and u is not None and u.u.mul(fm1) == fm2
     return ok, {"witness": u, "forests": (f1, f2)}
 

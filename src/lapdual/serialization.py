@@ -144,7 +144,6 @@ def certificate_from_json(obj) -> DualCertificate:
     """Rebuild a dual certificate; its dual graph lists each edge from tail to
     head."""
     from .duality import DualCertificate
-    from .laplacians import ReductionSpec
     lap = obj.get("laplacian_witness")
     return DualCertificate(
         dual_graph=graph_from_json(obj["dual_graph"]),
@@ -153,7 +152,7 @@ def certificate_from_json(obj) -> DualCertificate:
         trace=_int(obj["trace"]),
         core_edges=_ints(obj["core_edges"]),
         core_forest=forest_from_json(obj["core_forest"]),
-        core_v0=ReductionSpec.of(_ints(obj["core_v0"])),
+        core_v0=tuple(sorted(set(_ints(obj["core_v0"])))),
         laplacian_witness=witness_from_json(lap) if lap else None)
 
 
@@ -228,7 +227,6 @@ _TO_JSON = {
     "MultiGraph": graph_to_json,
     "ForestCertificate": lambda f: {"forest_edges": list(f.forest_edges),
                                     "cotree_edges": list(f.cotree_edges)},
-    "ReductionSpec": lambda spec: list(spec.v0),
     "SnfResult": lambda r: {"diag": [str(d) for d in r.diag],
                             "left": matrix_to_json(r.left.u),
                             "right": matrix_to_json(r.right.u)},

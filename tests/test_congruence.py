@@ -15,7 +15,7 @@ from lapdual import congruence, intmatrix
 from lapdual.congruence import (ConditionOutcome, _constructive_strict_equivalence,
                                 block_reduction_witness, short_vectors)
 from lapdual.graphs import SearchBudget
-from lapdual.laplacians import ReductionSpec, default_reduction_spec, reduced_dual_laplacian
+from lapdual.laplacians import _reduction, reduced_dual_laplacian
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
                       relist, wall_clock_guard)
@@ -194,8 +194,8 @@ def _norm(a, v):
 
 
 def test_strict_row_equivalence_for_two_reductions(example2):
-    n1 = reduced_incidence(example2, ReductionSpec.of([2]))
-    n2 = reduced_incidence(example2, ReductionSpec.of([0]))
+    n1 = reduced_incidence(example2, (2,))
+    n2 = reduced_incidence(example2, (0,))
     u = strict_row_equivalence(n1, n2)
     assert u is not None
     assert u.u.mul(n1) == n2
@@ -382,7 +382,7 @@ def test_labelled_laplacian_check_agrees_with_isomorphism():
         if verdict.status != "congruent":
             continue
         replay = _constructive_strict_equivalence(g1, g2, verdict)
-        g2p = identify_vertices(g2, default_reduction_spec(g2).v0)
+        g2p = identify_vertices(g2, _reduction(g2)[0])
         assert replay["recovered_laplacian_equals_identified"] == \
             loopless_isomorphic(replay["recovered"], g2p) == replay["ok"]
         attempted += 1

@@ -197,8 +197,15 @@ def test_decide_planarity_example2(example2, example2_dual):
 def test_replay_core_refuses_a_tampered_core(k3, k4):
     # an out-of-range forest edge fails the partition check before any edge
     # is looked up, and a core V0 that is not one vertex per component is
-    # refused although the flow matrix does not read it
+    # refused although the flow matrix does not read it.  Core edges and a
+    # beta outside g's edges replay False, negative ones included, which
+    # Python would otherwise read from the end
     cert = json.loads(dumps(decide_planarity(k4).certificate))
+    assert certificate_from_json(cert).replay_core(k4)
+    for tampered in ({"core_edges": [e - 6 for e in cert["core_edges"]]},
+                     {"beta": [e - 6 for e in cert["beta"]]},
+                     {"core_edges": [0, 1, 2, 3, 4, 99]}):
+        assert not certificate_from_json(dict(cert, **tampered)).replay_core(k4)
     forest = dict(cert["core_forest"], forest_edges=[0, 1, 9])
     with pytest.raises(NotMaximalForest):
         certificate_from_json(dict(cert, core_forest=forest)).replay_core(k4)

@@ -255,6 +255,14 @@ def test_identify_vertices():
     assert merged.edges == ((0, 1), (0, 2), (1, 0))
 
 
+def test_relabelling_refuses_vertices_it_cannot_honour(k4):
+    with pytest.raises(ValueError):
+        identify_vertices(k4, [99])
+    for perm in ([0, 0, 0, 0], [0, 1, 2], [0, 1, 2, 4]):
+        with pytest.raises(ValueError):
+            permute_vertices(k4, perm)
+
+
 def test_permute_and_isomorphism(k4):
     perm = (2, 0, 3, 1)
     assert loopless_isomorphic(k4, permute_vertices(k4, perm))

@@ -18,13 +18,13 @@ EXPORTS = [
     "LoopCountMismatch", "MalformedInput", "MultiGraph", "NonplanarInput",
     "NotCotreeEdge", "NotMaximalForest", "NotSquare", "NotSymmetric",
     "NotUnimodular", "PlanarityResult", "PropertyReport",
-    "PropertyXReport", "ReductionSpec", "RowSumNonzero", "ShapeMismatch",
+    "PropertyXReport", "RowSumNonzero", "ShapeMismatch",
     "SnfResult", "SuperbaseState", "TraceTooLarge", "TwoIsomorphismResult",
     "UnimodularWitness", "UnknownTag", "border_first", "border_last",
     "classify_edges", "components", "congruence", "congruence_invariants",
     "construct_abstract_dual", "cut_block", "cut_gram", "cut_vector",
     "decide_2_isomorphism_bruteforce", "decide_congruence", "decide_planarity",
-    "default_reduction_spec", "descent", "det_bareiss", "duality", "errors",
+    "descent", "det_bareiss", "duality", "errors",
     "flow_gram", "flow_matrix", "fundamental_circuit_vector", "graphs",
     "hermite_normal_form", "hnf_nonzero_part", "identify_vertices", "incidence",
     "inertia", "intmatrix", "inverse_unimodular", "is_connected", "laplacian",
@@ -74,7 +74,7 @@ def loaded_by_cli(*argvs):
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 81
+    assert len(EXPORTS) == 79
     assert lapdual.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(lapdual))
 

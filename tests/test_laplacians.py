@@ -7,13 +7,13 @@ import pytest
 
 from lapdual import (BudgetExceeded, ForestCertificate, IntMatrix,
                      InvalidReductionSpec, LapdualError, MultiGraph, NotMaximalForest,
-                     UnknownTag, det_bareiss,
+                     UnknownTag, components, det_bareiss,
                      fundamental_circuit_vector, maximal_forest, permute_vertices)
 from lapdual import laplacians
 from lapdual.errors import PROPERTY_TAGS
-from lapdual.laplacians import (ReductionSpec, border_first,
+from lapdual.laplacians import (DualLaplacianPair, _reduction, border_first,
                                 border_last, cut_block, cut_gram,
-                                default_reduction_spec, flow_gram, flow_matrix,
+                                flow_gram, flow_matrix,
                                 incidence, laplacian, reduced_dual_laplacian,
                                 reduced_incidence, reduced_laplacian,
                                 reduction_change_witness, superbase_matrix,
@@ -42,13 +42,13 @@ def test_laplacian_single_loop():
 
 
 def test_reduced_laplacian_k3(k3):
-    red = reduced_laplacian(k3, ReductionSpec.of([2]))
+    red = reduced_laplacian(k3, (2,))
     assert red.to_lists() == [[2, -1], [-1, 2]]
     assert det_bareiss(red) == 3
 
 
 def test_reduced_laplacian_example1(example1):
-    red = reduced_laplacian(example1, ReductionSpec.of([1]))
+    red = reduced_laplacian(example1, (1,))
     assert red.to_lists() == [[3]]
     assert det_bareiss(red) == 3
 
@@ -60,11 +60,52 @@ def test_reduced_laplacian_of_tree_has_det_one():
 
 def test_reduction_spec_validation(k3):
     with pytest.raises(InvalidReductionSpec):
-        reduced_laplacian(k3, ReductionSpec.of([0, 1]))
+        reduced_laplacian(k3, (0, 1))
     disco = MultiGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(InvalidReductionSpec):
-        reduced_laplacian(disco, ReductionSpec.of([0]))
-    assert reduced_laplacian(disco, ReductionSpec.of([0, 2])).rows == 2
+        reduced_laplacian(disco, (0,))
+    assert reduced_laplacian(disco, (0, 2)).rows == 2
+
+
+def test_v0_is_any_list_with_one_vertex_per_component():
+    # order and repeats in V0 change nothing; a V0 that is out of range,
+    # takes two vertices of a component or misses one is refused
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=7, max_m=5)
+        comps = components(g)
+        if len(comps) < 2:
+            continue
+        v0s = [tuple(sorted(rng.choice(comp) for comp in comps)) for _ in range(3)]
+        for v0 in v0s:
+            given = list(v0) + [rng.choice(v0) for _ in range(2)]
+            rng.shuffle(given)
+            n_red, lap = reduced_incidence(g, given), reduced_laplacian(g, given)
+            assert lap == n_red.mul(n_red.transpose())
+            assert (n_red, lap) == (reduced_incidence(g, v0), reduced_laplacian(g, v0))
+        for v0_from, v0_to in zip(v0s, v0s[1:]):
+            u = reduction_change_witness(g, v0_from, v0_to).u
+            assert u.mul(reduced_incidence(g, v0_from)) == reduced_incidence(g, v0_to)
+            assert u.mul(reduced_laplacian(g, v0_from)).mul(u.transpose()) == \
+                reduced_laplacian(g, v0_to)
+        i = rng.randrange(len(comps))
+        bad = [(v0s[0] + (-1,), "vertex out of range"),
+               (v0s[0] + (g.num_vertices,), "vertex out of range"),
+               (tuple(v for v in v0s[0] if v not in comps[i]),
+                f"need exactly one vertex from component {comps[i]}")]
+        wide = [comp for comp in comps if len(comp) > 1]
+        if wide:
+            extra = next(v for v in wide[0] if v not in v0s[0])
+            bad.append((v0s[0] + (extra,),
+                        f"need exactly one vertex from component {wide[0]}"))
+        for v0, message in bad:
+            for reduce in (reduced_laplacian, reduced_incidence):
+                with pytest.raises(InvalidReductionSpec) as exc:
+                    reduce(g, v0)
+                assert str(exc.value) == message
+        checked += 1
+    assert checked >= 50
 
 
 def test_incidence_example2_matches_golden(example2):
@@ -104,7 +145,7 @@ def test_cut_block_rejects_non_forest(k3):
 def test_incidence_factorization(example2):
     # reduced incidence equals the forest block times (identity | cut block)
     # written back into edge order
-    spec = ReductionSpec.of([2])
+    spec = (2,)
     f = maximal_forest(example2)
     n_red = reduced_incidence(example2, spec)
     forest_block = n_red.submatrix(range(n_red.rows), f.forest_edges)
@@ -192,7 +233,9 @@ def test_reduced_dual_laplacian_example1(example1):
 def test_dual_pair_with_witness(example1):
     from lapdual import UnimodularWitness
     u = UnimodularWitness(IntMatrix.from_rows([[1, 1], [0, 1]]))
-    pair = reduced_dual_laplacian(example1, None, u)
+    base = flow_gram(example1)
+    reduced = u.u.mul(base).mul(u.u.transpose())
+    pair = DualLaplacianPair(reduced, border_last(reduced), u, base)
     assert pair.reduced == u.u.mul(pair.gram_base).mul(u.u.transpose())
     assert pair.unreduced == border_last(pair.reduced)
 
@@ -200,12 +243,11 @@ def test_dual_pair_with_witness(example1):
 def test_property_xi_witness(k3):
     # the forest block of the reduced incidence conjugates the cut Gram
     # matrix onto the reduced Laplacian
-    spec = default_reduction_spec(k3)
+    v0, kept = _reduction(k3)
     f = maximal_forest(k3)
-    kept = spec.kept_vertices(k3)
     block = incidence(k3).submatrix(kept, f.forest_edges)
     gram = cut_gram(k3, f)
-    assert block.mul(gram).mul(block.transpose()) == reduced_laplacian(k3, spec)
+    assert block.mul(gram).mul(block.transpose()) == reduced_laplacian(k3, v0)
 
 
 def test_two_forests_of_k4_give_congruent_duals(k4):
@@ -229,8 +271,8 @@ def test_matrix_tree_for_flow_gram(k4):
 
 
 def test_reduction_change_witness_moves_both_matrices(example2):
-    spec1 = ReductionSpec.of([2])
-    spec2 = ReductionSpec.of([6])
+    spec1 = (2,)
+    spec2 = (6,)
     u = reduction_change_witness(example2, spec1, spec2)
     assert u.u.mul(reduced_incidence(example2, spec1)) == reduced_incidence(example2, spec2)
     assert u.u.mul(reduced_laplacian(example2, spec1)).mul(u.u.transpose()) == \

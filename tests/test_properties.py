@@ -19,7 +19,7 @@ from lapdual import (IntMatrix, MultiGraph, UnimodularWitness,
                      reduced_incidence, reduced_laplacian, smith_normal_form,
                      superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
-from lapdual.laplacians import ReductionSpec, cut_block, flow_gram, flow_matrix
+from lapdual.laplacians import cut_block, flow_gram, flow_matrix
 
 from conftest import relist, wall_clock_guard
 from oracles import (count_maximal_forests, enumerate_maximal_forests,
@@ -120,7 +120,7 @@ def unimodular(draw, n, steps=8):
 
 def random_spec(g, pick_last):
     comps = components(g)
-    return ReductionSpec.of((comp[-1] if pick_last else comp[0]) for comp in comps)
+    return tuple((comp[-1] if pick_last else comp[0]) for comp in comps)
 
 
 # ---------------------------------------------------------------- graph-core
