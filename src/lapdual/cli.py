@@ -1,21 +1,24 @@
 """Batch command-line front end.
 
-Reads graph/matrix JSON, dispatches one subcommand, prints one JSON document
-(or DOT text) and exits with: 0 success or affirmative decision, 1 negative
+Reads graph/matrix JSON, runs one subcommand, prints one JSON document (or
+DOT text) and exits with: 0 success or affirmative decision, 1 negative
 decision, 2 unknown (budget ran out), 64 usage error, 65 malformed input.
 
 Each subcommand is declared once, as a row of `_COMMANDS`: its help line,
-positional names and flags.  `build_parser` adds one subparser per row, and
-`config_from_args` reads the input paths and flag values from the same row.
+positional names, flags and runner.  `build_parser` adds one subparser per
+row, and `run` hands the parsed arguments to the row's runner, so the parser
+holds every default, `LAPDUAL_BUDGET` included.
 
 The front end loads only `argparse`, `os`, `sys` and `errors`.  `_load_json`
-imports `json`, and `_dispatch` and `run` only the layers the subcommand runs,
-so `--help` and usage errors load none of them.
+imports `json`, and a runner reaches its layers through the package's lazy
+exports, so `--help` and usage errors load none of them.
 """
 
 import argparse
 import os
 import sys
+
+import lapdual
 
 from .errors import (PROPERTY_TAGS, BudgetExceeded, EmptyOrFullSet,
                      InvalidReductionSpec, LapdualError, LoopCountMismatch,
@@ -52,26 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class CliConfig:
-    """One parsed invocation: subcommand, input paths and the shared knobs."""
-
-    __slots__ = ("command", "inputs", "budget", "forest", "v0", "beta", "tag", "out")
-
-    def __init__(self, command: str, inputs: tuple, budget: int = DEFAULT_BUDGET,
-                 forest: str = None, v0: str = None, beta: str = "identity",
-                 tag: str = None, out: str = None):
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
-        self.command = command
-        self.inputs = inputs
-        self.budget = budget
-        self.forest = forest
-        self.v0 = v0
-        self.beta = beta
-        self.tag = tag
-        self.out = out
-
-
 def _parse_index_tokens(text, prefix):
     """Comma-separated indices; bare integers are 0-based, `e3`/`v3` style
     tokens use 1-based labels."""
@@ -99,30 +82,96 @@ def _load_json(path):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
-# subcommand -> (help, positional names, flag names), in --help order; every
-# subcommand also takes the common --budget and --out
+def _graph(path):
+    from .serialization import graph_from_json
+    return graph_from_json(_load_json(path))
+
+
+def _matrix(path):
+    from .serialization import matrix_from_json
+    return matrix_from_json(_load_json(path))
+
+
+def _v0(args):
+    return None if args.v0 is None else _parse_index_tokens(args.v0, "v")
+
+
+def _ok(payload):
+    return payload, EXIT_OK
+
+
+def _decision(result):
+    return result, DECISION_EXITS[result.truth]
+
+
+def _on_forest(build, args):
+    """build(g, forest) on the input graph and the --forest edges; a build
+    takes the greedy maximal forest when none is given."""
+    g = _graph(args.graph)
+    f = None if args.forest is None else \
+        lapdual.ForestCertificate.from_forest(g, _parse_index_tokens(args.forest, "e"))
+    return _ok(build(g, f))
+
+
+def _verify_property(args):
+    report = lapdual.verify_property(_graph(args.graph), args.tag)
+    return report, EXIT_OK if report.passed else EXIT_NEGATIVE
+
+
+def _verify_dual(args):
+    g1, g2 = _graph(args.graph_a), _graph(args.graph_b)
+    beta = range(g1.num_edges) if args.beta == "identity" else \
+        _parse_index_tokens(args.beta, "e")
+    report = lapdual.verify_abstract_dual(g1, g2, beta)
+    return report, EXIT_OK if report.ok else EXIT_NEGATIVE
+
+
+def _emit_dot(args):
+    from .serialization import emit_dot
+    return _ok(emit_dot(_graph(args.graph)))
+
+
+# subcommand -> (help, positional names, flag names, runner), in --help order;
+# every subcommand also takes --budget and --out.  A runner maps the parsed
+# arguments to (payload, exit code), the payload being a raw string for DOT
 _COMMANDS = {
-    "laplacian": ("Laplacian matrix", ("graph",), ()),
-    "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",)),
-    "incidence": ("incidence matrix (reduced when --v0 is given)", ("graph",), ("--v0",)),
-    "cut-block": ("fundamental-cut block", ("graph",), ("--forest",)),
-    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest",)),
-    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",), ("--forest",)),
-    "snf": ("Smith normal form with witnesses", ("matrix",), ()),
+    "laplacian": ("Laplacian matrix", ("graph",), (),
+                  lambda a: _ok(lapdual.laplacian(_graph(a.graph)))),
+    "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",),
+                          lambda a: _ok(lapdual.reduced_laplacian(_graph(a.graph), _v0(a)))),
+    "incidence": ("incidence matrix (reduced when --v0 is given)", ("graph",), ("--v0",),
+                  lambda a: _ok(lapdual.incidence(_graph(a.graph)) if a.v0 is None else
+                                lapdual.reduced_incidence(_graph(a.graph), _v0(a)))),
+    "cut-block": ("fundamental-cut block", ("graph",), ("--forest",),
+                  lambda a: _on_forest(lapdual.cut_block, a)),
+    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest",),
+                    lambda a: _on_forest(lapdual.flow_matrix, a)),
+    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",), ("--forest",),
+                       lambda a: _on_forest(lapdual.reduced_dual_laplacian, a)),
+    "snf": ("Smith normal form with witnesses", ("matrix",), (),
+            lambda a: _ok(lapdual.smith_normal_form(_matrix(a.matrix)))),
     "check-congruence": ("integer congruence of two symmetric matrices",
-                         ("matrix_a", "matrix_b"), ()),
-    "check-2iso": ("2-isomorphism of two multigraphs", ("graph_a", "graph_b"), ()),
-    "verify-property": ("check one Laplacian property tag", ("tag", "graph"), ()),
-    "planarity": ("certified planarity decision", ("graph",), ()),
-    "find-dual": ("construct and verify an abstract dual", ("graph",), ()),
+                         ("matrix_a", "matrix_b"), (),
+                         lambda a: _decision(lapdual.decide_congruence(
+                             _matrix(a.matrix_a), _matrix(a.matrix_b), a.budget))),
+    "check-2iso": ("2-isomorphism of two multigraphs", ("graph_a", "graph_b"), (),
+                   lambda a: _decision(lapdual.decide_2_isomorphism_bruteforce(
+                       _graph(a.graph_a), _graph(a.graph_b), a.budget))),
+    "verify-property": ("check one Laplacian property tag", ("tag", "graph"), (),
+                        _verify_property),
+    "planarity": ("certified planarity decision", ("graph",), (),
+                  lambda a: _decision(lapdual.decide_planarity(_graph(a.graph), a.budget))),
+    "find-dual": ("construct and verify an abstract dual", ("graph",), (),
+                  lambda a: _ok(lapdual.construct_abstract_dual(_graph(a.graph), a.budget))),
     "verify-dual": ("verify an abstract-dual edge bijection", ("graph_a", "graph_b"),
-                    ("--beta",)),
-    "emit-dot": ("render a graph as DOT text", ("graph",), ()),
+                    ("--beta",), _verify_dual),
+    "emit-dot": ("render a graph as DOT text", ("graph",), (), _emit_dot),
 }
 
 # the arguments that need more than a bare name
 _ARGUMENTS = {
     "tag": {"metavar": "TAG", "help": "one of: " + ", ".join(PROPERTY_TAGS)},
+    "--out": {"help": "write the JSON/DOT result to this path"},
     "--forest": {"help": "explicit forest edges, e.g. e1,e2,e4 (1-based) or 0,1,3"},
     "--v0": {"help": "deleted vertices, e.g. v3 (1-based) or 2"},
     "--beta": {"default": "identity",
@@ -131,131 +180,40 @@ _ARGUMENTS = {
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
     # argparse runs a string default through `type` when the flag is absent,
     # so a non-integer LAPDUAL_BUDGET is a usage error like a bad --budget
-    common.add_argument("--budget", type=int,
-                        default=os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
-                        help="elementary steps allowed for searches")
-    common.add_argument("--out", help="write the JSON/DOT result to this path")
-
+    budget = {"type": int, "default": os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
+              "help": "elementary steps allowed for searches"}
     parser = _Parser(prog="lapdual",
                      description="Exact integer Laplacian/dual-Laplacian toolkit "
                                  "for multigraphs: congruence, 2-isomorphism, "
                                  "duality and planarity certificates.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, positionals, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        for arg in positionals + flags:
+    for name, (help_text, positionals, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--budget", **budget)
+        for arg in ("--out",) + positionals + flags:
             p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
     return parser
-
-
-def _dispatch(config: CliConfig):
-    """Returns (payload, exit_code); payload may be a raw string for DOT.
-
-    Reading an input loads serialization and graphs, which is all the first
-    two branches run.  Every other command loads laplacians and intmatrix;
-    only the commands that run congruence or duality load those layers."""
-    from . import graphs, serialization
-
-    def graph(i=0):
-        return serialization.graph_from_json(_load_json(config.inputs[i]))
-
-    def matrix(i=0):
-        return serialization.matrix_from_json(_load_json(config.inputs[i]))
-
-    def forest(g):
-        if config.forest is None:
-            return graphs.maximal_forest(g)
-        edges = _parse_index_tokens(config.forest, "e")
-        return graphs.ForestCertificate.from_forest(g, edges)
-
-    def v0():
-        return None if config.v0 is None else _parse_index_tokens(config.v0, "v")
-
-    def decision(result):
-        return result, DECISION_EXITS[result.truth]
-
-    cmd = config.command
-    if cmd == "emit-dot":
-        return serialization.emit_dot(graph()), EXIT_OK
-    if cmd == "check-2iso":
-        return decision(graphs.decide_2_isomorphism_bruteforce(graph(0), graph(1),
-                                                               config.budget))
-    from . import laplacians
-
-    if cmd == "laplacian":
-        return laplacians.laplacian(graph()), EXIT_OK
-    if cmd == "reduced-laplacian":
-        return laplacians.reduced_laplacian(graph(), v0()), EXIT_OK
-    if cmd == "incidence":
-        if config.v0 is None:
-            return laplacians.incidence(graph()), EXIT_OK
-        return laplacians.reduced_incidence(graph(), v0()), EXIT_OK
-    if cmd == "cut-block":
-        g = graph()
-        return laplacians.cut_block(g, forest(g)), EXIT_OK
-    if cmd == "flow-matrix":
-        g = graph()
-        return laplacians.flow_matrix(g, forest(g)), EXIT_OK
-    if cmd == "dual-laplacian":
-        g = graph()
-        return laplacians.reduced_dual_laplacian(g, forest(g)), EXIT_OK
-    if cmd == "snf":
-        from .intmatrix import smith_normal_form
-        return smith_normal_form(matrix()), EXIT_OK
-    if cmd == "check-congruence":
-        from . import congruence
-        return decision(congruence.decide_congruence(matrix(0), matrix(1), config.budget))
-    if cmd == "verify-property":
-        report = laplacians.verify_property(graph(), config.tag)
-        return report, EXIT_OK if report.passed else EXIT_NEGATIVE
-    if cmd == "planarity":
-        from . import duality
-        return decision(duality.decide_planarity(graph(), config.budget))
-    if cmd == "find-dual":
-        from . import duality
-        return duality.construct_abstract_dual(graph(), config.budget), EXIT_OK
-    if cmd == "verify-dual":
-        from . import duality
-        g1 = graph(0)
-        g2 = graph(1)
-        if config.beta == "identity":
-            beta = tuple(range(g1.num_edges))
-        else:
-            beta = tuple(_parse_index_tokens(config.beta, "e"))
-        report = duality.verify_abstract_dual(g1, g2, beta)
-        return report, EXIT_OK if report.ok else EXIT_NEGATIVE
-    raise AssertionError(f"unhandled command {cmd}")
-
-
-def config_from_args(args) -> CliConfig:
-    _, positionals, flags = _COMMANDS[args.command]
-    # every positional but `tag` is an input path; each flag sets its field: `--v0`, `v0`
-    return CliConfig(args.command,
-                     tuple([getattr(args, name) for name in positionals if name != "tag"]),
-                     args.budget, tag=getattr(args, "tag", None), out=args.out,
-                     **{flag[2:]: getattr(args, flag[2:]) for flag in flags})
 
 
 def _error(exc):
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def run(config: CliConfig) -> int:
-    """Execute one configured invocation; returns the process exit code."""
+def run(args) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
     from . import serialization
 
     try:
-        payload, code = _dispatch(config)
+        payload, code = _COMMANDS[args.command][3](args)
     except (ValueError, LapdualError) as exc:
         payload = _error(exc)
         code = next(code for types, code in ERROR_EXITS if isinstance(exc, types))
     text = payload if isinstance(payload, str) else serialization.dumps(payload)
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
             return code
         except OSError as exc:
@@ -270,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.budget < 0:
         parser.error("--budget must be nonnegative")
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

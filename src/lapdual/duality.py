@@ -104,16 +104,19 @@ class DualCertificate:
         the witness maps it onto the dual core's incidence matrix.  The flow
         matrix does not depend on V0, but a `core_v0` that is not one vertex
         per component of the core is still refused.  A `beta` that is not a
-        permutation of g's edges, or a core edge outside them, replays
-        False."""
+        permutation of g's edges, a core edge outside them, a dual graph
+        with another edge count or too few vertices, or a witness of the
+        wrong size replays False."""
         m = g.num_edges
-        if sorted(self.edge_bijection) != list(range(m)) or \
+        if sorted(self.edge_bijection) != list(range(m)) or self.dual_graph.num_edges != m or \
                 not all(0 <= e < m for e in self.core_edges):
             return False
         core = self.core_graph(g)
         fm = flow_matrix(core, self.core_forest)
         _reduction(core, self.core_v0)
         a = IntMatrix.zeros(1, fm.cols).vstack(fm)
+        if self.witness_z.u.rows != a.rows or self.dual_graph.num_vertices < a.rows:
+            return False
         ca = self.witness_z.u.mul(a)
         core_rows = range(self.witness_z.u.rows)
         core_cols = [self.edge_bijection[e] for e in self.core_edges]

@@ -219,50 +219,31 @@ def _property_x_json(r):
             "unreduced_agree": r.unreduced_proposition.get("agree")}
 
 
-# wire form of each result class, by class name: classes are matched without
-# importing their layers, which a value of such a class has loaded already
+# wire form of each result class whose JSON is not its dataclass fields, by
+# class name: classes are matched without importing their layers, which a
+# value of such a class has loaded already
 _TO_JSON = {
     "IntMatrix": matrix_to_json,
     "UnimodularWitness": lambda w: matrix_to_json(w.u),
-    "MultiGraph": graph_to_json,
-    "ForestCertificate": lambda f: {"forest_edges": list(f.forest_edges),
-                                    "cotree_edges": list(f.cotree_edges)},
     "SnfResult": lambda r: {"diag": [str(d) for d in r.diag],
                             "left": matrix_to_json(r.left.u),
                             "right": matrix_to_json(r.right.u)},
     "CongruenceVerdict": _verdict_json,
-    "TwoIsomorphismResult": lambda r: {"status": r.status,
-                                       "bijection": to_jsonable(r.bijection),
-                                       "reason": r.reason, "nodes_used": r.nodes_used},
-    "KuratowskiEvidence": lambda ev: {"kind": ev.kind,
-                                      "branch_sets": [list(s) for s in ev.branch_sets]},
     "DualCertificate": _certificate_json,
-    "PlanarityResult": lambda r: {"status": r.status,
-                                  "certificate": to_jsonable(r.certificate),
-                                  "evidence": to_jsonable(r.evidence),
-                                  "best_trace": r.best_trace,
-                                  "note": r.note},
     "SuperbaseState": lambda st: {"f_hat": matrix_to_json(st.f_hat),
                                   "gram": matrix_to_json(st.gram),
                                   "trace": st.trace,
                                   "move_log": [list(mv) for mv in st.move_log],
                                   "budget_exhausted": st.budget_exhausted},
-    "DualLaplacianPair": lambda p: {"reduced": matrix_to_json(p.reduced),
-                                    "unreduced": matrix_to_json(p.unreduced),
-                                    "witness": matrix_to_json(p.witness.u),
-                                    "gram_base": matrix_to_json(p.gram_base)},
-    "PropertyReport": lambda r: {"tag": r.tag, "passed": r.passed,
-                                 "details": {k: to_jsonable(v) for k, v in r.details.items()}},
     "PropertyXReport": _property_x_json,
-    "DualityReport": lambda r: {"ok": r.ok,
-                                "forest_size_identity": r.forest_size_identity,
-                                "complement_bijection": r.complement_bijection,
-                                "forest_counts": list(r.forest_counts)},
 }
 
 
 def to_jsonable(value):
-    """Best-effort conversion of result objects into JSON-ready structures."""
+    """The JSON-ready form of a result: a class in `_TO_JSON` takes its row's
+    wire form; a dict, list, tuple or set is converted item by item, a set in
+    sorted order; any other dataclass becomes the dict of its own fields; and
+    anything else is written as str()."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     convert = _TO_JSON.get(type(value).__name__)

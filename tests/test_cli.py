@@ -263,35 +263,47 @@ def test_non_integer_budget_env_is_usage_error(files, capsys, monkeypatch):
 
 
 def test_cli_config_drives_run(files, tmp_path, monkeypatch):
-    from lapdual.cli import CliConfig, run
-    out = tmp_path / "out.json"
-    code = run(CliConfig(command="planarity", inputs=(files["ex2"],),
-                         out=str(out)))
-    assert code == 0
-    assert json.loads(out.read_text())["status"] == "planar"
-    # the keyword defaults are the parser's defaults: same bytes as main
+    # the parser holds every default: running its namespace gives main's bytes
+    from lapdual.cli import build_parser, run
+
+    def both(argv):
+        by_run, by_main = tmp_path / "run.json", tmp_path / "main.json"
+        code = run(build_parser().parse_args(argv + ["--out", str(by_run)]))
+        assert code == main(argv + ["--out", str(by_main)])
+        assert by_run.read_bytes() == by_main.read_bytes()
+        return code, json.loads(by_run.read_text())
+
     monkeypatch.delenv("LAPDUAL_BUDGET", raising=False)
-    for argv in (["planarity", files["ex2"]], ["dual-laplacian", files["ex2"]]):
-        by_config = tmp_path / "config.json"
-        by_main = tmp_path / "main.json"
-        assert run(CliConfig(command=argv[0], inputs=(argv[1],), out=str(by_config))) == \
-            main(argv + ["--out", str(by_main)])
-        assert by_config.read_bytes() == by_main.read_bytes()
-    with pytest.raises(ValueError):
-        CliConfig(command="planarity", inputs=("x",), budget=-1)
+    assert both(["planarity", files["ex2"]])[0] == 0
+    assert both(["dual-laplacian", files["ex2"]])[0] == 0
     # malformed JSON is reported by the reader's lazily imported json
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run(CliConfig(command="laplacian", inputs=(str(bad),), out=str(out))) == 65
-    assert json.loads(out.read_text())["error"]["type"] == "MalformedInput"
+    code, out = both(["laplacian", str(bad)])
+    assert code == 65
+    assert out["error"]["type"] == "MalformedInput"
+    # LAPDUAL_BUDGET is read by the parser alone, so both paths spend it
+    k4 = tmp_path / "k4.json"
+    k4.write_text(json.dumps({"num_vertices": 4, "edges": [
+        [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}))
+    monkeypatch.setenv("LAPDUAL_BUDGET", "0")
+    code, out = both(["planarity", str(k4)])
+    assert code == 2
+    assert out["status"] == "unknown"
 
 
-def test_usage_error_exit():
-    # --v0 is taken only by the commands whose output it changes
-    for argv in (["not-a-command"], ["flow-matrix", "--v0", "v1", "k4.json"]):
+def test_usage_error_exit(monkeypatch):
+    # --v0 is taken only by the commands whose output it changes; a budget
+    # is nonnegative, from the flag or from the environment
+    for argv in (["not-a-command"], ["flow-matrix", "--v0", "v1", "k4.json"],
+                 ["laplacian", "--budget", "-1", "k4.json"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 64
+    monkeypatch.setenv("LAPDUAL_BUDGET", "-1")
+    with pytest.raises(SystemExit) as err:
+        main(["planarity", "k4.json"])
+    assert err.value.code == 64
 
 
 def test_bad_flag_tokens_are_usage_errors(files, capsys):

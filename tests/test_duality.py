@@ -199,12 +199,18 @@ def test_replay_core_refuses_a_tampered_core(k3, k4):
     # is looked up, and a core V0 that is not one vertex per component is
     # refused although the flow matrix does not read it.  Core edges and a
     # beta outside g's edges replay False, negative ones included, which
-    # Python would otherwise read from the end
+    # Python would otherwise read from the end.  So do a dual graph too small
+    # for the core and a witness of the wrong size
     cert = json.loads(dumps(decide_planarity(k4).certificate))
     assert certificate_from_json(cert).replay_core(k4)
+    dual = cert["dual_graph"]
+    identity3 = {"rows": 3, "cols": 3, "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
     for tampered in ({"core_edges": [e - 6 for e in cert["core_edges"]]},
                      {"beta": [e - 6 for e in cert["beta"]]},
-                     {"core_edges": [0, 1, 2, 3, 4, 99]}):
+                     {"core_edges": [0, 1, 2, 3, 4, 99]},
+                     {"dual_graph": dict(dual, edges=dual["edges"][:5])},
+                     {"dual_graph": {"num_vertices": 2, "edges": [[0, 1]] * 6}},
+                     {"witness_z": identity3}):
         assert not certificate_from_json(dict(cert, **tampered)).replay_core(k4)
     forest = dict(cert["core_forest"], forest_edges=[0, 1, 9])
     with pytest.raises(NotMaximalForest):

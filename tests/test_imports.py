@@ -118,6 +118,36 @@ def test_help_and_usage_errors_load_no_layer():
     assert loaded_after(code) == {"lapdual.cli", "lapdual.errors"}
 
 
+# the layers each command loads on K4 beyond cli, errors, graphs and
+# serialization, which every command that reads an input loads: `snf` reads
+# K4's Laplacian and `verify-dual` K4's dual, edge k dual to K4's edge k
+MATRIX_LAYERS = ("intmatrix", "laplacians")
+LOAD_SETS = [(["emit-dot", "K4"], ())] + [
+    ([command, "K4"], MATRIX_LAYERS)
+    for command in ("laplacian", "reduced-laplacian", "incidence", "cut-block",
+                    "flow-matrix", "dual-laplacian")] + [
+    (["snf", "L"], ("intmatrix",)),
+    (["check-2iso", "K4", "K4"], MATRIX_LAYERS),
+    (["verify-property", "I", "K4"], MATRIX_LAYERS),
+    (["check-congruence", "L", "L"], MATRIX_LAYERS + ("congruence",)),
+    (["planarity", "K4"], MATRIX_LAYERS + ("duality",)),
+    (["verify-dual", "K4", "DUAL"], MATRIX_LAYERS + ("duality",)),
+    (["find-dual", "K4"], MATRIX_LAYERS + ("congruence", "duality"))]
+
+
+@pytest.mark.parametrize("argv, layers", LOAD_SETS, ids=[argv[0] for argv, _ in LOAD_SETS])
+def test_each_command_loads_exactly_its_layers(argv, layers, k4, tmp_path):
+    laplacian = tmp_path / "l.json"
+    laplacian.write_text('{"rows": 4, "cols": 4, "data": [[3, -1, -1, -1], [-1, 3, -1, -1], '
+                         '[-1, -1, 3, -1], [-1, -1, -1, 3]]}')
+    dual = tmp_path / "dual.json"
+    dual.write_text('{"num_vertices": 4, "edges": [[3, 1], [2, 3], [1, 2], [3, 0], [0, 1], [2, 0]]}')
+    paths = {"K4": k4, "L": str(laplacian), "DUAL": str(dual)}
+    loaded = loaded_by_cli([paths.get(arg, arg) for arg in argv])
+    assert {m for m in loaded if m.startswith("lapdual.")} == \
+        {f"lapdual.{m}" for m in ("cli", "errors", "graphs", "serialization") + layers}
+
+
 def test_emit_dot_leaves_the_matrix_layers_unloaded(k4):
     # graphs' dataclasses import inspect; serialization imports json
     assert loaded_by_cli(["emit-dot", k4]) == {
