@@ -5,9 +5,11 @@ DOT text) and exits with: 0 success or affirmative decision, 1 negative
 decision, 2 unknown (budget ran out), 64 usage error, 65 malformed input.
 
 Each subcommand is declared once, as a row of `_COMMANDS`: its help line,
-positional names, flags and runner.  `build_parser` adds one subparser per
-row, and `run` hands the parsed arguments to the row's runner, so the parser
-holds every default, `LAPDUAL_BUDGET` included.
+argument names and runner.  `build_parser` adds one subparser per row, and
+`run` hands the parsed arguments to the row's runner, so the parser holds
+every default.  Only the four searches (`check-congruence`, `check-2iso`,
+`planarity`, `find-dual`) take `--budget`, whose default `LAPDUAL_BUDGET`
+overrides; no other command reads either.
 
 The front end loads only `argparse`, `os`, `sys` and `errors`.  `_load_json`
 imports `json`, and a runner reaches its layers through the package's lazy
@@ -20,18 +22,8 @@ import sys
 
 import lapdual
 
-from .errors import (PROPERTY_TAGS, BudgetExceeded, EmptyOrFullSet,
-                     InvalidReductionSpec, LapdualError, LoopCountMismatch,
-                     MalformedInput, NotCotreeEdge, NotMaximalForest, NotSquare,
-                     NotSymmetric, NotUnimodular, RowSumNonzero, ShapeMismatch,
-                     TraceTooLarge, UnknownTag)
-
-# violations of an input contract: the file parsed, but its content cannot be
-# used with the requested operation
-INPUT_ERRORS = (MalformedInput, InvalidReductionSpec, NotMaximalForest,
-                NotCotreeEdge, EmptyOrFullSet, NotSymmetric, NotSquare,
-                NotUnimodular, ShapeMismatch, LoopCountMismatch, RowSumNonzero,
-                TraceTooLarge)
+from .errors import (PROPERTY_TAGS, BudgetExceeded, LapdualError, MalformedInput,
+                     NonplanarInput, UnknownTag)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -41,11 +33,13 @@ EXIT_MALFORMED = 65
 
 # a decision exits by its tri-state reading
 DECISION_EXITS = {"true": EXIT_OK, "false": EXIT_NEGATIVE, "unknown": EXIT_UNKNOWN}
-# an error exits by the first row whose types it matches
+# an error exits by the first row whose types it matches; every other library
+# error is the violation of an input contract: the file parsed, but its
+# content cannot be used with the requested operation
 ERROR_EXITS = (((UnknownTag, ValueError), EXIT_USAGE),
-               (INPUT_ERRORS, EXIT_MALFORMED),
                (BudgetExceeded, EXIT_UNKNOWN),
-               (LapdualError, EXIT_NEGATIVE))
+               (NonplanarInput, EXIT_NEGATIVE),
+               (LapdualError, EXIT_MALFORMED))
 
 DEFAULT_BUDGET = 10**6
 
@@ -131,41 +125,43 @@ def _emit_dot(args):
     return _ok(emit_dot(_graph(args.graph)))
 
 
-# subcommand -> (help, positional names, flag names, runner), in --help order;
-# every subcommand also takes --budget and --out.  A runner maps the parsed
+# subcommand -> (help, arguments, runner), in --help order.  A command's
+# arguments are added in the order given, so --budget, which only the four
+# searches take, stays ahead of --out in their help.  A runner maps the parsed
 # arguments to (payload, exit code), the payload being a raw string for DOT
 _COMMANDS = {
-    "laplacian": ("Laplacian matrix", ("graph",), (),
+    "laplacian": ("Laplacian matrix", ("--out", "graph"),
                   lambda a: _ok(lapdual.laplacian(_graph(a.graph)))),
-    "reduced-laplacian": ("reduced Laplacian", ("graph",), ("--v0",),
+    "reduced-laplacian": ("reduced Laplacian", ("--out", "graph", "--v0"),
                           lambda a: _ok(lapdual.reduced_laplacian(_graph(a.graph), _v0(a)))),
-    "incidence": ("incidence matrix (reduced when --v0 is given)", ("graph",), ("--v0",),
+    "incidence": ("incidence matrix (reduced when --v0 is given)", ("--out", "graph", "--v0"),
                   lambda a: _ok(lapdual.incidence(_graph(a.graph)) if a.v0 is None else
                                 lapdual.reduced_incidence(_graph(a.graph), _v0(a)))),
-    "cut-block": ("fundamental-cut block", ("graph",), ("--forest",),
+    "cut-block": ("fundamental-cut block", ("--out", "graph", "--forest"),
                   lambda a: _on_forest(lapdual.cut_block, a)),
-    "flow-matrix": ("fundamental-circuit matrix", ("graph",), ("--forest",),
+    "flow-matrix": ("fundamental-circuit matrix", ("--out", "graph", "--forest"),
                     lambda a: _on_forest(lapdual.flow_matrix, a)),
-    "dual-laplacian": ("reduced and bordered dual Laplacian", ("graph",), ("--forest",),
+    "dual-laplacian": ("reduced and bordered dual Laplacian", ("--out", "graph", "--forest"),
                        lambda a: _on_forest(lapdual.reduced_dual_laplacian, a)),
-    "snf": ("Smith normal form with witnesses", ("matrix",), (),
+    "snf": ("Smith normal form with witnesses", ("--out", "matrix"),
             lambda a: _ok(lapdual.smith_normal_form(_matrix(a.matrix)))),
     "check-congruence": ("integer congruence of two symmetric matrices",
-                         ("matrix_a", "matrix_b"), (),
+                         ("--budget", "--out", "matrix_a", "matrix_b"),
                          lambda a: _decision(lapdual.decide_congruence(
                              _matrix(a.matrix_a), _matrix(a.matrix_b), a.budget))),
-    "check-2iso": ("2-isomorphism of two multigraphs", ("graph_a", "graph_b"), (),
+    "check-2iso": ("2-isomorphism of two multigraphs",
+                   ("--budget", "--out", "graph_a", "graph_b"),
                    lambda a: _decision(lapdual.decide_2_isomorphism_bruteforce(
                        _graph(a.graph_a), _graph(a.graph_b), a.budget))),
-    "verify-property": ("check one Laplacian property tag", ("tag", "graph"), (),
+    "verify-property": ("check one Laplacian property tag", ("--out", "tag", "graph"),
                         _verify_property),
-    "planarity": ("certified planarity decision", ("graph",), (),
+    "planarity": ("certified planarity decision", ("--budget", "--out", "graph"),
                   lambda a: _decision(lapdual.decide_planarity(_graph(a.graph), a.budget))),
-    "find-dual": ("construct and verify an abstract dual", ("graph",), (),
+    "find-dual": ("construct and verify an abstract dual", ("--budget", "--out", "graph"),
                   lambda a: _ok(lapdual.construct_abstract_dual(_graph(a.graph), a.budget))),
-    "verify-dual": ("verify an abstract-dual edge bijection", ("graph_a", "graph_b"),
-                    ("--beta",), _verify_dual),
-    "emit-dot": ("render a graph as DOT text", ("graph",), (), _emit_dot),
+    "verify-dual": ("verify an abstract-dual edge bijection",
+                    ("--out", "graph_a", "graph_b", "--beta"), _verify_dual),
+    "emit-dot": ("render a graph as DOT text", ("--out", "graph"), _emit_dot),
 }
 
 # the arguments that need more than a bare name
@@ -182,18 +178,18 @@ _ARGUMENTS = {
 def build_parser():
     # argparse runs a string default through `type` when the flag is absent,
     # so a non-integer LAPDUAL_BUDGET is a usage error like a bad --budget
-    budget = {"type": int, "default": os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
-              "help": "elementary steps allowed for searches"}
+    arguments = {**_ARGUMENTS, "--budget": {
+        "type": int, "default": os.environ.get("LAPDUAL_BUDGET", DEFAULT_BUDGET),
+        "help": "elementary steps allowed for searches"}}
     parser = _Parser(prog="lapdual",
                      description="Exact integer Laplacian/dual-Laplacian toolkit "
                                  "for multigraphs: congruence, 2-isomorphism, "
                                  "duality and planarity certificates.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, positionals, flags, _) in _COMMANDS.items():
+    for name, (help_text, names, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--budget", **budget)
-        for arg in ("--out",) + positionals + flags:
-            p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
+        for arg in names:
+            p.add_argument(arg, **arguments.get(arg, {}))
     return parser
 
 
@@ -206,7 +202,7 @@ def run(args) -> int:
     from . import serialization
 
     try:
-        payload, code = _COMMANDS[args.command][3](args)
+        payload, code = _COMMANDS[args.command][2](args)
     except (ValueError, LapdualError) as exc:
         payload = _error(exc)
         code = next(code for types, code in ERROR_EXITS if isinstance(exc, types))
@@ -226,7 +222,7 @@ def run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget < 0:
+    if getattr(args, "budget", 0) < 0:
         parser.error("--budget must be nonnegative")
     return run(args)
 

@@ -23,7 +23,7 @@ against live in the tests' oracles.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import (BudgetExceeded, EmptyOrFullSet, NotCotreeEdge,
@@ -423,13 +423,20 @@ def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBud
     an even subgraph of g2.  The forest restricted to a prefix is a maximal
     forest of the prefix, so a prefix passes both exactly when it is an
     isomorphism of the restrictions: no true isomorphism is ever pruned.
+
+    When the profiles differ as multisets, as they do when the edge counts
+    differ, it yields nothing and returns, as its StopIteration value, the
+    reason: the first (length, number) pair, in ascending order, that a
+    different number of edges have.
     """
     m = g1.num_edges
-    if m != g2.num_edges:
-        return
     profile1, profile2 = _shortest_circuits(g1), _shortest_circuits(g2)
-    if sorted(profile1) != sorted(profile2):
-        return
+    counts1, counts2 = Counter(profile1), Counter(profile2)
+    for length, number in sorted(counts1.keys() | counts2.keys()):
+        if counts1[length, number] != counts2[length, number]:
+            on = f"{number} shortest circuit(s) of length {length}" if length else "no circuit"
+            return (f"shortest-circuit profiles differ: {counts1[length, number]} against "
+                    f"{counts2[length, number]} edges lie on {on}")
     rest = {e: circuit[:-1] for e, circuit in fundamental_circuits(g1).items()}
     trees = _UnionFind(g2.num_vertices)  # joined by the forest edges' images
     mapping, used = [], [False] * m
@@ -471,12 +478,12 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
     """Search for an edge bijection carrying the cycle matroid of g1 onto that
     of g2; tri-state so exhaustion is never reported as absence.
 
-    Edge, loop and maximal-forest counts and forest sizes are compared first.
-    Each candidate is replayed on the whole graphs: with equal forest sizes
-    it is an isomorphism exactly when every fundamental circuit of g1 maps to
-    an even subgraph of g2."""
-    m = g1.num_edges
-    if m != g2.num_edges:
+    Edge, loop and maximal-forest counts and forest sizes are compared first,
+    and the search names the shortest-circuit profile difference that leaves
+    it no candidate.  Each candidate is replayed on the whole graphs: with
+    equal forest sizes it is an isomorphism exactly when every fundamental
+    circuit of g1 maps to an even subgraph of g2."""
+    if g1.num_edges != g2.num_edges:
         return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
     if g1.num_loops != g2.num_loops:
         return TwoIsomorphismResult("not_two_isomorphic", reason="loop counts differ")
@@ -487,12 +494,15 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
 
     circuits1 = fundamental_circuits(g1).values()
     counter = SearchBudget(budget)
+    candidates = two_isomorphism_candidates(g1, g2, counter)
     try:
-        for candidate in two_isomorphism_candidates(g1, g2, counter):
+        while True:
+            candidate = next(candidates)
             if not any(_odd_vertices(g2, [candidate[k] for k in c]) for c in circuits1):
                 return TwoIsomorphismResult("two_isomorphic", bijection=candidate,
                                             nodes_used=counter.used)
+    except StopIteration as stop:
+        reason = stop.value or "search exhausted"
     except BudgetExceeded:
         return TwoIsomorphismResult("budget_exceeded", nodes_used=counter.used)
-    return TwoIsomorphismResult("not_two_isomorphic", reason="search exhausted",
-                                nodes_used=counter.used)
+    return TwoIsomorphismResult("not_two_isomorphic", reason=reason, nodes_used=counter.used)

@@ -23,6 +23,9 @@ from .graphs import (ForestCertificate, MultiGraph, adjacency, circuit_through,
                      is_maximal_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
+# the fixed search budget of property X's check: verify_property takes none
+PROPERTY_X_BUDGET = 200000
+
 
 def _reduction(g: MultiGraph, v0=None):
     """V0, sorted and checked, and the vertices it keeps, ascending.  V0 is
@@ -313,10 +316,10 @@ def _check_ix(g):
 def _check_x(g):
     from .congruence import property_x_report
     other = MultiGraph(g.num_vertices, g.edges[1:] + g.edges[:1], g.name)
-    report = property_x_report(g, other, budget=200000)
+    report = property_x_report(g, other, budget=PROPERTY_X_BUDGET)
     statuses = report.condition_statuses()
     if report.consistent and "unknown" in statuses and "false" not in statuses:
-        raise BudgetExceeded(f"property X conditions {statuses} at budget 200000")
+        raise BudgetExceeded(f"property X conditions {statuses} at budget {PROPERTY_X_BUDGET}")
     return report.consistent and statuses == ("true",) * 4, {"report": report}
 
 def _check_xi(g):
@@ -412,9 +415,10 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     `congruence`, and X also `duality`; the rest load no further layer.  No
     check has a size cap: III reads the edge multiplicities off L's entries,
     IV* compares det(flow Gram) with the Kirchhoff count of the reduced
-    Laplacian, and VIII* and IX* find the second forest greedily.  Only X
-    raises, BudgetExceeded, when a condition on the edge-rotated copy stays
-    unknown and none is false."""
+    Laplacian, and VIII* and IX* find the second forest greedily.  X compares
+    g with its edge-rotated copy at the fixed budget `PROPERTY_X_BUDGET`, and
+    it alone raises: BudgetExceeded (CLI exit 2) when that budget leaves a
+    condition unknown and none is false."""
     check = _PROPERTY_CHECKS.get(tag)
     if check is None:
         raise UnknownTag(f"unknown property tag {tag!r}")

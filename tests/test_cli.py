@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lapdual.cli import main
+from lapdual.cli import _COMMANDS, main
 from lapdual.serialization import (dumps, graph_from_json, graph_to_json,
                                    matrix_from_json, matrix_to_json)
 from lapdual import IntMatrix, MultiGraph
@@ -254,12 +254,37 @@ def test_budget_env_override(files, capsys, monkeypatch):
 def test_non_integer_budget_env_is_usage_error(files, capsys, monkeypatch):
     monkeypatch.setenv("LAPDUAL_BUDGET", "abc")
     with pytest.raises(SystemExit) as err:
-        main(["laplacian", files["k3"]])
+        main(["planarity", files["k3"]])
     assert err.value.code == 64
     assert "invalid int value: 'abc'" in capsys.readouterr().err
-    # an explicit flag still wins over the environment
-    code, _ = run(capsys, "laplacian", files["k3"], "--budget", "5")
-    assert code == 0
+    # an explicit flag still wins over the environment: 5 steps leave K3 unknown
+    code, _ = run(capsys, "planarity", files["k3"], "--budget", "5")
+    assert code == 2
+
+
+SEARCHES = {"check-congruence", "check-2iso", "planarity", "find-dual"}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_only_the_searches_take_a_budget(command, files, monkeypatch, tmp_path):
+    # the other commands read no budget, so they neither offer --budget nor
+    # fail on a LAPDUAL_BUDGET they never read
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"rows": 2, "cols": 2, "data": [["2", "-1"], ["-1", "2"]]}))
+    inputs = {"tag": "V", "matrix": str(matrix)}
+    argv = [command] + [inputs.get(name.split("_")[0], files["k3"])
+                        for name in _COMMANDS[command][1] if not name.startswith("-")]
+
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as err:
+            return err.code
+
+    monkeypatch.setenv("LAPDUAL_BUDGET", "abc")
+    assert (exit_code(argv) == 64) == (command in SEARCHES)
+    monkeypatch.delenv("LAPDUAL_BUDGET")
+    assert (exit_code(argv + ["--budget", "5"]) == 64) == (command not in SEARCHES)
 
 
 def test_cli_config_drives_run(files, tmp_path, monkeypatch):
@@ -296,7 +321,7 @@ def test_usage_error_exit(monkeypatch):
     # --v0 is taken only by the commands whose output it changes; a budget
     # is nonnegative, from the flag or from the environment
     for argv in (["not-a-command"], ["flow-matrix", "--v0", "v1", "k4.json"],
-                 ["laplacian", "--budget", "-1", "k4.json"]):
+                 ["planarity", "--budget", "-1", "k4.json"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 64

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,8 +10,8 @@ from lapdual import (EmptyOrFullSet, ForestCertificate, MalformedInput, MultiGra
                      components, cut_vector, decide_2_isomorphism_bruteforce,
                      fundamental_circuit_vector, identify_vertices,
                      maximal_forest, permute_vertices)
-from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, is_maximal_forest,
-                            two_isomorphism_candidates)
+from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, forest_count,
+                            is_maximal_forest, two_isomorphism_candidates)
 from lapdual.serialization import forest_from_json
 
 from conftest import (complete_graph, cycle_graph, random_multigraph, relist,
@@ -239,6 +240,48 @@ def test_two_isomorphism_matches_the_circuit_enumeration_oracle(seed):
         theirs = decide_2_isomorphism_oracle(g1, g2)
         assert dataclasses.replace(ours, nodes_used=0) == \
             dataclasses.replace(theirs, nodes_used=0)
+
+
+PROFILE_REASON = re.compile(r"shortest-circuit profiles differ: (\d+) against (\d+) edges "
+                            r"lie on (?:no circuit|(\d+) shortest circuit\(s\) of length (\d+))")
+
+
+def _enumerated_profile(g):
+    """(length, number) of the shortest circuits through each edge, (0, 0)
+    for an edge on none, read off the enumerated circuits."""
+    circuits = enumerate_circuits(g)
+    lengths = [[len(c) for c in circuits if e in c] for e in range(g.num_edges)]
+    return [(min(ls, default=0), ls.count(min(ls, default=0))) for ls in lengths]
+
+
+def test_profile_separated_negatives_name_the_first_difference():
+    # equal Kirchhoff counts pass every prefilter but the forest sizes; the
+    # named edge counts are recomputed from the enumerated circuits
+    rng = random.Random(3)
+    pairs = named = 0
+    while pairs < 400:
+        g1, g2 = [MultiGraph.from_edges(5, [rng.sample(range(5), 2) for _ in range(7)])
+                  for _ in range(2)]
+        if forest_count(g1) != forest_count(g2) or forest_count(g1) == 0:
+            continue
+        pairs += 1
+        res = decide_2_isomorphism_bruteforce(g1, g2)
+        match = PROFILE_REASON.fullmatch(res.reason)
+        profile1, profile2 = _enumerated_profile(g1), _enumerated_profile(g2)
+        if res.reason == "maximal-forest sizes differ" or sorted(profile1) == sorted(profile2):
+            assert match is None
+            continue
+        assert match, res.reason
+        assert (res.status, res.nodes_used) == ("not_two_isomorphic", 0)
+        c1, c2, number, length = match.groups(default="0")
+        named_pair = (int(length), int(number))
+        assert (profile1.count(named_pair), profile2.count(named_pair)) == (int(c1), int(c2))
+        assert c1 != c2
+        # no smaller pair separates them
+        assert all(profile1.count(p) == profile2.count(p)
+                   for p in set(profile1 + profile2) if p < named_pair)
+        named += 1
+    assert named >= 50
 
 
 def test_two_isomorphism_search_on_a_long_cycle():
