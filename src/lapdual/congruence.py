@@ -15,6 +15,9 @@ the witness.  The transforms are plain matrices, unimodular by construction,
 so the lifted witness's determinant is the one a decision checks.  The
 isometry search spends one budget unit per node and per
 candidate it tests, so a budget bounds its work.
+
+The report searches for a 2-isomorphism once, for condition 4, and tests
+the two row equivalences, conditions 2 and 3, on the bijection it finds.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
 from .graphs import (ForestCertificate, MultiGraph, SearchBudget, TwoIsomorphismResult,
                      _bfs_tree, _Verdict, adjacency, component_count, components,
-                     decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest,
-                     two_isomorphism_candidates)
+                     decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest)
 from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
@@ -427,39 +429,34 @@ class PropertyXReport:
         return len(set(self.condition_statuses()) - {"unknown"}) <= 1
 
 
-def _search_row_equivalent_beta(g1, g2, budget):
-    """Look for (beta, signs) making the reduced matrices strictly row
-    equivalent and the unreduced ones loosely row equivalent."""
-    out2 = out3 = None
-    counter = SearchBudget(budget)
-    n1 = reduced_incidence(g1)
-    n2 = reduced_incidence(g2)
-    full1 = incidence(g1)
-    full2 = incidence(g2)
+def _row_equivalence_on_bijection(g1, g2, cond4):
+    """Conditions 2 and 3 on condition 4's bijection: the reduced incidences
+    strictly, and the unreduced ones loosely, row equivalent once its columns
+    are moved by beta and signed.
+
+    Row equivalence under an edge bijection and signs carries one flow
+    lattice onto the other, so the bijection is a cycle-matroid isomorphism:
+    without a 2-isomorphism neither condition holds, and both take condition
+    4's reading.  With one, Camion's signing theorem gives the signs, so a
+    failure here is reported false for `consistent` to flag."""
+    if cond4.truth != "true":
+        outcome = ConditionOutcome(cond4.truth, {"note": f"condition 4 is {cond4.status}"})
+        return outcome, outcome
+    beta = cond4.bijection
     f1 = maximal_forest(g1)
-    rows1 = flow_matrix(g1, f1).data
-    try:
-        for beta in two_isomorphism_candidates(g1, g2, counter):
-            signs = _resolve_orientation_signs(f1, rows1, g2, beta)
-            if signs is None:
-                continue
-            mapped_reduced = _apply_beta_and_signs(n1, beta, signs)
-            mapped_full = _apply_beta_and_signs(full1, beta, signs)
-            if n1.rows == n2.rows:
-                u = strict_row_equivalence(mapped_reduced, n2)
-                if u is not None and out2 is None:
-                    out2 = ConditionOutcome("true", {"beta": beta, "signs": signs, "witness": u})
-            loose, w = loose_row_equivalence(mapped_full, full2)
-            if loose and out3 is None:
-                out3 = ConditionOutcome("true", {"beta": beta, "signs": signs, "witness": w})
-            if out2 is not None and out3 is not None:
-                return out2, out3
-        exhausted2 = out2 or ConditionOutcome("false", {"note": "search exhausted"})
-        exhausted3 = out3 or ConditionOutcome("false", {"note": "search exhausted"})
-        return exhausted2, exhausted3
-    except BudgetExceeded:
-        return (out2 or ConditionOutcome("unknown", {"note": "budget exhausted"}),
-                out3 or ConditionOutcome("unknown", {"note": "budget exhausted"}))
+    signs = _resolve_orientation_signs(f1, flow_matrix(g1, f1).data, g2, beta)
+    witnesses = (None, None)
+    if signs is not None:
+        strict = strict_row_equivalence(
+            _apply_beta_and_signs(reduced_incidence(g1), beta, signs), reduced_incidence(g2))
+        # loose_row_equivalence's witness is None exactly when it answers no
+        _, loose = loose_row_equivalence(
+            _apply_beta_and_signs(incidence(g1), beta, signs), incidence(g2))
+        witnesses = (strict, loose)
+    return tuple([ConditionOutcome("false", {"note": "no signs on condition 4's bijection "
+                                             "make the rows equivalent"}) if w is None else
+                  ConditionOutcome("true", {"beta": beta, "signs": signs, "witness": w})
+                  for w in witnesses])
 
 
 def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
@@ -572,13 +569,17 @@ def _unreduced_proposition(g1, g2, cond1, cond4, budget):
 def property_x_report(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> PropertyXReport:
     """Evaluate the four equivalent conditions relating reduced Laplacian
     congruence, incidence row equivalence under a column bijection, and
-    2-isomorphism, plus their unreduced counterpart."""
+    2-isomorphism, plus their unreduced counterpart.
+
+    Conditions 1 and 4 each run one search at `budget`; conditions 2 and 3
+    are tested on condition 4's bijection, or take its reading when it has
+    none."""
     if g1.num_loops != g2.num_loops:
         raise LoopCountMismatch(f"loop counts differ: {g1.num_loops} vs {g2.num_loops}")
 
     cond4 = decide_2_isomorphism_bruteforce(g1, g2, budget)
     cond1 = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2), budget)
-    cond2, cond3 = _search_row_equivalent_beta(g1, g2, budget)
+    cond2, cond3 = _row_equivalence_on_bijection(g1, g2, cond4)
 
     constructive = _constructive_strict_equivalence(g1, g2, cond1)
     unreduced = _unreduced_proposition(g1, g2, cond1, cond4, budget)

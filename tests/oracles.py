@@ -486,9 +486,22 @@ def _extend_bijection(e, mapping, used, fp1, fp2, by_edge1, circuit_set2, budget
         used[t] = False
 
 
+def enumerated_profile(g: MultiGraph):
+    """(length, number) of the shortest circuits through each edge, (0, 0)
+    for an edge on none, read off the enumerated circuits."""
+    circuits = enumerate_circuits(g)
+    lengths = [[len(c) for c in circuits if e in c] for e in range(g.num_edges)]
+    return [(min(ls, default=0), ls.count(min(ls, default=0))) for ls in lengths]
+
+
 def decide_2_isomorphism_oracle(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> TwoIsomorphismResult:
     """Search for an edge bijection carrying the maximal-forest family of g1
-    onto that of g2; tri-state so exhaustion is never reported as absence."""
+    onto that of g2; tri-state so exhaustion is never reported as absence.
+
+    Past the four count and size prefilters, a pair whose enumerated
+    shortest-circuit profiles differ is refused in the runtime's words: the
+    first (length, number) pair, in ascending order, that a different number
+    of edges have."""
     m = g1.num_edges
     if m != g2.num_edges:
         return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
@@ -504,6 +517,14 @@ def decide_2_isomorphism_oracle(g1: MultiGraph, g2: MultiGraph, budget=10**6) ->
     size2 = len(forests2[0].forest_edges) if forests2 else 0
     if size1 != size2:
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest sizes differ")
+    profile1, profile2 = enumerated_profile(g1), enumerated_profile(g2)
+    for length, number in sorted(set(profile1 + profile2)):
+        c1, c2 = profile1.count((length, number)), profile2.count((length, number))
+        if c1 != c2:
+            on = f"{number} shortest circuit(s) of length {length}" if length else "no circuit"
+            return TwoIsomorphismResult(
+                "not_two_isomorphic",
+                reason=f"shortest-circuit profiles differ: {c1} against {c2} edges lie on {on}")
 
     family2 = set(frozenset(f.forest_edges) for f in forests2)
     counter = SearchBudget(budget)

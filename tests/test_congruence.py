@@ -11,7 +11,7 @@ from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
                      inertia, laplacian, loose_row_equivalence, permute_vertices,
                      property_x_report, reduced_incidence, reduced_laplacian,
                      strict_row_equivalence)
-from lapdual import congruence, intmatrix
+from lapdual import congruence, graphs, intmatrix
 from lapdual.congruence import (ConditionOutcome, _constructive_strict_equivalence,
                                 block_reduction_witness, short_vectors)
 from lapdual.graphs import SearchBudget
@@ -240,14 +240,64 @@ def test_condition_outcome_refuses_a_foreign_status_word():
             ConditionOutcome(word)
 
 
+def k4_relabel_pair(k4):
+    return k4, MultiGraph.from_edges(4, [k4.edges[(k + 2) % 6] for k in range(6)])
+
+
+def moved_and_signed(a, beta, signs):
+    """Column x of a moved to beta[x], then column j scaled by signs[j]."""
+    out = [[0] * a.cols for _ in range(a.rows)]
+    for i, row in enumerate(a.data):
+        for x, value in enumerate(row):
+            out[i][beta[x]] = signs[beta[x]] * value
+    return IntMatrix.from_rows(out, cols=a.cols)
+
+
+def padded(a, rows):
+    return a.vstack(IntMatrix.zeros(rows - a.rows, a.cols))
+
+
+def assert_rows_replay_on_the_bijection(report, g1, g2):
+    """Conditions 2 and 3 hold on condition 4's bijection, and their witnesses
+    carry the moved and signed incidences of g1 onto those of g2."""
+    cond2, cond3 = report.cond2_strict_reduced, report.cond3_loose_unreduced
+    beta = report.cond4_two_isomorphism.bijection
+    assert cond2.detail["beta"] == cond3.detail["beta"] == beta
+    signs = cond2.detail["signs"]
+    assert cond3.detail["signs"] == signs
+    u = cond2.detail["witness"].u
+    assert u.mul(moved_and_signed(reduced_incidence(g1), beta, signs)) == reduced_incidence(g2)
+    full1, full2 = incidence(g1), incidence(g2)
+    rows = max(full1.rows, full2.rows)
+    w = cond3.detail["witness"].u
+    assert w.mul(padded(moved_and_signed(full1, beta, signs), rows)) == padded(full2, rows)
+
+
 def test_property_x_positive_pair(k4):
-    relabeled = MultiGraph.from_edges(4, [k4.edges[(k + 2) % 6] for k in range(6)])
-    report = property_x_report(k4, relabeled, budget=10**6)
+    g1, g2 = k4_relabel_pair(k4)
+    report = property_x_report(g1, g2, budget=10**6)
     assert report.condition_statuses() == ("true", "true", "true", "true")
     assert report.consistent
     assert report.constructive["ok"]
     assert report.unreduced_proposition["agree"]
     assert report.unreduced_proposition["rank_matches_vertices_minus_components"]
+    assert_rows_replay_on_the_bijection(report, g1, g2)
+
+
+def test_property_x_runs_one_two_isomorphism_search(k4, monkeypatch):
+    # the candidate generator profiles each graph once per run, so one
+    # search on the pair profiles two graphs
+    calls = []
+    profile = graphs._shortest_circuits
+
+    def counted(g):
+        calls.append(g)
+        return profile(g)
+
+    monkeypatch.setattr(graphs, "_shortest_circuits", counted)
+    report = property_x_report(*k4_relabel_pair(k4), budget=10**6)
+    assert report.condition_statuses() == ("true", "true", "true", "true")
+    assert len(calls) == 2
 
 
 def test_property_x_negative_pair():
@@ -255,6 +305,29 @@ def test_property_x_negative_pair():
     report = property_x_report(p3, quadrupled(p3), budget=10**6)
     assert report.condition_statuses() == ("false", "false", "false", "false")
     assert report.consistent
+    # conditions 2 and 3 take condition 4's reading and say so
+    for outcome in (report.cond2_strict_reduced, report.cond3_loose_unreduced):
+        assert outcome.detail == {"note": "condition 4 is not_two_isomorphic"}
+
+
+def test_property_x_rows_take_an_exhausted_search_as_unknown(k4):
+    report = property_x_report(*k4_relabel_pair(k4), budget=2)
+    assert report.cond4_two_isomorphism.status == "budget_exceeded"
+    for outcome in (report.cond2_strict_reduced, report.cond3_loose_unreduced):
+        assert outcome.truth == "unknown"
+        assert outcome.detail == {"note": "condition 4 is budget_exceeded"}
+
+
+@pytest.mark.parametrize("broken", ["_resolve_orientation_signs", "strict_row_equivalence"])
+def test_property_x_flags_a_bijection_the_rows_refuse(k4, monkeypatch, broken):
+    # no candidate is tried after condition 4's: a bijection that the signs
+    # or the row equivalence refuse makes condition 2 false, and the report
+    # inconsistent
+    monkeypatch.setattr(congruence, broken, lambda *args: None)
+    report = property_x_report(*k4_relabel_pair(k4), budget=10**6)
+    assert report.cond2_strict_reduced.truth == "false"
+    assert report.cond4_two_isomorphism.truth == "true"
+    assert not report.consistent
 
 
 def test_property_x_on_the_empty_graph():
@@ -315,6 +388,7 @@ def test_property_x_decides_pairs_past_nine_vertices(pair):
     assert report.condition_statuses() == ("true", "true", "true", "true")
     assert report.consistent
     assert report.constructive["ok"]
+    assert_rows_replay_on_the_bijection(report, *pair)
 
 
 def test_isometry_search_spends_per_candidate():

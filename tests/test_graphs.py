@@ -17,7 +17,7 @@ from lapdual.serialization import forest_from_json
 from conftest import (complete_graph, cycle_graph, random_multigraph, relist,
                       wall_clock_guard)
 from oracles import (CapExceeded, decide_2_isomorphism_oracle, enumerate_circuits,
-                     enumerate_maximal_forests, loopless_isomorphic,
+                     enumerate_maximal_forests, enumerated_profile, loopless_isomorphic,
                      two_isomorphism_candidates_oracle)
 
 
@@ -231,9 +231,21 @@ def first_yields(candidates, g1, g2, limit=300):
     return list(itertools.islice(candidates(g1, g2, SearchBudget(10**6)), limit))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_two_isomorphism_matches_the_circuit_enumeration_oracle(seed):
-    for g1, g2 in oracle_pairs(seed):
+# two pairs that pass the count and size prefilters but whose
+# shortest-circuit profiles differ, one of them on edges that lie on no circuit
+PROFILE_SEPARATED_PAIRS = [
+    (MultiGraph.from_edges(5, [(4, 1), (0, 2), (0, 4), (0, 4), (1, 3), (2, 4), (1, 0)]),
+     MultiGraph.from_edges(5, [(2, 4), (2, 1), (3, 4), (3, 4), (4, 0), (4, 2), (3, 1)])),
+    (MultiGraph.from_edges(5, [(1, 2), (1, 3), (2, 1), (1, 4), (0, 4), (3, 1), (4, 0)]),
+     MultiGraph.from_edges(5, [(3, 1), (1, 3), (1, 0), (4, 2), (3, 0), (0, 4), (0, 1)])),
+]
+
+
+@pytest.mark.parametrize("pairs", [oracle_pairs(seed) for seed in (1, 2, 3)]
+                         + [PROFILE_SEPARATED_PAIRS],
+                         ids=["1", "2", "3", "profile_separated"])
+def test_two_isomorphism_matches_the_circuit_enumeration_oracle(pairs):
+    for g1, g2 in pairs:
         assert first_yields(two_isomorphism_candidates, g1, g2) == \
             first_yields(two_isomorphism_candidates_oracle, g1, g2)
         ours = decide_2_isomorphism_bruteforce(g1, g2)
@@ -244,14 +256,6 @@ def test_two_isomorphism_matches_the_circuit_enumeration_oracle(seed):
 
 PROFILE_REASON = re.compile(r"shortest-circuit profiles differ: (\d+) against (\d+) edges "
                             r"lie on (?:no circuit|(\d+) shortest circuit\(s\) of length (\d+))")
-
-
-def _enumerated_profile(g):
-    """(length, number) of the shortest circuits through each edge, (0, 0)
-    for an edge on none, read off the enumerated circuits."""
-    circuits = enumerate_circuits(g)
-    lengths = [[len(c) for c in circuits if e in c] for e in range(g.num_edges)]
-    return [(min(ls, default=0), ls.count(min(ls, default=0))) for ls in lengths]
 
 
 def test_profile_separated_negatives_name_the_first_difference():
@@ -267,7 +271,7 @@ def test_profile_separated_negatives_name_the_first_difference():
         pairs += 1
         res = decide_2_isomorphism_bruteforce(g1, g2)
         match = PROFILE_REASON.fullmatch(res.reason)
-        profile1, profile2 = _enumerated_profile(g1), _enumerated_profile(g2)
+        profile1, profile2 = enumerated_profile(g1), enumerated_profile(g2)
         if res.reason == "maximal-forest sizes differ" or sorted(profile1) == sorted(profile2):
             assert match is None
             continue

@@ -418,8 +418,9 @@ def test_property_x_beyond_nine_edges(name, request):
 
 def test_property_x_out_of_budget_raises_budget_exceeded():
     # the 3x4 grid with each vertex's vertical edge listed first: against its
-    # edge-rotated copy the 2-isomorphism search runs out of its 2e5 budget,
-    # so conditions 2-4 stay unknown while congruence holds
+    # edge-rotated copy condition 4's 2-isomorphism search runs out of its 2e5
+    # budget, and conditions 2 and 3 take its reading, so 2-4 stay unknown
+    # while congruence holds
     g = MultiGraph.from_edges(12, sorted(grid_graph(3, 4).edges, key=lambda e: (e[0], -e[1])))
     with wall_clock_guard(60), pytest.raises(BudgetExceeded):
         verify_property(g, "X")
