@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from .congruence import _row_transform
 from .errors import BudgetExceeded
 from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
-                     classify_edges, greedy_forest)
+                     classify_edges, greedy_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
-from .laplacians import border_first, flow_matrix
+from .laplacians import _flow_coordinates, border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
 
@@ -203,7 +203,8 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
     """
     _, isthmuses = classify_edges(g)
     floor_trace = 2 * (g.num_edges - len(isthmuses))
-    f_start = flow_matrix(g)
+    forest = maximal_forest(g)
+    f_start = flow_matrix(g, forest)
     r = f_start.rows
     rng = random.Random(seed)
     counter = SearchBudget(budget)
@@ -229,7 +230,9 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
                 f_alt = flow_matrix(g, alt)
-                u = _row_transform(f_start, f_alt)
+                u = _flow_coordinates(forest, f_alt.data)
+                if u.mul(f_start) != f_alt:
+                    raise AssertionError("row-equivalence witness failed replay")
                 descent = _Descent(f_alt.data, u.data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])
             else:

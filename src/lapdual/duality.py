@@ -26,8 +26,8 @@ from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
                      forest_size, fundamental_circuits, in_cut_space,
                      maximal_forest, neighbour_sets)
 from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import (_reduction, flow_gram, flow_matrix, incidence,
-                         reduced_incidence, reduced_laplacian)
+from .laplacians import (_flow_coordinates, _reduction, flow_gram, flow_matrix,
+                         incidence, reduced_incidence, reduced_laplacian)
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
@@ -632,16 +632,13 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
         if not verify_kuratowski_evidence(g, evidence):
             raise AssertionError("Kuratowski evidence failed verification")
         return PlanarityResult(NONPLANAR, evidence=evidence)
-    # the lemma reads ca: the faces under minus their sum.  Every face row is
-    # a flow, fixed by its cotree entries, and row j of the flow matrix is -1
-    # at its own cotree edge and 0 at the others, so minus ca's cotree
-    # columns carry the flow matrix onto ca's rows, and z, which puts e_0
-    # before them, carries it under a zero row onto ca
+    # the lemma reads ca: the faces under minus their sum.  z puts e_0 before
+    # ca's flow coordinates, so it carries the flow matrix under a zero row onto ca
     rows = [[face.get(e, 0) for e in range(core.num_edges)] for face in faces]
     ca = [[-sum(col) for col in zip(*rows)]] + rows
     z = UnimodularWitness(IntMatrix.from_rows(
-        [[1 if i == 0 else 0] + [-row[e] for e in core_forest.cotree_edges]
-         for i, row in enumerate(ca)]))
+        [[1 if i == 0 else 0] + list(row)
+         for i, row in enumerate(_flow_coordinates(core_forest, ca).data)]))
     dual_core = _recover(IntMatrix.from_rows(ca, cols=core.num_edges), 2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
                           2 * core.num_edges, core_forest, _reduction(core)[0])
@@ -654,19 +651,19 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6) -> DualCertificate:
     The dual's loop count equals the primal isthmus count by construction,
     and the dual's reduced Laplacian is certified congruent to the primal's
     flow Gram matrix through an explicit row-equivalence witness."""
-    from .congruence import strict_row_equivalence
-
     result = decide_planarity(g, budget)
     if result.status == NONPLANAR:
         raise NonplanarInput("graph is nonplanar; it has no abstract dual")
     if result.status == UNKNOWN:
         raise BudgetExceeded(result.note or "planarity search exhausted its budget")
     cert = result.certificate
-    fm = flow_matrix(g)
+    f = maximal_forest(g)
+    fm = flow_matrix(g, f)
     n_dual = reduced_incidence(cert.dual_graph)
-    u = strict_row_equivalence(fm, n_dual)
-    if u is None:
+    w = _flow_coordinates(f, n_dual.data)
+    if w.mul(fm) != n_dual:
         raise AssertionError("dual incidence rows do not span the primal flow lattice")
+    u = UnimodularWitness(w)
     base = flow_gram(g)
     if u.u.mul(base).mul(u.u.transpose()) != reduced_laplacian(cert.dual_graph):
         raise AssertionError("dual Laplacian congruence failed replay")

@@ -238,24 +238,31 @@ def circuit_through(g: MultiGraph, e: int, adj) -> EdgeVector:
     return tuple(coords)
 
 
+def _require_maximal_forest(g: MultiGraph, f: ForestCertificate):
+    # the partition check comes first: it keeps out-of-range edges away from
+    # is_maximal_forest, which indexes g.edges
+    if tuple(sorted(f.forest_edges + f.cotree_edges)) != tuple(range(g.num_edges)):
+        raise NotMaximalForest("forest and cotree do not partition the edge set")
+    if not is_maximal_forest(g, f.forest_edges):
+        raise NotMaximalForest("edge set is not a maximal forest")
+
+
 def fundamental_circuit_vector(g: MultiGraph, f: ForestCertificate, e: int) -> EdgeVector:
     """Signed circuit vector of cotree edge e: entry -1 at e, forest entries
     oriented so the vector lies in the kernel of the incidence matrix."""
+    _require_maximal_forest(g, f)
     if e not in f.cotree_edges:
         raise NotCotreeEdge(f"edge {e} is not a cotree edge")
-    circuit = circuit_through(g, e, adjacency(g, f.forest_edges))
-    if circuit is None:
-        raise NotMaximalForest(f"the forest does not join the ends of edge {e}")
-    return circuit
+    return circuit_through(g, e, adjacency(g, f.forest_edges))
 
 
 def cut_vector(g: MultiGraph, vertex_set) -> EdgeVector:
     """Signed cut vector of W: +1 for non-loop edges directed into W, -1 out."""
     w = set(vertex_set)
-    if not w or len(w) >= g.num_vertices:
-        raise EmptyOrFullSet("cut requires a proper nonempty vertex set")
     if not all(0 <= v < g.num_vertices for v in w):
         raise ValueError("vertex out of range")
+    if not w or len(w) >= g.num_vertices:
+        raise EmptyOrFullSet("cut requires a proper nonempty vertex set")
     coords = [0] * g.num_edges
     for e, (tail, head) in enumerate(g.edges):
         if head in w and tail not in w:
@@ -480,9 +487,9 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
 
     Edge, loop and maximal-forest counts and forest sizes are compared first,
     and the search names the shortest-circuit profile difference that leaves
-    it no candidate.  Each candidate is replayed on the whole graphs: with
-    equal forest sizes it is an isomorphism exactly when every fundamental
-    circuit of g1 maps to an even subgraph of g2."""
+    it no candidate.  Its first candidate is replayed on the whole graphs, or
+    AssertionError raised: with equal forest sizes it is an isomorphism
+    exactly when every fundamental circuit of g1 maps to an even subgraph."""
     if g1.num_edges != g2.num_edges:
         return TwoIsomorphismResult("not_two_isomorphic", reason="edge counts differ")
     if g1.num_loops != g2.num_loops:
@@ -492,17 +499,15 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
     if forest_size(g1) != forest_size(g2):
         return TwoIsomorphismResult("not_two_isomorphic", reason="maximal-forest sizes differ")
 
-    circuits1 = fundamental_circuits(g1).values()
     counter = SearchBudget(budget)
-    candidates = two_isomorphism_candidates(g1, g2, counter)
     try:
-        while True:
-            candidate = next(candidates)
-            if not any(_odd_vertices(g2, [candidate[k] for k in c]) for c in circuits1):
-                return TwoIsomorphismResult("two_isomorphic", bijection=candidate,
-                                            nodes_used=counter.used)
+        candidate = next(two_isomorphism_candidates(g1, g2, counter))
     except StopIteration as stop:
-        reason = stop.value or "search exhausted"
+        return TwoIsomorphismResult("not_two_isomorphic", reason=stop.value or "search exhausted",
+                                    nodes_used=counter.used)
     except BudgetExceeded:
         return TwoIsomorphismResult("budget_exceeded", nodes_used=counter.used)
-    return TwoIsomorphismResult("not_two_isomorphic", reason=reason, nodes_used=counter.used)
+    circuits = fundamental_circuits(g1).values()
+    if any(_odd_vertices(g2, [candidate[k] for k in c]) for c in circuits):
+        raise AssertionError("2-isomorphism candidate failed replay")
+    return TwoIsomorphismResult("two_isomorphic", bijection=candidate, nodes_used=counter.used)

@@ -5,6 +5,9 @@ its columns in ascending edge order, and block formulas are assembled by
 writing each column into its edge position directly.  The flow matrix is
 read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
+It is -I on its cotree columns, so a flow is fixed by its cotree entries:
+`_flow_coordinates` reads every change of flow basis as minus the new rows'
+cotree columns, the one W with W * flow_matrix = rows, with no Hermite form.
 
 The vertex side takes V0, a list of vertices with one from each component,
 whose rows it deletes.  The flow side (flow matrix, cut block, superbase,
@@ -16,11 +19,10 @@ reduced incidence whatever V0 deletes.
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (BudgetExceeded, InvalidReductionSpec, NotMaximalForest,
-                     NotUnimodular, UnknownTag)
-from .graphs import (ForestCertificate, MultiGraph, adjacency, circuit_through,
-                     classify_edges, components, forest_count, greedy_forest,
-                     is_maximal_forest, maximal_forest)
+from .errors import BudgetExceeded, InvalidReductionSpec, NotUnimodular, UnknownTag
+from .graphs import (ForestCertificate, MultiGraph, _require_maximal_forest,
+                     adjacency, circuit_through, classify_edges, components,
+                     forest_count, greedy_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 
 # the fixed search budget of property X's check: verify_property takes none
@@ -78,15 +80,6 @@ def reduced_incidence(g: MultiGraph, v0=None) -> IntMatrix:
     return incidence(g).submatrix(kept, range(g.num_edges))
 
 
-def _require_maximal_forest(g, f):
-    # the partition check comes first: it keeps out-of-range edges away from
-    # is_maximal_forest, which indexes g.edges
-    if tuple(sorted(f.forest_edges + f.cotree_edges)) != tuple(range(g.num_edges)):
-        raise NotMaximalForest("forest and cotree do not partition the edge set")
-    if not is_maximal_forest(g, f.forest_edges):
-        raise NotMaximalForest("edge set is not a maximal forest")
-
-
 def flow_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     """Fundamental-circuit matrix: one row per cotree edge (ascending), with
     -1 in its own column and its signed forest path in the forest columns.
@@ -98,6 +91,13 @@ def flow_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     adj = adjacency(g, f.forest_edges)
     return IntMatrix.from_rows((circuit_through(g, e, adj) for e in f.cotree_edges),
                                cols=g.num_edges)
+
+
+def _flow_coordinates(f: ForestCertificate, rows) -> IntMatrix:
+    """Minus the cotree columns of `rows`, unchecked: the W with
+    W * flow_matrix(g, f) = rows when those rows are flows of g."""
+    return IntMatrix.from_rows(([-row[e] for e in f.cotree_edges] for row in rows),
+                               cols=len(f.cotree_edges))
 
 
 def cut_block(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
@@ -250,11 +250,14 @@ def _second_forest(g, f1):
 
 def _forest_change(g):
     """Two maximal forests, their flow matrices and a row equivalence or None."""
-    from .congruence import strict_row_equivalence
     f1 = maximal_forest(g)
     f2 = _second_forest(g, f1)
     fm1, fm2 = flow_matrix(g, f1), flow_matrix(g, f2)
-    return f1, f2, fm1, fm2, strict_row_equivalence(fm1, fm2)
+    try:
+        u = UnimodularWitness(_flow_coordinates(f1, fm2.data))
+    except NotUnimodular:
+        u = None
+    return f1, f2, fm1, fm2, u
 
 
 # property checks, one block: each builds only what it reads and returns
@@ -411,14 +414,13 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     """Check one of the classical (un)reduced Laplacian facts or its flow-side
     analogue on the given graph, returning the witnesses used.
 
-    `_PROPERTY_CHECKS` maps each tag to its check.  X, VIII* and IX* load
-    `congruence`, and X also `duality`; the rest load no further layer.  No
-    check has a size cap: III reads the edge multiplicities off L's entries,
-    IV* compares det(flow Gram) with the Kirchhoff count of the reduced
-    Laplacian, and VIII* and IX* find the second forest greedily.  X compares
-    g with its edge-rotated copy at the fixed budget `PROPERTY_X_BUDGET`, and
-    it alone raises: BudgetExceeded (CLI exit 2) when that budget leaves a
-    condition unknown and none is false."""
+    `_PROPERTY_CHECKS` maps each tag to its check; only X loads a further
+    layer, `congruence` and `duality`.  No check has a size cap: III reads
+    the edge multiplicities off L's entries, IV* compares det(flow Gram) with
+    the Kirchhoff count of the reduced Laplacian, and VIII* and IX* find the
+    second forest greedily.  X compares g with its edge-rotated copy at the
+    fixed budget `PROPERTY_X_BUDGET`, and it alone raises: BudgetExceeded
+    (exit 2) when that budget leaves a condition unknown and none is false."""
     check = _PROPERTY_CHECKS.get(tag)
     if check is None:
         raise UnknownTag(f"unknown property tag {tag!r}")

@@ -7,7 +7,7 @@ import pytest
 
 from lapdual import (ForestCertificate, IntMatrix, InvalidReductionSpec,
                      KuratowskiEvidence, MultiGraph, NonplanarInput, NotMaximalForest,
-                     RowSumNonzero, ShapeMismatch,
+                     NotUnimodular, RowSumNonzero, ShapeMismatch,
                      TraceTooLarge, UnimodularWitness, classify_edges,
                      construct_abstract_dual, decide_planarity,
                      hnf_nonzero_part, incidence, inverse_unimodular,
@@ -299,6 +299,26 @@ def test_construct_dual_of_tree_is_loop_bouquet():
 def test_construct_dual_rejects_nonplanar(k5):
     with pytest.raises(NonplanarInput):
         construct_abstract_dual(k5, budget=2 * 10**5)
+
+
+def test_construct_dual_refuses_dual_rows_off_the_flow_lattice(k4, monkeypatch):
+    from lapdual import duality
+    real = duality.reduced_incidence
+    # twice the dual's incidence: flows spanning a proper sublattice, whose
+    # coordinates replay but are not unimodular
+    monkeypatch.setattr(duality, "reduced_incidence", lambda g: real(g).scale(2))
+    with pytest.raises(NotUnimodular):
+        construct_abstract_dual(k4)
+
+    # a row off the flow lattice: forest edge 0 is bumped, so its cotree
+    # coordinates do not replay
+    def bumped(g):
+        rows = [list(row) for row in real(g).data]
+        rows[0][0] += 1
+        return IntMatrix.from_rows(rows)
+    monkeypatch.setattr(duality, "reduced_incidence", bumped)
+    with pytest.raises(AssertionError, match="do not span the primal flow lattice"):
+        construct_abstract_dual(k4)
 
 
 def test_construct_dual_congruence_witness(example3):

@@ -95,11 +95,14 @@ def test_fundamental_circuit_rejects_forest_edge(k3):
         fundamental_circuit_vector(k3, f, 0)
 
 
-def test_fundamental_circuit_rejects_non_spanning_forest():
+def test_fundamental_circuit_rejects_non_spanning_forest(k3):
     g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
     f = ForestCertificate.from_forest(g, [0])
     with pytest.raises(NotMaximalForest):
         fundamental_circuit_vector(g, f, 1)
+    # forest edge 5 is out of range: the partition check refuses it
+    with pytest.raises(NotMaximalForest):
+        fundamental_circuit_vector(k3, ForestCertificate((0, 5), (1,)), 1)
 
 
 def test_bfs_tree_long_path():
@@ -136,6 +139,9 @@ def test_cut_vector_rejects_trivial_sets(k3):
         cut_vector(k3, set())
     with pytest.raises(EmptyOrFullSet):
         cut_vector(k3, {0, 1, 2})
+    # two vertices but one out of range: the range is checked first
+    with pytest.raises(ValueError, match="out of range"):
+        cut_vector(MultiGraph.from_edges(2, [(0, 1)]), {0, 5})
 
 
 def test_classify_edges_example2(example2):
@@ -206,6 +212,20 @@ def test_two_isomorphism_budget():
     g = complete_graph(4)
     res = decide_2_isomorphism_bruteforce(g, g, budget=2)
     assert res.status == "budget_exceeded"
+
+
+def test_two_isomorphism_raises_when_the_first_candidate_fails_replay(k4, monkeypatch):
+    # swapping K4's disjoint edges 01 and 23 sends triangle 012 onto the star
+    # at 2; the next candidate, the identity, is never tried
+    from lapdual import graphs
+
+    def candidates(g1, g2, budget):
+        yield (5, 1, 2, 3, 4, 0)
+        yield (0, 1, 2, 3, 4, 5)
+
+    monkeypatch.setattr(graphs, "two_isomorphism_candidates", candidates)
+    with pytest.raises(AssertionError, match="failed replay"):
+        decide_2_isomorphism_bruteforce(k4, k4)
 
 
 def oracle_pairs(seed, count=60):

@@ -132,7 +132,7 @@ LOAD_SETS = [(["emit-dot", "K4"], ())] + [
     (["check-congruence", "L", "L"], MATRIX_LAYERS + ("congruence",)),
     (["planarity", "K4"], MATRIX_LAYERS + ("duality",)),
     (["verify-dual", "K4", "DUAL"], MATRIX_LAYERS + ("duality",)),
-    (["find-dual", "K4"], MATRIX_LAYERS + ("congruence", "duality"))]
+    (["find-dual", "K4"], MATRIX_LAYERS + ("duality",))]
 
 
 @pytest.mark.parametrize("argv, layers", LOAD_SETS, ids=[argv[0] for argv, _ in LOAD_SETS])
@@ -171,7 +171,7 @@ def test_graph_commands_leave_congruence_and_duality_unloaded(k4):
 def test_verify_property_loads_congruence_and_duality_only_where_needed(k4):
     for tag in PROPERTY_TAGS:
         loaded = loaded_by_cli(["verify-property", tag, k4])
-        assert ("lapdual.congruence" in loaded) == (tag in ("X", "VIII*", "IX*")), tag
+        assert ("lapdual.congruence" in loaded) == (tag == "X"), tag
         assert ("lapdual.duality" in loaded) == (tag == "X"), tag
 
 
@@ -181,10 +181,11 @@ def test_planarity_leaves_congruence_and_descent_unloaded(k4):
     assert not loaded & {"lapdual.congruence", "lapdual.descent"}
 
 
-def test_find_dual_loads_congruence_but_not_descent(k4):
+def test_find_dual_leaves_congruence_and_descent_unloaded(k4):
+    # the dual's witness is read off the primal forest's cotree columns
     loaded = loaded_by_cli(["find-dual", k4])
-    assert "lapdual.congruence" in loaded
-    assert "lapdual.descent" not in loaded
+    assert "lapdual.duality" in loaded
+    assert not loaded & {"lapdual.congruence", "lapdual.descent"}
 
 
 def test_matrix_commands_load_no_rationals(k4, tmp_path):

@@ -357,6 +357,41 @@ def test_second_forest_is_the_enumerators_second(k4):
         assert laplacians._forest_change(g)[1] == forests[min(1, len(forests) - 1)], g.edges
 
 
+def test_flow_coordinates_equal_the_hermite_witness(catalog6):
+    # the flow matrix has full row rank, so the witness carrying it onto any
+    # basis of the flow lattice is unique: minus that basis's cotree columns
+    # equal the transform the two Hermite forms give
+    from lapdual import NonplanarInput, construct_abstract_dual, strict_row_equivalence
+    from lapdual.congruence import _row_transform
+    from lapdual.graphs import greedy_forest
+    rng = random.Random(29)
+    graphs = list(catalog6) + [random_multigraph(rng, max_n=6, max_m=10) for _ in range(150)]
+    assert any(g.num_loops for g in graphs)
+    for g in graphs:
+        f1, _, fm1, fm2, u = laplacians._forest_change(g)
+        assert u == strict_row_equivalence(fm1, fm2), g.edges
+        hop = flow_matrix(g, greedy_forest(g, rng.sample(range(g.num_edges), g.num_edges)))
+        assert laplacians._flow_coordinates(f1, hop.data) == _row_transform(fm1, hop), g.edges
+        try:
+            cert = construct_abstract_dual(g)
+        except NonplanarInput:
+            continue
+        assert cert.laplacian_witness == \
+            strict_row_equivalence(fm1, reduced_incidence(cert.dual_graph)), g.edges
+
+
+def test_forest_change_refuses_rows_spanning_a_sublattice(k4, monkeypatch):
+    # twice the second forest's flow matrix spans a proper sublattice: its
+    # coordinates have determinant 8, so there is no witness
+    real = laplacians.flow_matrix
+    f1 = maximal_forest(k4)
+    monkeypatch.setattr(laplacians, "flow_matrix",
+                        lambda g, f: real(g, f).scale(1 if f == f1 else 2))
+    assert laplacians._forest_change(k4)[4] is None
+    assert not verify_property(k4, "VIII*").passed
+    assert not verify_property(k4, "IX*").passed
+
+
 def test_second_forest_of_a_tree_is_the_first():
     tree = MultiGraph.from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
     f1, f2 = laplacians._forest_change(tree)[:2]
