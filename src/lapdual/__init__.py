@@ -22,12 +22,11 @@ _EXPORTS = {
     "intmatrix": ("IntMatrix", "SnfResult", "UnimodularWitness", "det_bareiss",
                   "hermite_normal_form", "hnf_nonzero_part", "inertia",
                   "inverse_unimodular", "rank", "smith_normal_form"),
-    "laplacians": ("DualLaplacianPair", "PropertyReport", "border_first",
-                   "border_last", "cut_block", "cut_gram", "flow_gram",
-                   "flow_matrix", "incidence", "laplacian", "reduced_dual_laplacian",
-                   "reduced_incidence", "reduced_laplacian",
-                   "reduction_change_witness", "superbase_matrix",
-                   "verify_property"),
+    "laplacians": ("DualLaplacianPair", "border_first", "border_last", "cut_block",
+                   "cut_gram", "flow_gram", "flow_matrix", "incidence", "laplacian",
+                   "reduced_dual_laplacian", "reduced_incidence", "reduced_laplacian",
+                   "reduction_change_witness", "superbase_matrix"),
+    "properties": ("PropertyReport", "verify_property"),
     "congruence": ("CongruenceVerdict", "PropertyXReport",
                    "congruence_invariants", "decide_congruence",
                    "loose_row_equivalence", "property_x_report",

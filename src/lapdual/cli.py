@@ -9,7 +9,8 @@ argument names and runner.  `build_parser` adds one subparser per row, and
 `run` hands the parsed arguments to the row's runner, so the parser holds
 every default.  Only the four searches (`check-congruence`, `check-2iso`,
 `planarity`, `find-dual`) take `--budget`, whose default `LAPDUAL_BUDGET`
-overrides; no other command reads either.
+overrides; no other command reads either, and one given `--budget` fails
+with a usage error that names the four.
 
 The front end loads only `argparse`, `os`, `sys` and `errors`.  `_load_json`
 imports `json`, and a runner reaches its layers through the package's lazy
@@ -219,9 +220,20 @@ def run(args) -> int:
     return code
 
 
+def _unrecognized(leftovers):
+    """argparse's message for arguments no parser took, unless one is
+    --budget: then the message names the commands that take it."""
+    if any(arg.split("=")[0] == "--budget" for arg in leftovers):
+        searches = [name for name, (_, names, _) in _COMMANDS.items() if "--budget" in names]
+        return f"--budget is taken only by {', '.join(searches[:-1])} and {searches[-1]}"
+    return "unrecognized arguments: " + " ".join(leftovers)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, leftovers = parser.parse_known_args(argv)
+    if leftovers:
+        parser.error(_unrecognized(leftovers))
     if getattr(args, "budget", 0) < 0:
         parser.error("--budget must be nonnegative")
     return run(args)

@@ -466,16 +466,19 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     recovered graph must equal g2 with V0 identified, vertex for vertex, which
     is checked by comparing labelled Laplacians: O(n^2), with no isomorphism
     search and no size cap.  A graph without vertices has no V0 to identify,
-    so nothing is replayed."""
+    so nothing is replayed.
+
+    The replay always recovers g2 from g1, since congruent reduced
+    Laplacians make the non-loop edge counts equal: z fixes the all-ones
+    row vector, so each non-loop column of z*a is a nonzero zero-sum vector,
+    of squared norm at least 2, and the squared norms add up to the trace
+    of the bordered u L1 u^T = L2, twice g2's non-loop edge count; so g1
+    has at most as many, and the inverse witness gives the reverse."""
     from .duality import lemma_center_recover
 
     if verdict.status != CONGRUENT:
         return {"attempted": False}
-    swap = g2.num_edges > g1.num_edges
     u = verdict.witness.u
-    if swap:
-        g1, g2 = g2, g1
-        u = inverse_unimodular(u)
     v1, v2 = _reduction(g1)[0], _reduction(g2)[0]
     if not v1 or not v2:
         return {"attempted": False}
@@ -496,7 +499,6 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     laplacian_ok = laplacian(recovered) == laplacian(g2p)
     return {
         "attempted": True,
-        "swapped": swap,
         "z": z,
         "recovered": recovered,
         "strict_row_equivalence_ok": True,

@@ -51,7 +51,7 @@ class UnknownTag(LapdualError):
     pass
 
 
-# the tags `laplacians.verify_property` accepts
+# the tags `properties.verify_property` accepts, in the order of its checks
 PROPERTY_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI",
                  "I*", "II*", "IV*", "V*", "VI*", "VII*", "VIII*", "IX*")
 

@@ -92,6 +92,9 @@ def test_zero_based_tokens_match_one_based(files, capsys):
     _, out1 = run(capsys, "flow-matrix", files["ex2"], "--forest", "e1,e2,e4,e5,e6,e8")
     _, out2 = run(capsys, "flow-matrix", files["ex2"], "--forest", "0,1,3,4,5,7")
     assert out1 == out2
+    # an empty token is skipped
+    _, out3 = run(capsys, "flow-matrix", files["ex2"], "--forest", "e1,,e2,e4,e5,e6,e8")
+    assert out3 == out1
 
 
 def test_verify_property_pass_and_unknown_tag(files, capsys):
@@ -199,6 +202,60 @@ def test_malformed_input_exit(files, capsys, tmp_path):
         code, out = run(capsys, command, str(path))
         assert code == 65, (command, obj)
         assert json.loads(out)["error"]["type"] == "MalformedInput"
+
+
+def test_unreadable_input_is_malformed(files, capsys):
+    missing = str(files["dir"] / "missing.json")
+    code, out = run(capsys, "laplacian", missing)
+    assert code == 65
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert error["message"].startswith(f"cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("laplacian", [], "graph JSON must be an object"),
+    ("snf", [], "matrix JSON must be an object"),
+    ("snf", {"rows": 3, "cols": 2, "data": [["1", "2"], ["3", "4"]]},
+     "matrix JSON shape mismatch"),
+    ("snf", {"rows": 2, "cols": 2, "data": [["1", "2"], ["3"]]}, "ragged row")],
+    ids=["graph-list", "matrix-list", "shape-mismatch", "ragged-row"])
+def test_input_that_does_not_fit_its_schema_is_malformed(command, obj, message, capsys,
+                                                         tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, command, str(path))
+    assert code == 65
+    error = json.loads(out)["error"]
+    assert error["type"] == "MalformedInput"
+    assert message in error["message"]
+
+
+def test_incidence_with_v0_is_the_reduced_incidence(files, capsys):
+    from lapdual import reduced_incidence
+    code, out = run(capsys, "incidence", files["ex2"], "--v0", "v4")
+    assert code == 0
+    assert out == dumps(reduced_incidence(graph_from_json(EX2), [3]))
+
+
+@pytest.mark.parametrize("flag", [["--budget", "5"], ["--budget=5"]], ids=["spaced", "joined"])
+def test_budget_on_a_command_without_one_names_the_searches(flag, files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["laplacian"] + flag + [files["k3"]])
+    assert err.value.code == 64
+    assert capsys.readouterr().err == ("lapdual: error: --budget is taken only by "
+                                       "check-congruence, check-2iso, planarity and find-dual\n")
+
+
+def test_other_leftover_arguments_keep_the_argparse_message(files, capsys):
+    for argv, leftovers in ((["laplacian", files["k3"], "extra"], "extra"),
+                            (["planarity", "--seed", "1", files["k3"]], f"--seed {files['k3']}"),
+                            (["laplacian", "--budgetx", "5", files["k3"]],
+                             f"--budgetx {files['k3']}")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+        assert capsys.readouterr().err == f"lapdual: error: unrecognized arguments: {leftovers}\n"
 
 
 @pytest.mark.parametrize("command, obj", [

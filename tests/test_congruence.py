@@ -442,6 +442,43 @@ def test_definite_decision_takes_one_determinant(monkeypatch):
     assert sizes == [a.rows]
 
 
+def test_congruent_reduced_laplacians_have_equal_edge_counts():
+    # each non-loop column of z*a is a nonzero zero-sum vector, of squared
+    # norm at least 2, and those norms add up to twice g2's non-loop edges,
+    # so congruence carries the non-loop edge count and the constructive
+    # replay always recovers g2 from g1.  Independent pairs on the same
+    # vertices, with unequal counts, show the other side
+    from test_witnesses import _connected_edges, _glued_pair
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(30):
+        g = random_connected_multigraph(rng, max_n=7, max_m=10)
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        pairs.append((g, permute_vertices(g, perm)))
+    for n in range(4, 9):
+        first, second = _glued_pair(rng, n, n + 2)
+        pairs.append((MultiGraph.from_edges(n, first), MultiGraph.from_edges(n, second)))
+    pairs += [whitney_twisted_pair(seed) for seed in range(6)]
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        pairs.append(tuple([MultiGraph.from_edges(n, _connected_edges(rng, n, m)) for m in
+                            (rng.randint(n - 1, n + 2), rng.randint(n - 1, n + 2))]))
+    congruent = unequal_separated = 0
+    with wall_clock_guard(60):
+        for g1, g2 in pairs:
+            verdict = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2), budget=10**5)
+            non_loop = [g.num_edges - g.num_loops for g in (g1, g2)]
+            if verdict.status == "congruent":
+                assert non_loop[0] == non_loop[1], (g1.edges, g2.edges)
+                replay = _constructive_strict_equivalence(g1, g2, verdict)
+                assert replay["ok"], (g1.edges, g2.edges)
+                congruent += 1
+            elif non_loop[0] != non_loop[1]:
+                unequal_separated += verdict.status == "not_congruent"
+    assert congruent >= 41 and unequal_separated >= 20
+
+
 def test_labelled_laplacian_check_agrees_with_isomorphism():
     rng = random.Random(12)
     attempted = 0

@@ -29,14 +29,14 @@ EXPORTS = [
     "hermite_normal_form", "hnf_nonzero_part", "identify_vertices", "incidence",
     "inertia", "intmatrix", "inverse_unimodular", "is_connected", "laplacian",
     "laplacians", "lemma_center_recover", "loose_row_equivalence", "maximal_forest",
-    "permute_vertices", "property_x_report", "rank", "reduced_dual_laplacian",
+    "permute_vertices", "properties", "property_x_report", "rank", "reduced_dual_laplacian",
     "reduced_incidence", "reduced_laplacian", "reduction_change_witness",
     "smith_normal_form", "strict_row_equivalence", "superbase_matrix",
     "superbase_trace_minimize", "verify_abstract_dual",
     "verify_kuratowski_evidence", "verify_property",
 ]
-SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "congruence", "duality",
-              "descent")
+SUBMODULES = ("errors", "graphs", "intmatrix", "laplacians", "properties", "congruence",
+              "duality", "descent")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lapdual.__file__)))
 
 
@@ -74,7 +74,7 @@ def loaded_by_cli(*argvs):
 
 
 def test_exports_are_unchanged():
-    assert len(EXPORTS) == 79
+    assert len(EXPORTS) == 80
     assert lapdual.__all__ == EXPORTS
     assert set(EXPORTS) <= set(dir(lapdual))
 
@@ -120,7 +120,9 @@ def test_help_and_usage_errors_load_no_layer():
 
 # the layers each command loads on K4 beyond cli, errors, graphs and
 # serialization, which every command that reads an input loads: `snf` reads
-# K4's Laplacian and `verify-dual` K4's dual, edge k dual to K4's edge k
+# K4's Laplacian and `verify-dual` K4's dual, edge k dual to K4's edge k.
+# Only the two commands that decide planarity load the private `embedding`,
+# and only `verify-property` loads `properties`
 MATRIX_LAYERS = ("intmatrix", "laplacians")
 LOAD_SETS = [(["emit-dot", "K4"], ())] + [
     ([command, "K4"], MATRIX_LAYERS)
@@ -128,11 +130,11 @@ LOAD_SETS = [(["emit-dot", "K4"], ())] + [
                     "flow-matrix", "dual-laplacian")] + [
     (["snf", "L"], ("intmatrix",)),
     (["check-2iso", "K4", "K4"], MATRIX_LAYERS),
-    (["verify-property", "I", "K4"], MATRIX_LAYERS),
+    (["verify-property", "I", "K4"], MATRIX_LAYERS + ("properties",)),
     (["check-congruence", "L", "L"], MATRIX_LAYERS + ("congruence",)),
-    (["planarity", "K4"], MATRIX_LAYERS + ("duality",)),
+    (["planarity", "K4"], MATRIX_LAYERS + ("duality", "embedding")),
     (["verify-dual", "K4", "DUAL"], MATRIX_LAYERS + ("duality",)),
-    (["find-dual", "K4"], MATRIX_LAYERS + ("duality",))]
+    (["find-dual", "K4"], MATRIX_LAYERS + ("duality", "embedding"))]
 
 
 @pytest.mark.parametrize("argv, layers", LOAD_SETS, ids=[argv[0] for argv, _ in LOAD_SETS])
@@ -169,10 +171,13 @@ def test_graph_commands_leave_congruence_and_duality_unloaded(k4):
 
 
 def test_verify_property_loads_congruence_and_duality_only_where_needed(k4):
+    # X's constructive replay runs the center lemma, which needs no embedding
     for tag in PROPERTY_TAGS:
         loaded = loaded_by_cli(["verify-property", tag, k4])
+        assert "lapdual.properties" in loaded
         assert ("lapdual.congruence" in loaded) == (tag == "X"), tag
         assert ("lapdual.duality" in loaded) == (tag == "X"), tag
+        assert "lapdual.embedding" not in loaded, tag
 
 
 def test_planarity_leaves_congruence_and_descent_unloaded(k4):
@@ -199,3 +204,13 @@ def test_matrix_commands_load_no_rationals(k4, tmp_path):
 
 def test_importing_duality_leaves_descent_unloaded():
     assert "lapdual.descent" not in loaded_after("import lapdual.duality")
+
+
+def test_importing_duality_leaves_the_embedding_unloaded():
+    # decide_planarity imports the embedding on its first call
+    assert "lapdual.embedding" not in loaded_after("import lapdual.duality")
+
+
+def test_importing_laplacians_leaves_congruence_and_properties_unloaded():
+    assert not loaded_after("import lapdual.laplacians") & \
+        {"lapdual.congruence", "lapdual.properties"}

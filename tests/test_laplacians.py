@@ -9,15 +9,15 @@ from lapdual import (BudgetExceeded, ForestCertificate, IntMatrix,
                      InvalidReductionSpec, LapdualError, MultiGraph, NotMaximalForest,
                      UnknownTag, components, det_bareiss,
                      fundamental_circuit_vector, maximal_forest, permute_vertices)
-from lapdual import laplacians
+from lapdual import laplacians, properties
 from lapdual.errors import PROPERTY_TAGS
 from lapdual.laplacians import (DualLaplacianPair, _reduction, border_first,
                                 border_last, cut_block, cut_gram,
                                 flow_gram, flow_matrix,
                                 incidence, laplacian, reduced_dual_laplacian,
                                 reduced_incidence, reduced_laplacian,
-                                reduction_change_witness, superbase_matrix,
-                                verify_property)
+                                reduction_change_witness, superbase_matrix)
+from lapdual.properties import verify_property
 from lapdual.serialization import dumps
 
 from conftest import (EXAMPLE1_UNREDUCED_PM, EXAMPLE1_UNREDUCED_PP,
@@ -354,7 +354,7 @@ def test_second_forest_is_the_enumerators_second(k4):
     graphs = [k4] + [random_multigraph(rng, max_n=6, max_m=10) for _ in range(150)]
     for g in graphs:
         forests = enumerate_maximal_forests(g)
-        assert laplacians._forest_change(g)[1] == forests[min(1, len(forests) - 1)], g.edges
+        assert properties._forest_change(g)[1] == forests[min(1, len(forests) - 1)], g.edges
 
 
 def test_flow_coordinates_equal_the_hermite_witness(catalog6):
@@ -368,7 +368,7 @@ def test_flow_coordinates_equal_the_hermite_witness(catalog6):
     graphs = list(catalog6) + [random_multigraph(rng, max_n=6, max_m=10) for _ in range(150)]
     assert any(g.num_loops for g in graphs)
     for g in graphs:
-        f1, _, fm1, fm2, u = laplacians._forest_change(g)
+        f1, _, fm1, fm2, u = properties._forest_change(g)
         assert u == strict_row_equivalence(fm1, fm2), g.edges
         hop = flow_matrix(g, greedy_forest(g, rng.sample(range(g.num_edges), g.num_edges)))
         assert laplacians._flow_coordinates(f1, hop.data) == _row_transform(fm1, hop), g.edges
@@ -385,16 +385,16 @@ def test_forest_change_refuses_rows_spanning_a_sublattice(k4, monkeypatch):
     # coordinates have determinant 8, so there is no witness
     real = laplacians.flow_matrix
     f1 = maximal_forest(k4)
-    monkeypatch.setattr(laplacians, "flow_matrix",
+    monkeypatch.setattr(properties, "flow_matrix",
                         lambda g, f: real(g, f).scale(1 if f == f1 else 2))
-    assert laplacians._forest_change(k4)[4] is None
+    assert properties._forest_change(k4)[4] is None
     assert not verify_property(k4, "VIII*").passed
     assert not verify_property(k4, "IX*").passed
 
 
 def test_second_forest_of_a_tree_is_the_first():
     tree = MultiGraph.from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-    f1, f2 = laplacians._forest_change(tree)[:2]
+    f1, f2 = properties._forest_change(tree)[:2]
     assert f2 == f1 == maximal_forest(tree)
 
 
@@ -419,7 +419,7 @@ def test_property_iii_fails_on_a_laplacian_missing_an_edge(monkeypatch, example2
     def drop_last_edge(g):
         return laplacian(MultiGraph(g.num_vertices, g.edges[:-1], g.name))
 
-    monkeypatch.setattr(laplacians, "laplacian", drop_last_edge)
+    monkeypatch.setattr(properties, "laplacian", drop_last_edge)
     assert not verify_property(example2, "III").passed
 
 
@@ -427,7 +427,7 @@ def test_property_iv_star_compares_with_the_forest_count(monkeypatch, example2):
     report = verify_property(example2, "IV*")
     assert report.passed
     assert report.details == {"forest_count": count_maximal_forests(example2)}
-    monkeypatch.setattr(laplacians, "forest_count",
+    monkeypatch.setattr(properties, "forest_count",
                         lambda g: report.details["forest_count"] + 1)
     assert not verify_property(example2, "IV*").passed
 
@@ -443,7 +443,7 @@ def test_every_tag_but_x_passes_on_a_relabelled_6x6_grid():
 
 
 def test_property_table_follows_the_tag_list():
-    assert list(laplacians._PROPERTY_CHECKS) == list(PROPERTY_TAGS)
+    assert list(properties._PROPERTY_CHECKS) == list(PROPERTY_TAGS)
 
 
 @pytest.mark.parametrize("name", ["k5", "petersen"])

@@ -13,7 +13,7 @@ import pytest
 from lapdual import (MultiGraph, classify_edges, decide_planarity,
                      maximal_forest, superbase_trace_minimize,
                      verify_kuratowski_evidence)
-from lapdual.duality import _face_basis
+from lapdual.embedding import _face_basis
 from lapdual.graphs import SearchBudget
 
 from conftest import grid_graph, wall_clock_guard
