@@ -236,7 +236,15 @@ def main(argv=None) -> int:
         parser.error(_unrecognized(leftovers))
     if getattr(args, "budget", 0) < 0:
         parser.error("--budget must be nonnegative")
-    return run(args)
+    # lift CPython's 4,300-digit limit on int <-> str while the command runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return run(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def congruence_invariants(a: IntMatrix) -> dict:
         raise NotSymmetric("congruence invariants require a symmetric matrix")
     # inertia and det from one elimination: det is the last minor, 1 for a
     # 0 x 0 matrix, and 0 when a row is left over; the Smith diagonal comes
-    # from the elimination behind smith_normal_form, without its witnesses
+    # from the elimination behind smith_normal_form, handed no transforms
     _, minors, _ = _symmetric_bareiss(a)
     ine = _pivot_inertia(minors, a.rows)
     return {
@@ -70,7 +70,7 @@ def congruence_invariants(a: IntMatrix) -> dict:
         "rank": a.rows - ine[2],
         "det": 0 if ine[2] else (minors[-1] if minors else 1),
         "inertia": ine,
-        "snf": _smith_elimination(a)[0],
+        "snf": _smith_elimination(a),
     }
 
 

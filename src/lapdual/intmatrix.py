@@ -11,6 +11,13 @@ as a plain IntMatrix.  Its determinant is checked once, by
 UnimodularWitness, where a witness leaves the library: in a result a caller
 receives, and in every witness a JSON reader builds.
 
+Both normal forms run one Hermite loop, `_hermite`.  The Smith form
+alternates it on the rows and on the transpose until the matrix is diagonal
+(Kannan and Bachem, SIAM J. Comput. 8, 1979).  Where d_i does not divide a
+later d_j, column j is added into column i, and the next pass puts
+gcd(d_i, d_j) < d_i at i.  A pass only shrinks the leading entries, and a
+fix leaves d_0 .. d_(i-1) alone and shrinks d_i, so the loop ends.
+
 Everything here works on arbitrary-precision Python ints; normal-form
 intermediates and determinant pivots grow far beyond 64 bits even on small
 inputs, so no fixed-width arithmetic is used anywhere.  There are no
@@ -234,6 +241,43 @@ def det_bareiss(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _transposed(m, cols):
+    """m's transpose; `cols` sizes it when m has no rows."""
+    return list(map(list, zip(*m))) if m else [[] for _ in range(cols)]
+
+
+def _hermite(m, cols, *ts):
+    """Bring m, a list of rows with `cols` columns, to the canonical row HNF
+    in place, applying every row operation to each transform in `ts` too."""
+    rows = len(m)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        # gcd-reduce column c among rows r.. until one nonzero survives
+        nz = [i for i in range(r, rows) if m[i][c]]
+        while len(nz) > 1:
+            pivot_row = min(nz, key=lambda i: abs(m[i][c]))
+            if pivot_row != r:
+                _swap_rows(r, pivot_row, m, *ts)
+            # the other nonzero rows, row r's entries now at pivot_row; each
+            # reduction reads only row r, so their order is free
+            p = m[r][c]
+            for i in [pivot_row if i == r else i for i in nz if i != pivot_row]:
+                _add_row(i, r, -(m[i][c] // p), m, *ts)
+            nz = [i for i in range(r, rows) if m[i][c]]
+        if nz:
+            if nz[0] != r:
+                _swap_rows(r, nz[0], m, *ts)
+            if m[r][c] < 0:
+                _negate_row(r, m, *ts)
+            p = m[r][c]
+            for i in range(r):
+                if m[i][c]:
+                    _add_row(i, r, -(m[i][c] // p), m, *ts)
+            r += 1
+
+
 def hermite_normal_form(a: IntMatrix):
     """Canonical row HNF: returns (h, u) with u*a = h.  The transform u is a
     plain IntMatrix, unimodular by construction: it starts as the identity
@@ -246,36 +290,7 @@ def hermite_normal_form(a: IntMatrix):
     """
     m = [list(row) for row in a.data]
     u = [[1 if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]
-    r = 0
-    for c in range(a.cols):
-        # gcd-reduce column c among rows r.. until one nonzero survives
-        while True:
-            nz = [i for i in range(r, a.rows) if m[i][c] != 0]
-            if not nz:
-                break
-            pivot_row = min(nz, key=lambda i: abs(m[i][c]))
-            if pivot_row != r:
-                _swap_rows(r, pivot_row, m, u)
-            if len(nz) == 1:
-                break
-            done = True
-            for i in range(r + 1, a.rows):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    _add_row(i, r, -q, m, u)
-                    if m[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < a.rows and m[r][c] != 0:
-            if m[r][c] < 0:
-                _negate_row(r, m, u)
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                _add_row(i, r, -q, m, u)
-            r += 1
-            if r == a.rows:
-                break
+    _hermite(m, a.cols, u)
     return IntMatrix.from_rows(m, cols=a.cols), IntMatrix.from_rows(u, cols=a.rows)
 
 
@@ -288,71 +303,34 @@ def hnf_nonzero_part(a: IntMatrix) -> IntMatrix:
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with checked unimodular left/right witnesses."""
-    diag, left, right = _smith_elimination(a)
-    return SnfResult(diag, UnimodularWitness(left), UnimodularWitness(right))
+    left, right_t = IntMatrix.identity(a.rows).to_lists(), IntMatrix.identity(a.cols).to_lists()
+    diag = _smith_elimination(a, [left], [right_t])
+    return SnfResult(diag, UnimodularWitness(IntMatrix.from_rows(left, cols=a.rows)),
+                     UnimodularWitness(IntMatrix.from_rows(right_t, cols=a.cols).transpose()))
 
 
-def _smith_elimination(a: IntMatrix):
-    """(diag, left, right) with left*a*right the diagonal embedding of diag;
-    left and right are plain transforms, unimodular by construction."""
-    m = [list(row) for row in a.data]
-    left = [[1 if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]
-    right = [[1 if i == j else 0 for j in range(a.cols)] for i in range(a.cols)]
-    t = 0
-    limit = min(a.rows, a.cols)
-    while t < limit:
-        # locate a minimal-magnitude nonzero pivot in the trailing block
-        best = None
-        for i in range(t, a.rows):
-            for j in range(t, a.cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            _swap_rows(t, best[0], m, left)
-        if best[1] != t:
-            _swap_cols(t, best[1], m, right)
-        while True:
-            # clear column t
-            reduced = False
-            for i in range(t + 1, a.rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    _add_row(i, t, -q, m, left)
-                    if m[i][t] != 0:
-                        _swap_rows(t, i, m, left)
-                        reduced = True
-            if reduced:
-                continue
-            # clear row t
-            for j in range(t + 1, a.cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    _add_col(j, t, -q, m, right)
-                    if m[t][j] != 0:
-                        _swap_cols(t, j, m, right)
-                        reduced = True
-            if reduced:
-                continue
-            # enforce divisibility into the trailing block
-            offender = None
-            for i in range(t + 1, a.rows):
-                for j in range(t + 1, a.cols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+def _smith_elimination(a: IntMatrix, left=(), right_t=()):
+    """The Smith diagonal of `a`.  Row operations move every transform in
+    `left`; a column operation is a row operation on the transpose, and it
+    moves every transform in `right_t` so.  Identities come back as L and
+    the transpose of R, with L a R the diagonal embedding."""
+    m, cols = [list(row) for row in a.data], a.cols
+    ts, other = left, right_t
+    while True:
+        _hermite(m, cols, *ts)
+        # an echelon form is diagonal when nothing lies right of its diagonal
+        if not any(any(row[i + 1:]) for i, row in enumerate(m)):
+            diag = [m[i][i] for i in range(min(len(m), cols))]
+            pair = next(((i, j) for i, d in enumerate(diag)
+                         for j in range(len(diag) - 1, i, -1) if d and diag[j] % d), None)
+            if pair is None:
                 break
-            _add_row(t, offender, 1, m, left)
-        if m[t][t] < 0:
-            _negate_col(t, m, right)
-        t += 1
-
-    return (tuple([m[i][i] for i in range(limit)]), IntMatrix.from_rows(left, cols=a.rows),
-            IntMatrix.from_rows(right, cols=a.cols))
+            # row j into row i here is column j into column i for the next
+            # pass; the last such j sends lcm(d_i, d_j) furthest back
+            _add_row(*pair, 1, m, *ts)
+        m, cols = _transposed(m, cols), len(m)
+        ts, other = other, ts
+    return tuple(diag)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

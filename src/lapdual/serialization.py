@@ -2,7 +2,8 @@
 
 Matrix entries are serialized as decimal strings uniformly so that arbitrary
 precision survives any JSON reader; graphs are 0-based edge lists whose list
-position is the edge index.
+position is the edge index.  Past CPython's 4,300-digit limit on int <-> str,
+which only the CLI lifts, `dumps` raises ValueError and a reader MalformedInput.
 
 Only the graph layer is imported up front: each reader imports the class it
 builds, so reading and drawing a graph loads no matrix layer.

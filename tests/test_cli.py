@@ -172,6 +172,22 @@ def test_snf_bignum_strings(capsys, tmp_path):
     assert diag[0] * diag[1] == 10**80 - 1
 
 
+def test_entries_past_the_interpreter_digit_limit(capsys, tmp_path):
+    # CPython 3.11+ refuses int <-> str conversions past 4,300 digits by
+    # default; the CLI lifts that limit while a command runs, and only then
+    entry = "9" * 5000
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[entry]]}))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out = run(capsys, "snf", str(big))
+    assert code == 0
+    assert json.loads(out)["diag"] == [entry]
+    code, out = run(capsys, "check-congruence", str(big), str(big))
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_emit_dot(files, capsys):
     code, out = run(capsys, "emit-dot", files["k3"])
     assert code == 0

@@ -161,6 +161,18 @@ def test_congruence_of_relabelled_grid_returns():
     assert w.mul(a).mul(w.transpose()) == b
 
 
+def test_budget_one_ends_on_the_relabelled_6x6_grid():
+    # the Smith diagonal, read before any search, is not covered by the
+    # budget, so it must end on its own
+    perm = list(range(36))
+    random.Random(0).shuffle(perm)
+    a = reduced_laplacian(grid_graph(6, 6))
+    b = reduced_laplacian(permute_vertices(grid_graph(6, 6), perm))
+    with wall_clock_guard(20):
+        verdict = decide_congruence(a, b, budget=1)
+    assert verdict.status == "unknown"
+
+
 def test_short_vectors_match_brute_force():
     rng = random.Random(5)
     for _ in range(300):

@@ -3,7 +3,10 @@ golden/elimination_digests.json is the sha256 of `dumps` of one seeded
 result, and each inertia triple is kept as it is.  The file was written
 before the eliminations shared one set of row and column operations.
 Replaying a witness only shows that it is a witness; these show that the
-pivots, the visiting order and the arithmetic did not change."""
+pivots, the visiting order and the arithmetic did not change.  The "snf"
+list was written again when the Smith form became alternating Hermite
+passes, which changed its witnesses but not its diagonals; the other lists
+are as first written, so the Hermite loop kept every operation."""
 
 import hashlib
 import json

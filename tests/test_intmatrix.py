@@ -6,11 +6,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from lapdual import (IntMatrix, NotSquare, NotSymmetric, NotUnimodular,
                      UnimodularWitness, det_bareiss, hermite_normal_form,
-                     hnf_nonzero_part, inertia, inverse_unimodular, rank,
-                     smith_normal_form)
-from lapdual.laplacians import flow_gram, incidence, reduced_laplacian
+                     hnf_nonzero_part, inertia, inverse_unimodular,
+                     permute_vertices, rank, smith_normal_form)
+from lapdual.laplacians import flow_gram, incidence, laplacian, reduced_laplacian
 
-from conftest import complete_graph, det_cofactor, random_unimodular
+from conftest import (complete_graph, det_cofactor, grid_graph, random_unimodular,
+                      wall_clock_guard)
 from oracles import count_maximal_forests
 
 
@@ -116,13 +117,37 @@ def test_snf_minors_gcd_oracle(k3):
     assert smith_normal_form(red).diag[1] == det_bareiss(red) // d1 == 3
 
 
-def test_snf_transform_replay_and_sympy_agreement():
+def _snf_inputs():
+    """Seeded small matrices, the relabelled 6x6 and 7x7 grid Laplacians, dense
+    12x12 and 15x15 matrices, divisibility cases and empty and singular shapes."""
     rng = random.Random(23)
+    out = []
     for _ in range(40):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
-        a = IntMatrix.from_rows([[rng.randint(-7, 7) for _ in range(c)] for _ in range(r)],
-                                cols=c)
-        res = smith_normal_form(a)
+        out.append(IntMatrix.from_rows([[rng.randint(-7, 7) for _ in range(c)]
+                                        for _ in range(r)], cols=c))
+    for k in (6, 7):
+        for s in range(8):
+            perm = list(range(k * k))
+            random.Random(s).shuffle(perm)
+            out.append(reduced_laplacian(permute_vertices(grid_graph(k, k), perm)))
+    for n in (12, 15):
+        for s in range(2):
+            dense = random.Random(s)
+            out.append(IntMatrix.from_rows([[dense.randint(-9, 9) for _ in range(n)]
+                                            for _ in range(n)], cols=n))
+    out += [IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.from_rows([[4, 0], [0, 6]]),
+            IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), laplacian(grid_graph(3, 3))]
+    return out
+
+
+def test_snf_transform_replay_and_sympy_agreement():
+    with wall_clock_guard(60):
+        results = [(a, smith_normal_form(a)) for a in _snf_inputs()]
+    # diagonal entries that do not divide one another
+    chains = {((2, 0), (0, 3)): (1, 6), ((4, 0), (0, 6)): (2, 12)}
+    for a, res in results:
+        r, c = a.rows, a.cols
         product = res.left.u.mul(a).mul(res.right.u)
         for i in range(r):
             for j in range(c):
@@ -131,9 +156,13 @@ def test_snf_transform_replay_and_sympy_agreement():
         for i in range(len(res.diag) - 1):
             if res.diag[i + 1] != 0 or res.diag[i] != 0:
                 assert res.diag[i + 1] % max(res.diag[i], 1) == 0 or res.diag[i] == 0
-        oracle = sympy_snf(Matrix(a.to_lists()), domain=ZZ)
-        oracle_diag = tuple(abs(oracle[i, i]) for i in range(min(r, c)))
+        if r and c:
+            oracle = sympy_snf(Matrix(a.to_lists()), domain=ZZ)
+            oracle_diag = tuple(abs(oracle[i, i]) for i in range(min(r, c)))
+        else:
+            oracle_diag = ()
         assert res.diag == oracle_diag
+        assert chains.get(a.data, res.diag) == res.diag
 
 
 def test_snf_congruence_invariance():

@@ -76,10 +76,16 @@ def test_inverse_is_unimodular_and_inverts():
 
 def test_smith_transforms_are_unimodular_and_replay():
     for a in _matrices(22):
-        diag, left, right = _smith_elimination(a)
+        left = IntMatrix.identity(a.rows).to_lists()
+        right_t = IntMatrix.identity(a.cols).to_lists()
+        diag = _smith_elimination(a, [left], [right_t])
+        left = IntMatrix.from_rows(left, cols=a.rows)
+        right = IntMatrix.from_rows(right_t, cols=a.cols).transpose()
         assert det_bareiss(left) in (1, -1) and det_bareiss(right) in (1, -1)
         assert left.mul(a).mul(right) == _diagonal_embedding(diag, a.rows, a.cols)
-        # smith_normal_form checks the same transforms at the boundary
+        # handed no transforms, the loop reads the same diagonal; smith_normal_form
+        # checks the same transforms at the boundary
+        assert _smith_elimination(a) == diag
         snf = smith_normal_form(a)
         assert (snf.diag, snf.left.u, snf.right.u) == (diag, left, right)
 
