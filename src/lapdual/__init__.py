@@ -24,8 +24,8 @@ _EXPORTS = {
                   "inverse_unimodular", "rank", "smith_normal_form"),
     "laplacians": ("DualLaplacianPair", "border_first", "border_last", "cut_block",
                    "cut_gram", "flow_gram", "flow_matrix", "incidence", "laplacian",
-                   "reduced_dual_laplacian", "reduced_incidence", "reduced_laplacian",
-                   "reduction_change_witness", "superbase_matrix"),
+                   "lemma_center_recover", "reduced_dual_laplacian", "reduced_incidence",
+                   "reduced_laplacian", "reduction_change_witness", "superbase_matrix"),
     "properties": ("PropertyReport", "verify_property"),
     "congruence": ("CongruenceVerdict", "PropertyXReport",
                    "congruence_invariants", "decide_congruence",
@@ -33,8 +33,7 @@ _EXPORTS = {
                    "strict_row_equivalence"),
     "duality": ("DualCertificate", "DualityReport", "KuratowskiEvidence",
                 "PlanarityResult", "construct_abstract_dual", "decide_planarity",
-                "lemma_center_recover", "verify_abstract_dual",
-                "verify_kuratowski_evidence"),
+                "verify_abstract_dual", "verify_kuratowski_evidence"),
     "descent": ("SuperbaseState", "superbase_trace_minimize"),
 }
 

@@ -34,7 +34,7 @@ from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negat
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
                         inverse_unimodular)
 from .laplacians import (_reduction, flow_matrix, incidence, laplacian,
-                         reduced_incidence, reduced_laplacian)
+                         lemma_center_recover, reduced_incidence, reduced_laplacian)
 
 CONGRUENT = "congruent"
 NOT_CONGRUENT = "not_congruent"
@@ -325,15 +325,8 @@ def strict_row_equivalence(a: IntMatrix, b: IntMatrix):
 
     Two matrices with equal row counts are strictly row equivalent iff their
     canonical Hermite forms coincide; the witness is assembled from the two
-    Hermite transforms.
+    Hermite transforms and replayed.
     """
-    w = _row_transform(a, b)
-    return None if w is None else UnimodularWitness(w)
-
-
-def _row_transform(a: IntMatrix, b: IntMatrix):
-    """The transform of strict_row_equivalence as a plain IntMatrix,
-    unimodular by construction and replayed, or None."""
     if a.cols != b.cols:
         raise ShapeMismatch("strict row equivalence needs equal column counts")
     if a.rows != b.rows:
@@ -345,7 +338,7 @@ def _row_transform(a: IntMatrix, b: IntMatrix):
     w = inverse_unimodular(ub).mul(ua)
     if w.mul(a) != b:
         raise AssertionError("row-equivalence witness failed replay")
-    return w
+    return UnimodularWitness(w)
 
 
 def loose_row_equivalence(a: IntMatrix, b: IntMatrix):
@@ -474,8 +467,6 @@ def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
     of squared norm at least 2, and the squared norms add up to the trace
     of the bordered u L1 u^T = L2, twice g2's non-loop edge count; so g1
     has at most as many, and the inverse witness gives the reverse."""
-    from .duality import lemma_center_recover
-
     if verdict.status != CONGRUENT:
         return {"attempted": False}
     u = verdict.witness.u

@@ -9,6 +9,12 @@ is planar, on a superbase of face boundaries.  `superbase_trace_minimize`
 descends on the trace by basis moves f_i += s * f_j.  `decide_planarity`
 reaches that superbase by an embedding instead, so this layer is loaded
 only by callers of the descent; the tests cross-check the two.
+
+The descent carries no transform.  Its rows stay flows, and the starting
+flow matrix is -I on its cotree columns, so the one witness W with
+W * flow_matrix = rows is minus the rows' cotree columns.  It is read once,
+when the descent returns, after one pass checks that every row has zero net
+flow at each vertex; its determinant is checked by `UnimodularWitness`.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .congruence import _row_transform
 from .errors import BudgetExceeded
 from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
                      classify_edges, greedy_forest, maximal_forest)
-from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row
+from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, _hermite
 from .laplacians import _flow_coordinates, border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
@@ -30,7 +35,7 @@ MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first desce
 class SuperbaseState:
     """Snapshot of the descent: explicit zero-sum row matrix, its Gram, the
     applied moves, and the basis witness mapping the starting flow matrix to
-    the current one."""
+    the current one, read off the basis's cotree columns."""
 
     f_hat: IntMatrix
     gram: IntMatrix
@@ -49,10 +54,6 @@ class SuperbaseState:
             raise ValueError("stored trace does not match the Gram")
 
 
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 class _Descent:
     """Greedy trace descent over basis moves row_i += s * row_j.
 
@@ -61,27 +62,26 @@ class _Descent:
     products are minus the Gram's column sums: dep . f_j = -sum_k f_k . f_j,
     and dep . dep is the sum of every entry."""
 
-    def __init__(self, basis_rows, witness_rows, num_columns, budget: SearchBudget,
-                 moves=(), gram=None):
+    def __init__(self, basis_rows, num_columns, budget: SearchBudget, moves=(), gram=None):
         self.basis = [list(r) for r in basis_rows]
-        self.witness = [list(r) for r in witness_rows]
         self.budget = budget
         self.moves = list(moves)
         self.m = num_columns
         if gram is None:
-            gram = [[_dot(u, v) for v in self.basis] for u in self.basis]
+            b = IntMatrix.from_rows(self.basis, cols=num_columns)
+            gram = b.mul(b.transpose()).data
         self.gram = [list(r) for r in gram]
         self.trace = sum(r[k] for k, r in enumerate(self.gram)) + sum(map(sum, self.gram))
 
     def copy(self):
         """A twin that later moves of either leave be."""
-        return _Descent(self.basis, self.witness, self.m, self.budget, self.moves, self.gram)
+        return _Descent(self.basis, self.m, self.budget, self.moves, self.gram)
 
     def apply(self, i, j, s):
         gj = self.gram[j]
         # |f_i|^2 grows by 2s f_i.f_j + |f_j|^2, and |dep|^2 by -2s dep.f_j + |f_j|^2
         self.trace += 2 * gj[j] + 2 * s * (gj[i] + sum(gj))
-        _add_row(i, j, s, self.basis, self.witness, self.gram)
+        _add_row(i, j, s, self.basis, self.gram)
         _add_col(i, j, s, self.gram)
         self.moves.append((i, j, s))
 
@@ -124,16 +124,14 @@ class _Descent:
                 j += 1
             self.apply(i, j, rng.choice((1, -1)))
 
-    def snapshot(self, budget_exhausted=False):
+    def snapshot(self, witness, budget_exhausted=False):
         dep = [-sum(r[j] for r in self.basis) for j in range(self.m)]
         f_hat = IntMatrix.from_rows([dep] + self.basis, cols=self.m)
         # bordered by the dependent row's products
         gram = border_first(IntMatrix.from_rows(self.gram, cols=len(self.basis)))
         return SuperbaseState(
             f_hat=f_hat, gram=gram, trace=self.trace, move_log=tuple(self.moves),
-            basis_witness=UnimodularWitness(
-                IntMatrix.from_rows(self.witness, cols=len(self.basis))),
-            budget_exhausted=budget_exhausted)
+            basis_witness=witness, budget_exhausted=budget_exhausted)
 
 
 def _random_forest(g, rng):
@@ -142,19 +140,20 @@ def _random_forest(g, rng):
     return greedy_forest(g, order)
 
 
-def _short_cycle_basis(g, f_start):
-    """Flow-lattice basis assembled from shortest circuits, as rows plus the
-    plain transform mapping f_start onto it; None when the greedy pick comes
-    up short.  The transform is checked once, in the state the descent
-    returns.
+def _short_cycle_basis(g, forest):
+    """Flow-lattice basis assembled from shortest circuits, as rows; None when
+    the greedy pick comes up short.
+
+    Circuits independent over GF(2) have nonsingular coordinates on the
+    flow matrix of `forest`, minus their cotree columns, but may still span
+    a proper sublattice; the rows are kept exactly when those r x r
+    coordinates have the identity as Hermite form.
 
     Planar graphs have minimal superbases made of face boundaries, so starting
     the descent from short circuits instead of long fundamental ones usually
     begins almost on the floor.
     """
-    r = f_start.rows
-    if r == 0:
-        return None
+    r = len(forest.cotree_edges)
     # over every edge, the breadth-first walk closes a shortest circuit
     adj = adjacency(g, range(g.num_edges))
     candidates = []
@@ -182,11 +181,9 @@ def _short_cycle_basis(g, f_start):
                 break
     if len(chosen) < r:
         return None
-    basis = IntMatrix.from_rows(chosen, cols=g.num_edges)
-    u = _row_transform(f_start, basis)
-    if u is None:
-        return None
-    return basis, u
+    w = _flow_coordinates(forest, chosen).to_lists()
+    _hermite(w, r)
+    return chosen if w == IntMatrix.identity(r).to_lists() else None
 
 
 def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseState:
@@ -209,7 +206,7 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
     rng = random.Random(seed)
     counter = SearchBudget(budget)
 
-    descent = _Descent(f_start.data, IntMatrix.identity(r).data, f_start.cols, counter)
+    descent = _Descent(f_start.data, f_start.cols, counter)
     # a finished descent is never moved again, so it is kept without a copy
     best = descent.copy()
     exhausted = False
@@ -221,19 +218,13 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
             if best.trace <= floor_trace or r < 2:
                 break
             if hop == 0:
-                short = _short_cycle_basis(g, f_start)
+                short = _short_cycle_basis(g, forest)
                 if short is None:
                     continue
-                basis_m, u = short
-                descent = _Descent(basis_m.data, u.data, f_start.cols, counter,
-                                   [("short-basis",)])
+                descent = _Descent(short, f_start.cols, counter, [("short-basis",)])
             elif hop % 64 == 63 and g.num_edges:
                 alt = _random_forest(g, rng)
-                f_alt = flow_matrix(g, alt)
-                u = _flow_coordinates(forest, f_alt.data)
-                if u.mul(f_start) != f_alt:
-                    raise AssertionError("row-equivalence witness failed replay")
-                descent = _Descent(f_alt.data, u.data, f_start.cols, counter,
+                descent = _Descent(flow_matrix(g, alt).data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])
             else:
                 descent = best.copy()
@@ -243,4 +234,13 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
                 best = descent
     except BudgetExceeded:
         exhausted = True
-    return best.snapshot(budget_exhausted=exhausted)
+    # _flow_coordinates reads the witness only off rows that are flows
+    for row in best.basis:
+        net = [0] * g.num_vertices
+        for (tail, head), x in zip(g.edges, row):
+            net[tail] -= x
+            net[head] += x
+        if any(net):
+            raise AssertionError("a descent row left the flow lattice")
+    return best.snapshot(UnimodularWitness(_flow_coordinates(forest, best.basis)),
+                         budget_exhausted=exhausted)

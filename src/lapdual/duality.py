@@ -6,73 +6,33 @@ that superbase outright: the private `embedding` module embeds the stripped
 core by a left-right planarity test, and the consistently oriented face
 boundaries of the embedding are such a superbase.  It is shipped as the
 incidence matrix of an abstract dual, recovered explicitly:
-`decide_planarity` hands the face rows to the center lemma, which reads its
-Gram conditions off their columns, so no matrix product is formed.  On a
-nonplanar core the embedding's edge deletions leave a K5 or K3,3
-subdivision, whose branch sets are verified and returned instead.
+`decide_planarity` hands the face rows to the center lemma of `laplacians`,
+which reads its Gram conditions off their columns, so no matrix product is
+formed.  On a nonplanar core the embedding's edge deletions leave a K5 or
+K3,3 subdivision, whose branch sets are verified and returned instead.
 
 `decide_planarity` loads `embedding` on its first call, so checking a dual
-or a certificate, or replaying the center lemma, never compiles it.  The
-paper's own route to the same superbase, a trace descent, is the `descent`
-layer, which nothing here loads.
+or a certificate never compiles it.  The paper's own route to the same
+superbase, a trace descent, is the `descent` layer, which nothing here
+loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import (BudgetExceeded, NonplanarInput, RowSumNonzero,
-                     ShapeMismatch, TraceTooLarge)
+from .errors import BudgetExceeded, NonplanarInput, ShapeMismatch
 from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
                      _Verdict, adjacency, classify_edges, forest_count, forest_size,
                      fundamental_circuits, in_cut_space, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import (_flow_coordinates, _reduction, flow_gram, flow_matrix,
+from .laplacians import (_flow_coordinates, _recover, _reduction, flow_gram, flow_matrix,
                          incidence, reduced_incidence, reduced_laplacian)
 
 PLANAR = "planar"
 NONPLANAR = "nonplanar"
 UNKNOWN = "unknown"
 KURATOWSKI_SETS = {"K5": 5, "K3,3": 6}  # kind -> number of branch sets
-
-
-def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
-    """Recover the directed graph whose incidence matrix is c.u * a.
-
-    Requires the Gram matrix of c.u * a to have zero row sums and trace at
-    most twice the number of nonzero columns of a; under those conditions
-    every nonzero column has exactly one +1 and one -1, and zero columns are
-    returned as loops at vertex 0.  Both conditions are read off the columns
-    of c.u * a, so the Gram matrix is never formed."""
-    return _recover(c.u.mul(a), 2 * len(a.nonzero_columns()))
-
-
-def _recover(ca: IntMatrix, bound: int):
-    """The center lemma on ca with trace bound `bound`.
-
-    Row i of the Gram matrix sums to row i of ca times ca's column sums, and
-    those row sums add up to the sum of the squared column sums, so they all
-    vanish exactly when every column sums to zero.  The trace is the sum of
-    the squared entries, and a nonzero zero-sum column contributes exactly 2
-    when it is one +1 and one -1, more otherwise.  Over a bound of twice the
-    nonzero columns, then, some column is not an incidence column; within
-    the bound, every column is an incidence column or zero."""
-    cols = ca.transpose().data
-    if any(sum(col) for col in cols):
-        raise RowSumNonzero("Gram matrix rows do not sum to zero")
-    squares = [sum(x * x for x in col) for col in cols]
-    trace = sum(squares)
-    if trace > bound:
-        j = next(j for j, sq in enumerate(squares) if sq > 2)
-        raise TraceTooLarge(f"trace {trace} exceeds {bound}; column {j} is not "
-                            "a signed incidence column", column=j)
-    if cols and not ca.rows:
-        raise RowSumNonzero("cannot place edges on an empty vertex set")
-    g = MultiGraph(ca.rows, tuple([(col.index(-1), col.index(1)) if sq else (0, 0)
-                                   for col, sq in zip(cols, squares)]))
-    if incidence(g) != ca:
-        raise AssertionError("recovered incidence does not replay")
-    return g
 
 
 @dataclass(frozen=True)

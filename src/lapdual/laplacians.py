@@ -1,7 +1,11 @@
-"""Laplacians, incidence matrices, cut/flow blocks and dual Laplacians.
+"""Laplacians, incidence matrices, cut/flow blocks and dual Laplacians, and
+the center lemma, which recovers a graph from its incidence matrix.
 
 This layer holds the constructions only; the checks of the classical facts
-about them are the `properties` layer, which nothing here loads.
+about them are the `properties` layer, which nothing here loads.  The
+center lemma is here because both upper layers run it: `duality` on the
+face rows of a plane embedding, and `congruence` in property X's
+constructive replay, so neither loads the other.
 
 Column permutations are never materialized: every edge-indexed matrix keeps
 its columns in ascending edge order, and block formulas are assembled by
@@ -10,7 +14,8 @@ read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
 It is -I on its cotree columns, so a flow is fixed by its cotree entries:
 `_flow_coordinates` reads every change of flow basis as minus the new rows'
-cotree columns, the one W with W * flow_matrix = rows, with no Hermite form.
+cotree columns, the one W with W * flow_matrix = rows, with no Hermite form;
+the trace descent reads its witness this way once, when it returns.
 
 The vertex side takes V0, a list of vertices with one from each component,
 whose rows it deletes.  The flow side (flow matrix, cut block, superbase,
@@ -21,7 +26,7 @@ reduced incidence whatever V0 deletes.
 
 from dataclasses import dataclass
 
-from .errors import InvalidReductionSpec, NotUnimodular
+from .errors import InvalidReductionSpec, NotUnimodular, RowSumNonzero, TraceTooLarge
 from .graphs import (ForestCertificate, MultiGraph, _require_maximal_forest,
                      adjacency, circuit_through, components, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness
@@ -76,6 +81,45 @@ def incidence(g: MultiGraph) -> IntMatrix:
 def reduced_incidence(g: MultiGraph, v0=None) -> IntMatrix:
     _, kept = _reduction(g, v0)
     return incidence(g).submatrix(kept, range(g.num_edges))
+
+
+def lemma_center_recover(a: IntMatrix, c: UnimodularWitness):
+    """Recover the directed graph whose incidence matrix is c.u * a.
+
+    Requires the Gram matrix of c.u * a to have zero row sums and trace at
+    most twice the number of nonzero columns of a; under those conditions
+    every nonzero column has exactly one +1 and one -1, and zero columns are
+    returned as loops at vertex 0.  Both conditions are read off the columns
+    of c.u * a, so the Gram matrix is never formed."""
+    return _recover(c.u.mul(a), 2 * len(a.nonzero_columns()))
+
+
+def _recover(ca: IntMatrix, bound: int):
+    """The center lemma on ca with trace bound `bound`.
+
+    Row i of the Gram matrix sums to row i of ca times ca's column sums, and
+    those row sums add up to the sum of the squared column sums, so they all
+    vanish exactly when every column sums to zero.  The trace is the sum of
+    the squared entries, and a nonzero zero-sum column contributes exactly 2
+    when it is one +1 and one -1, more otherwise.  Over a bound of twice the
+    nonzero columns, then, some column is not an incidence column; within
+    the bound, every column is an incidence column or zero."""
+    cols = ca.transpose().data
+    if any(sum(col) for col in cols):
+        raise RowSumNonzero("Gram matrix rows do not sum to zero")
+    squares = [sum(x * x for x in col) for col in cols]
+    trace = sum(squares)
+    if trace > bound:
+        j = next(j for j, sq in enumerate(squares) if sq > 2)
+        raise TraceTooLarge(f"trace {trace} exceeds {bound}; column {j} is not "
+                            "a signed incidence column", column=j)
+    if cols and not ca.rows:
+        raise RowSumNonzero("cannot place edges on an empty vertex set")
+    g = MultiGraph(ca.rows, tuple([(col.index(-1), col.index(1)) if sq else (0, 0)
+                                   for col, sq in zip(cols, squares)]))
+    if incidence(g) != ca:
+        raise AssertionError("recovered incidence does not replay")
+    return g
 
 
 def flow_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:

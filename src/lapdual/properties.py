@@ -236,7 +236,7 @@ def verify_property(g: MultiGraph, tag: str) -> PropertyReport:
     analogue on the given graph, returning the witnesses used.
 
     `_PROPERTY_CHECKS` maps each tag to its check; only X loads a further
-    layer, `congruence` and `duality`.  No check has a size cap: III reads
+    layer, `congruence`.  No check has a size cap: III reads
     the edge multiplicities off L's entries, IV* compares det(flow Gram) with
     the Kirchhoff count of the reduced Laplacian, and VIII* and IX* find the
     second forest greedily.  X compares g with its edge-rotated copy at the

@@ -9,7 +9,8 @@ import pathlib
 
 import networkx as nx
 
-from lapdual import intmatrix, superbase_trace_minimize
+from lapdual import intmatrix, strict_row_equivalence, superbase_trace_minimize
+from lapdual.laplacians import flow_matrix
 from lapdual.serialization import dumps
 
 from conftest import complete_graph
@@ -44,8 +45,9 @@ def test_descent_states_match_golden(catalog6, example3, k5):
 
 
 def test_descent_takes_one_determinant(petersen, monkeypatch):
-    # the short-basis and forest hops take plain transforms; only the
-    # returned state's basis witness is checked
+    # the short-basis and forest hops build no transform, and the short
+    # basis is tested by a Hermite form; only the returned state's basis
+    # witness, read off its cotree columns, is checked
     det = intmatrix.det_bareiss
     calls = []
 
@@ -58,3 +60,5 @@ def test_descent_takes_one_determinant(petersen, monkeypatch):
         calls.clear()
         state = superbase_trace_minimize(g, budget=10**5)
         assert calls == [state.basis_witness.u.rows], g.name
+        basis = state.f_hat.submatrix(range(1, state.f_hat.rows), range(state.f_hat.cols))
+        assert state.basis_witness == strict_row_equivalence(flow_matrix(g), basis), g.name

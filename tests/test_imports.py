@@ -1,7 +1,9 @@
-"""The package's import surface: the lazily resolved exports, and which
-layers the CLI loads for what it runs."""
+"""The package's import surface: the lazily resolved exports, which layers
+the CLI loads for what it runs, and no import left unused."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -171,12 +173,12 @@ def test_graph_commands_leave_congruence_and_duality_unloaded(k4):
 
 
 def test_verify_property_loads_congruence_and_duality_only_where_needed(k4):
-    # X's constructive replay runs the center lemma, which needs no embedding
+    # X's constructive replay runs the center lemma, which lives in laplacians
     for tag in PROPERTY_TAGS:
         loaded = loaded_by_cli(["verify-property", tag, k4])
         assert "lapdual.properties" in loaded
         assert ("lapdual.congruence" in loaded) == (tag == "X"), tag
-        assert ("lapdual.duality" in loaded) == (tag == "X"), tag
+        assert "lapdual.duality" not in loaded, tag
         assert "lapdual.embedding" not in loaded, tag
 
 
@@ -202,15 +204,39 @@ def test_matrix_commands_load_no_rationals(k4, tmp_path):
     assert not loaded & {"fractions", "decimal"}
 
 
-def test_importing_duality_leaves_descent_unloaded():
-    assert "lapdual.descent" not in loaded_after("import lapdual.duality")
+# importing a layer loads no other layer above laplacians: duality loads the
+# embedding on decide_planarity's first call, properties loads congruence on
+# property X's, and the descent needs no congruence
+@pytest.mark.parametrize("layer", ("laplacians", "congruence", "duality", "descent",
+                                   "properties"))
+def test_importing_a_layer_loads_only_the_layers_below(layer):
+    loaded = loaded_after(f"import lapdual.{layer}")
+    assert {m for m in loaded if m.startswith("lapdual.")} == \
+        {f"lapdual.{m}" for m in ("errors", "graphs", "intmatrix", "laplacians", layer)}
 
 
-def test_importing_duality_leaves_the_embedding_unloaded():
-    # decide_planarity imports the embedding on its first call
-    assert "lapdual.embedding" not in loaded_after("import lapdual.duality")
+def unused_imports(tree):
+    """The names that imports in `tree` bind and that nothing in it reads;
+    `__future__` features are not names."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
 
 
-def test_importing_laplacians_leaves_congruence_and_properties_unloaded():
-    assert not loaded_after("import lapdual.laplacians") & \
-        {"lapdual.congruence", "lapdual.properties"}
+def test_scan_finds_unused_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os, sys\nimport a.b\n"
+                     "import c.d\nfrom x import y as z, w\ndef f():\n    from q import r\n"
+                     "    return sys, w, c.d\n")
+    assert unused_imports(tree) == ["a", "os", "r", "z"]
+
+
+def test_every_import_is_used():
+    package = pathlib.Path(lapdual.__file__).parent
+    offenders = [f"{path.name}:{name}" for path in sorted(package.glob("*.py"))
+                 for name in unused_imports(ast.parse(path.read_text()))]
+    assert offenders == []

@@ -362,7 +362,7 @@ def test_flow_coordinates_equal_the_hermite_witness(catalog6):
     # basis of the flow lattice is unique: minus that basis's cotree columns
     # equal the transform the two Hermite forms give
     from lapdual import NonplanarInput, construct_abstract_dual, strict_row_equivalence
-    from lapdual.congruence import _row_transform
+    from lapdual.descent import _short_cycle_basis
     from lapdual.graphs import greedy_forest
     rng = random.Random(29)
     graphs = list(catalog6) + [random_multigraph(rng, max_n=6, max_m=10) for _ in range(150)]
@@ -371,7 +371,14 @@ def test_flow_coordinates_equal_the_hermite_witness(catalog6):
         f1, _, fm1, fm2, u = properties._forest_change(g)
         assert u == strict_row_equivalence(fm1, fm2), g.edges
         hop = flow_matrix(g, greedy_forest(g, rng.sample(range(g.num_edges), g.num_edges)))
-        assert laplacians._flow_coordinates(f1, hop.data) == _row_transform(fm1, hop), g.edges
+        assert laplacians._flow_coordinates(f1, hop.data) == \
+            strict_row_equivalence(fm1, hop).u, g.edges
+        # the descent keeps short circuits exactly when they span the lattice
+        short = _short_cycle_basis(g, f1)
+        if short is not None:
+            w = strict_row_equivalence(fm1, IntMatrix.from_rows(short, cols=g.num_edges))
+            assert w is not None, g.edges
+            assert w.u == laplacians._flow_coordinates(f1, short), g.edges
         try:
             cert = construct_abstract_dual(g)
         except NonplanarInput:

@@ -17,7 +17,7 @@ from lapdual import (IntMatrix, MultiGraph, UnimodularWitness,
                      inverse_unimodular, is_connected, laplacian,
                      lemma_center_recover, maximal_forest, permute_vertices,
                      reduced_incidence, reduced_laplacian, smith_normal_form,
-                     superbase_trace_minimize, verify_abstract_dual,
+                     strict_row_equivalence, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
 from lapdual.laplacians import cut_block, flow_gram, flow_matrix
 
@@ -395,6 +395,7 @@ def test_superbase_state_invariants(g, seed):
     assert state.trace >= 2 * (g.num_edges - len(isthmuses))
     basis = state.f_hat.submatrix(range(1, state.f_hat.rows), range(state.f_hat.cols))
     assert hnf_nonzero_part(basis) == hnf_nonzero_part(flow_matrix(g))
+    assert state.basis_witness == strict_row_equivalence(flow_matrix(g), basis)
 
 
 @prop_settings("test_recover_round_trip")
