@@ -204,6 +204,15 @@ def test_matrix_commands_load_no_rationals(k4, tmp_path):
     assert not loaded & {"fractions", "decimal"}
 
 
+def test_importing_duality_leaves_descent_unloaded():
+    assert "lapdual.descent" not in loaded_after("import lapdual.duality")
+
+
+def test_importing_duality_leaves_the_embedding_unloaded():
+    # decide_planarity imports the embedding on its first call
+    assert "lapdual.embedding" not in loaded_after("import lapdual.duality")
+
+
 # importing a layer loads no other layer above laplacians: duality loads the
 # embedding on decide_planarity's first call, properties loads congruence on
 # property X's, and the descent needs no congruence
