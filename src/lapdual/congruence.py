@@ -12,9 +12,13 @@ Each side of a semidefinite question is reduced by one unimodular transform,
 search, by the move search or through the block reductions of the unreduced
 proposition, is lifted by `_lift`, which inverts one transform and replays
 the witness.  The transforms are plain matrices, unimodular by construction,
-so the lifted witness's determinant is the one a decision checks.  The
-isometry search spends one budget unit per node and per
-candidate it tests, so a budget bounds its work.
+so the lifted witness's determinant is the one a decision checks.
+
+The short-vector enumeration and the isometry search are levels of the
+graphs layer's `_depth_first` loop, so neither recurses.  The isometry
+search spends one budget unit per node and per candidate it tests, so a
+budget bounds its work; the move search on indefinite pairs ends only on a
+meeting or on its budget.
 
 The report searches for a 2-isomorphism once, for condition 4, and tests
 the two row equivalences, conditions 2 and 3, on the bijection it finds.
@@ -23,11 +27,12 @@ the two row equivalences, conditions 2 and 3, on the bijection it finds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, LoopCountMismatch, NotSymmetric, ShapeMismatch
 from .graphs import (ForestCertificate, MultiGraph, SearchBudget, TwoIsomorphismResult,
-                     _bfs_tree, _Verdict, adjacency, component_count, components,
+                     _bfs_tree, _depth_first, _Verdict, adjacency, component_count, components,
                      decide_2_isomorphism_bruteforce, identify_vertices, maximal_forest)
 from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negate_col,
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
@@ -76,7 +81,7 @@ def congruence_invariants(a: IntMatrix) -> dict:
 
 def short_vectors(a: IntMatrix, bound: int, budget: SearchBudget):
     """All nonzero integer vectors v with v a v^T <= bound, for PD a and
-    bound >= 0.
+    bound >= 0, found by a `_depth_first` search whose level k fixes x_k.
 
     Fincke-Pohst enumeration in integers.  With the minors D_k and the
     columns lambda of `_symmetric_bareiss`, fixing x_(n-1) .. x_(k+1) leaves
@@ -85,39 +90,24 @@ def short_vectors(a: IntMatrix, bound: int, budget: SearchBudget):
     |D_k x_k + C| <= isqrt(D_(k-1) (bound D_k - T)).
     """
     n = a.rows
-    if n == 0:
-        return []
     order, minors, columns = _symmetric_bareiss(a)
     if order != list(range(n)) or any(d <= 0 for d in minors):
         raise ValueError("matrix is not positive definite")
-    out = []
-    _short_vectors_from(n - 1, 0, bound, [1] + minors, columns, [0] * n, out, budget)
-    return out
+    minors = [1] + minors  # minors[k] is D_(k-1)
+    lambdas = [col[:k:-1] for k, col in enumerate(columns)]  # lambda_jk for j = n-1 .. k+1
+    norms = [0]  # T after each fixed coordinate
 
+    def level(fixed):  # x_(n-1) .. x_(k+1), in that order
+        k = n - 1 - len(fixed)
+        d_prev, d, t = minors[k], minors[k + 1], norms[-1]
+        c = sum(map(operator.mul, lambdas[k], fixed))
+        s = math.isqrt(d_prev * (bound * d - t))
+        for x in range(-((s + c) // d), (s - c) // d + 1):
+            norms.append((d_prev * t + (d * x + c) ** 2) // d)
+            yield x
+            norms.pop()
 
-def _short_vectors_from(k, t, bound, minors, columns, coords, out, budget):
-    """Fix coords[k] and, recursively, the coordinates below it, appending
-    each nonzero vector of norm at most `bound` to `out`; `t` is
-    `minors[k + 1]` times the norm fixed so far (`minors` is shifted by one,
-    so that `minors[0]` is D_(-1) = 1).
-
-    A module-level function, not a closure: a closure calling itself refers
-    to itself through its own cell, and that cycle would keep every vector
-    alive until the cyclic collector runs."""
-    budget.spend()
-    if k < 0:
-        if any(coords):
-            out.append(tuple(coords))
-        return
-    d_prev, d = minors[k], minors[k + 1]
-    lam = columns[k]
-    c = sum(lam[j] * coords[j] for j in range(k + 1, len(coords)))
-    s = math.isqrt(d_prev * (bound * d - t))
-    for x in range(-((s + c) // d), (s - c) // d + 1):
-        coords[k] = x
-        _short_vectors_from(k - 1, (d_prev * t + (d * x + c) ** 2) // d, bound,
-                            minors, columns, coords, out, budget)
-    coords[k] = 0
+    return [tuple(fixed[::-1]) for fixed in _depth_first(level, n, budget) if any(fixed)]
 
 
 def gram_length_reduce(a: IntMatrix):
@@ -147,45 +137,29 @@ def gram_length_reduce(a: IntMatrix):
 
 def _pd_isometry(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
     """Unimodular U with U a U^T = b for positive definite a, b, or None after
-    exhausting the complete backtracking search."""
+    exhausting a complete `_depth_first` search whose level i picks the image
+    of row i among the short vectors of norm b_ii."""
     r = a.rows
-    if r == 0:
-        return IntMatrix.identity(0)
-    norms_needed = sorted(set(b.data[i][i] for i in range(r)))
-    vectors = short_vectors(a, max(norms_needed), budget)
+    vectors = short_vectors(a, max([b.data[i][i] for i in range(r)], default=0), budget)
     by_norm = {}
-    gram_cache = {}
-    a_rows = [list(row) for row in a.data]
+    images = {}  # v -> v a, so that u a v^T is one inner product
     for v in vectors:
         budget.spend()
-        image = tuple([sum(a_rows[i][k] * v[k] for k in range(r)) for i in range(r)])
-        gram_cache[v] = image
-        q = sum(v[i] * image[i] for i in range(r))
-        by_norm.setdefault(q, []).append(v)
+        image = images[v] = tuple([sum(map(operator.mul, row, v)) for row in a.data])
+        by_norm.setdefault(sum(map(operator.mul, v, image)), []).append(v)
 
-    chosen = []
-    if _extend_isometry(0, chosen, b, by_norm, gram_cache, budget):
+    def level(chosen):
+        i = len(chosen)
+        row = b.data[i]
+        for v in by_norm.get(row[i], ()):
+            budget.spend()
+            image = images[v]
+            if all(sum(map(operator.mul, u, image)) == row[j] for j, u in enumerate(chosen)):
+                yield v
+
+    for chosen in _depth_first(level, r, budget):
         return IntMatrix.from_rows(chosen, cols=r)
     return None
-
-
-def _extend_isometry(i, chosen, b, by_norm, gram_cache, budget):
-    """Extend the images `chosen` of rows 0..i-1 to all of b's rows; False
-    when no extension exists.  Module level for the reason _short_vectors_from
-    is."""
-    budget.spend()
-    r = b.rows
-    if i == r:
-        return True
-    for v in by_norm.get(b.data[i][i], ()):
-        budget.spend()
-        if all(sum(u[k] * gram_cache[v][k] for k in range(r)) == b.data[i][j]
-               for j, u in enumerate(chosen)):
-            chosen.append(v)
-            if _extend_isometry(i + 1, chosen, b, by_norm, gram_cache, budget):
-                return True
-            chosen.pop()
-    return False
 
 
 def _reduced_core(a: IntMatrix):
@@ -238,11 +212,16 @@ def _apply_move(state, transform, move):
 
 
 def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget):
-    """Meet-in-the-middle breadth-first search over elementary congruence moves:
-    the transforms (ua, ub) that carry a and b onto one state, or None.
+    """Meet-in-the-middle breadth-first search over elementary congruence moves
+    on indefinite a and b: the transforms (ua, ub) that carry a and b onto one
+    state.  It ends only there or on its budget.
 
     The moves generate GL_n(Z), so this is complete in the limit; in practice
-    it only resolves shallow cases and everything else stays unknown.
+    it only resolves shallow cases and everything else stays unknown.  No
+    frontier ever empties: an indefinite form is nonzero and at least 2 x 2,
+    and k moves row/col i += row/col j turn a_ii into
+    a_ii + 2k a_ij + k^2 a_jj, which is unbounded in k for some i != j, so
+    each orbit is infinite.
     """
     n = a.rows
     moves = _elementary_moves(n)
@@ -251,8 +230,8 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
     side_b = {b.data: ident}
     frontier_a = [a.data]
     frontier_b = [b.data]
-    while frontier_a or frontier_b:
-        grow_a = bool(frontier_a) and (not frontier_b or len(side_a) <= len(side_b))
+    while True:
+        grow_a = len(side_a) <= len(side_b)
         frontier, seen, other = (frontier_a, side_a, side_b) if grow_a \
             else (frontier_b, side_b, side_a)
         new_frontier = []
@@ -271,7 +250,6 @@ def _bidirectional_move_search(a: IntMatrix, b: IntMatrix, budget: SearchBudget)
             frontier_a = new_frontier
         else:
             frontier_b = new_frontier
-    return None
 
 
 def decide_congruence(a: IntMatrix, b: IntMatrix, budget=10**6) -> CongruenceVerdict:
@@ -312,10 +290,7 @@ def _decide_from_invariants(a, b, inv_a, inv_b, budget):
                     UNKNOWN, note="definite cores admit no isometry; no listed "
                     "invariant separates the pair")
             return _lift(u_core, ta, tb, a, b)
-        meeting = _bidirectional_move_search(a, b, counter)
-        if meeting is not None:
-            return _lift(IntMatrix.identity(0), *meeting, a, b)
-        return CongruenceVerdict(UNKNOWN, note="move search exhausted")
+        return _lift(IntMatrix.identity(0), *_bidirectional_move_search(a, b, counter), a, b)
     except BudgetExceeded:
         return CongruenceVerdict(UNKNOWN, note=f"budget of {budget} exhausted")
 

@@ -115,8 +115,6 @@ class _Descent:
 
     def shake(self, rng, count):
         r = len(self.basis)
-        if r < 2:
-            return
         for _ in range(count):
             i = rng.randrange(r)
             j = rng.randrange(r - 1)

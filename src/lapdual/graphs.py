@@ -8,8 +8,13 @@ The signed matrices read edge (u, v) as running u -> v, so relisting it as
 
 One walk serves every layer: `_bfs_tree` grows a breadth-first forest over
 an `adjacency` map, and fundamental circuits, cut 2-colourings, Kuratowski
-branch sets and orientation signs are read off it.  Forest sizes n - c and
-Kirchhoff's forest counts have one home each: `forest_size`, `forest_count`.
+branch sets and orientation signs are read off it.  One depth-first loop
+serves every backtracking search: `_depth_first` keeps its own stack of
+per-level generators and spends one `SearchBudget` unit per node, and the
+2-isomorphism search, the short-vector enumeration and the isometry search
+each give it only their levels, so none of them recurses.  Forest sizes
+n - c and Kirchhoff's forest counts have one home each: `forest_size`,
+`forest_count`.
 
 A graph's cycle matroid is binary, so its GF(2) cycle space (the edge sets
 of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .errors import (BudgetExceeded, EmptyOrFullSet, NotCotreeEdge,
                      NotMaximalForest)
@@ -283,17 +290,6 @@ def fundamental_circuits(g: MultiGraph):
             for e in f.cotree_edges}
 
 
-def _odd_vertices(g: MultiGraph, edge_ids):
-    """Vertices of odd degree in the edges `edge_ids`; empty exactly when
-    they lie in the GF(2) cycle space."""
-    odd = set()
-    for k in edge_ids:
-        u, v = g.edges[k]
-        if u != v:
-            odd ^= {u, v}
-    return odd
-
-
 def in_cut_space(g: MultiGraph, edge_sets) -> bool:
     """Whether every edge set is a cut of g, a GF(2) sum of vertex stars.
 
@@ -387,6 +383,36 @@ class SearchBudget:
             raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
 
 
+def _depth_first(level, depth, budget):
+    """Yield each path of `depth` moves of a depth-first search, spending one
+    unit of `budget` per node entered, the root included.
+
+    `level(path)` yields the moves open after `path`; it applies each move to
+    the search's state just before yielding it and undoes it when resumed.
+    The yielded path is the driver's own list, valid until the next resume.
+    The driver keeps a stack of these generators, one per level, so no
+    depth reaches the interpreter's recursion limit."""
+    path = []
+    budget.spend()
+    if depth == 0:
+        yield path
+        return
+    stack = [level(path)]
+    while stack:
+        for move in stack[-1]:
+            path.append(move)
+            budget.spend()
+            if len(path) < depth:
+                stack.append(level(path))
+                break
+            yield path
+            path.pop()
+        else:
+            stack.pop()
+            if stack:
+                path.pop()
+
+
 def _shortest_circuits(g: MultiGraph):
     """(length, number) of the shortest circuits through each edge, an
     invariant of the cycle matroid: (1, 1) for a loop, (0, 0) for an
@@ -419,7 +445,7 @@ def _shortest_circuits(g: MultiGraph):
 
 def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBudget):
     """Yield every cycle-matroid isomorphism g1 -> g2 (edge k of g1 ->
-    bijection[k]), lexicographically, by an iterative backtrack that spends
+    bijection[k]), lexicographically, by a `_depth_first` search that spends
     one budget unit per node entered.
 
     Edges are assigned in index order and targets tried in ascending order,
@@ -427,7 +453,8 @@ def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBud
     edge of maximal_forest(g1) must map to an edge joining two trees of the
     images of the earlier forest edges; a cotree edge must close the images
     of the rest of its fundamental circuit, which are all earlier edges, into
-    an even subgraph of g2.  The forest restricted to a prefix is a maximal
+    an even subgraph of g2: its odd-degree vertices, as a bitmask, must be
+    the XOR of theirs.  The forest restricted to a prefix is a maximal
     forest of the prefix, so a prefix passes both exactly when it is an
     isomorphism of the restrictions: no true isomorphism is ever pruned.
 
@@ -445,40 +472,32 @@ def two_isomorphism_candidates(g1: MultiGraph, g2: MultiGraph, budget: SearchBud
             return (f"shortest-circuit profiles differ: {counts1[length, number]} against "
                     f"{counts2[length, number]} edges lie on {on}")
     rest = {e: circuit[:-1] for e, circuit in fundamental_circuits(g1).items()}
+    parity = [(1 << u) ^ (1 << v) for u, v in g2.edges]  # odd-degree vertices, as a bitmask
+    targets = {p: [t for t in range(m) if profile2[t] == p] for p in counts2}
     trees = _UnionFind(g2.num_vertices)  # joined by the forest edges' images
-    mapping, used = [], [False] * m
-    start = 0  # first target to try for edge len(mapping)
-    budget.spend()
-    while True:
+    used = [False] * m
+
+    def level(mapping):
         e = len(mapping)
-        if e == m:
-            yield tuple(mapping)
-            targets = ()
+        if e in rest:
+            odd = 0
+            for k in rest[e]:
+                odd ^= parity[mapping[k]]
+            for t in targets[profile1[e]]:
+                if not used[t] and parity[t] == odd:
+                    used[t] = True
+                    yield t
+                    used[t] = False
         else:
-            targets = range(start, m)
-            if e in rest:
-                odd = _odd_vertices(g2, [mapping[k] for k in rest[e]])
-        for t in targets:
-            if used[t] or profile2[t] != profile1[e]:
-                continue
-            if e in rest:
-                if _odd_vertices(g2, (t,)) != odd:
-                    continue
-            elif not trees.union(*g2.edges[t]):
-                continue
-            mapping.append(t)
-            used[t] = True
-            budget.spend()
-            start = 0
-            break
-        else:
-            if not mapping:
-                return
-            t = mapping.pop()
-            used[t] = False
-            if len(mapping) not in rest:
-                trees.undo()
-            start = t + 1
+            for t in targets[profile1[e]]:
+                if not used[t] and trees.union(*g2.edges[t]):
+                    used[t] = True
+                    yield t
+                    used[t] = False
+                    trees.undo()
+
+    for mapping in _depth_first(level, m, budget):
+        yield tuple(mapping)
 
 
 def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6) -> TwoIsomorphismResult:
@@ -507,7 +526,8 @@ def decide_2_isomorphism_bruteforce(g1: MultiGraph, g2: MultiGraph, budget=10**6
                                     nodes_used=counter.used)
     except BudgetExceeded:
         return TwoIsomorphismResult("budget_exceeded", nodes_used=counter.used)
-    circuits = fundamental_circuits(g1).values()
-    if any(_odd_vertices(g2, [candidate[k] for k in c]) for c in circuits):
+    parity = [(1 << u) ^ (1 << v) for u, v in g2.edges]
+    if any(reduce(xor, [parity[candidate[k]] for k in c], 0)
+           for c in fundamental_circuits(g1).values()):
         raise AssertionError("2-isomorphism candidate failed replay")
     return TwoIsomorphismResult("two_isomorphic", bijection=candidate, nodes_used=counter.used)

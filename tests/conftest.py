@@ -132,6 +132,16 @@ def relist(g, flipped):
                                              for k, (u, v) in enumerate(g.edges)]), g.name)
 
 
+def shuffled_copy(g, rng):
+    """g with its vertices relabelled by a permutation shuffled by `rng`, then
+    its edges listed in an order shuffled by the same generator."""
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return MultiGraph.from_edges(g.num_vertices, edges)
+
+
 def random_connected_multigraph(rng, max_n=5, max_m=8, allow_loops=True):
     return random_multigraph(rng, max_n, max_m, connected=True, allow_loops=allow_loops)
 

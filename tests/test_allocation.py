@@ -1,5 +1,6 @@
-"""Repeated calls leave no memory behind, and every tuple in the package is
-built at its final size (the rule in the intmatrix module docstring)."""
+"""Repeated calls leave no memory behind, every tuple in the package is
+built at its final size (the rule in the intmatrix module docstring), and
+no function in it calls itself."""
 
 import ast
 import gc
@@ -102,3 +103,37 @@ def test_every_tuple_is_built_at_its_final_size():
     offenders = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
                  for line in unsized_tuple_calls(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def self_calls(tree):
+    """Names of the functions that call themselves by name, as `name` or as
+    `self.name`, anywhere in their bodies."""
+    names = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name) and call.func.id == node.name
+                    or isinstance(call.func, ast.Attribute) and call.func.attr == node.name
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"):
+                names.append(node.name)
+                break
+    return names
+
+
+def test_scan_finds_self_calls():
+    tree = ast.parse("def f(x):\n    return f(x - 1)\n"
+                     "class C:\n    def g(self):\n        return self.g()\n"
+                     "def h(x):\n    def inner():\n        return h(x)\n    return inner\n"
+                     "def k(x):\n    return g(x)\n")
+    assert sorted(self_calls(tree)) == ["f", "g", "h"]
+
+
+def test_no_function_calls_itself():
+    # searches keep their own stacks, so no input's size meets the recursion
+    # limit; to_jsonable's depth is the nesting of the result types instead
+    package = pathlib.Path(lapdual.__file__).parent
+    offenders = [f"{path.name}:{name}" for path in sorted(package.glob("*.py"))
+                 for name in self_calls(ast.parse(path.read_text()))]
+    assert offenders == ["serialization.py:to_jsonable"]

@@ -1,7 +1,9 @@
 import collections
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,7 +20,7 @@ from lapdual.graphs import SearchBudget
 from lapdual.laplacians import _reduction, reduced_dual_laplacian
 
 from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
-                      relist, wall_clock_guard)
+                      relist, shuffled_copy, wall_clock_guard)
 from oracles import loopless_isomorphic
 
 
@@ -199,6 +201,25 @@ def test_short_vectors_match_brute_force():
     for indefinite in ([[-1]], [[1, 2], [2, 1]], [[0, 1], [1, 0]]):
         with pytest.raises(ValueError, match="not positive definite"):
             short_vectors(IntMatrix.from_rows(indefinite), 3, SearchBudget(100))
+    # one level per coordinate, 200 levels deep under a recursion limit 100
+    # frames above this one: the enumeration keeps its own stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        found = short_vectors(IntMatrix.identity(200), 0, SearchBudget(10**6))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == []
+
+
+def test_searches_spend_pinned_budgets():
+    # the reduced Laplacians of the 3x4 grid and of a shuffled copy
+    g = grid_graph(3, 4)
+    a, b = reduced_laplacian(g), reduced_laplacian(shuffled_copy(g, random.Random(1)))
+    assert decide_congruence(a, b, 2019).status == "congruent"
+    assert decide_congruence(a, b, 2018).status == "unknown"
+    budget = SearchBudget(10**6)
+    assert (len(short_vectors(a, 4, budget)), budget.used) == (118, 702)
 
 
 def _norm(a, v):

@@ -14,8 +14,8 @@ from lapdual.graphs import (SearchBudget, _bfs_tree, adjacency, forest_count,
                             is_maximal_forest, two_isomorphism_candidates)
 from lapdual.serialization import forest_from_json
 
-from conftest import (complete_graph, cycle_graph, random_multigraph, relist,
-                      wall_clock_guard)
+from conftest import (complete_graph, cycle_graph, grid_graph, random_multigraph, relist,
+                      shuffled_copy, wall_clock_guard)
 from oracles import (CapExceeded, decide_2_isomorphism_oracle, enumerate_circuits,
                      enumerate_maximal_forests, enumerated_profile, loopless_isomorphic,
                      two_isomorphism_candidates_oracle)
@@ -236,14 +236,11 @@ def oracle_pairs(seed, count=60):
     pairs = []
     for _ in range(count):
         g = random_multigraph(rng, max_n=6, max_m=12)
-        perm = list(range(g.num_vertices))
-        rng.shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in g.edges]
-        rng.shuffle(edges)
+        copy = shuffled_copy(g, rng)
         other = random_multigraph(rng, max_n=6, max_m=12)
         while other.num_edges != g.num_edges:
             other = random_multigraph(rng, max_n=6, max_m=12)
-        pairs += [(g, MultiGraph.from_edges(g.num_vertices, edges)), (g, other)]
+        pairs += [(g, copy), (g, other)]
     return pairs
 
 
@@ -313,6 +310,15 @@ def test_two_isomorphism_search_on_a_long_cycle():
     with wall_clock_guard(30):
         first = next(two_isomorphism_candidates(cycle, cycle, SearchBudget(10**6)))
     assert first == tuple(range(1200))
+
+
+def test_two_isomorphism_spends_one_unit_per_node_entered():
+    # pinned: the 3x4 grid against a shuffled copy is decided on exactly
+    # 278,148 units, the root included
+    g = grid_graph(3, 4)
+    h = shuffled_copy(g, random.Random(1))
+    assert decide_2_isomorphism_bruteforce(g, h, 278148).status == "two_isomorphic"
+    assert decide_2_isomorphism_bruteforce(g, h, 278147).status == "budget_exceeded"
 
 
 def test_identify_vertices():
