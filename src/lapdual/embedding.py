@@ -1,31 +1,53 @@
 """Plane embedding of a stripped core, and Kuratowski subdivisions.
 
-The left-right planarity test (de Fraysseix and Rosenstiehl, as laid out by
-Brandes 2009) embeds a simple graph in three iterative depth-first passes.
-`_face_basis` reads the face boundaries of that embedding, which
-`duality.decide_planarity` ships as a superbase of trace exactly 2m; on a
-nonplanar core, `_kuratowski_subdivision` deletes edges while the graph stays
-nonplanar and reads the branch sets of the K5 or K3,3 subdivision left.
+The left-right planarity test (de Fraysseix and Rosenstiehl) embeds a simple
+graph by Brandes's three procedures ("The left-right planarity test", 2009):
+orientation, testing and embedding.  Each is written as the recursive
+depth-first procedure of that paper, but as a generator that yields each
+child vertex instead of calling itself; `_walk` keeps the stack of these
+generators, so depth never meets the recursion limit.  `_face_basis` reads
+the face boundaries of that embedding, which `duality.decide_planarity`
+ships as a superbase of trace exactly 2m; on a nonplanar core,
+`_kuratowski_subdivision` deletes edges while the graph stays nonplanar and
+reads the branch sets of the K5 or K3,3 subdivision left.
 
-Each half-edge step of a walk and each planarity test of the extraction
-spends one unit of the caller's `SearchBudget`.  The module imports only
-`graphs`, and `decide_planarity` loads it on its first call, so a process
-that never decides planarity never compiles it.
+Each half-edge step of a procedure and each planarity test of the
+extraction spends one unit of the caller's `SearchBudget`.  The module
+imports only `graphs`, and `decide_planarity` loads it on its first call, so
+a process that never decides planarity never compiles it.
 """
 
 from .graphs import MultiGraph, SearchBudget, components, neighbour_sets
 
 
+def _walk(visit, root):
+    """Run the depth-first procedure `visit` from `root`: `visit(v)` is a
+    generator that yields each child it descends into, and resumes once that
+    child's own procedure has returned."""
+    stack = [visit(root)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(visit(child))
+            break
+        else:
+            stack.pop()
+
+
+class _Conflict(Exception):
+    """The testing procedure met return edges that no two sides keep apart."""
+
+
 class _LeftRight:
     """Left-right planarity test of a simple graph on vertices 0..n-1.
 
-    Three depth-first passes, each iterative so that depth never meets the
-    recursion limit: the constructor orients the graph along a DFS tree and
-    computes lowpoints and nesting depths; `planar` runs the constraint stack
-    of conflicting return edges; `rotation` fixes the side of every back edge
-    and lays out a plane embedding.  Every half-edge step spends one unit of
-    `budget`.  A conflict pair is a list [left low, left high, right low,
-    right high] of edge ids, None marking an empty interval.
+    Brandes's three procedures, each run by `_walk`: the constructor orients
+    the graph along a DFS tree with `_orient`, computing lowpoints and
+    nesting depths; `planar` runs `_test`, the constraint stack of
+    conflicting return edges, which raises `_Conflict` on a nonplanar graph;
+    `rotation` fixes the side of every back edge and lays out a plane
+    embedding.  Every half-edge step spends one unit of `budget`.  A conflict
+    pair is a list [left low, left high, right low, right high] of edge ids,
+    None marking an empty interval.
     """
 
     def __init__(self, n, edges, budget: SearchBudget):
@@ -50,92 +72,73 @@ class _LeftRight:
         self.lowpt_edge = [None] * m
         self.stack_bottom = [None] * m
         self.stack = []  # conflict pairs
-        self._orient()
-
-    def _orient(self):
-        height, parent_edge = self.height, self.parent_edge
-        nxt = [0] * self.n
-        for root in range(self.n):
-            if height[root] is not None:
-                continue
-            height[root] = 0
-            self.roots.append(root)
-            path = [root]
-            while path:
-                v = path[-1]
-                if nxt[v] == len(self.adj[v]):
-                    path.pop()
-                    if parent_edge[v] is not None:
-                        self._settle(parent_edge[v])
-                    continue
-                w, k = self.adj[v][nxt[v]]
-                nxt[v] += 1
-                self.budget.spend()
-                if self.tail[k] is not None:
-                    continue  # met again from its other end
-                self.tail[k], self.head[k] = v, w
-                self.out[v].append(k)
-                self.lowpt[k] = self.lowpt2[k] = height[v]
-                if height[w] is None:  # tree edge
-                    parent_edge[w] = k
-                    height[w] = height[v] + 1
-                    path.append(w)
-                else:  # back edge to an ancestor
-                    self.lowpt[k] = height[w]
-                    self._settle(k)
+        for root in range(n):
+            if self.height[root] is None:
+                self.height[root] = 0
+                self.roots.append(root)
+                _walk(self._orient, root)
         for edges in self.out:
             edges.sort(key=self.nesting.__getitem__)
 
-    def _settle(self, k):
-        """Nesting depth of the finished edge k, and its lowpoints passed up
-        to the tree edge into its tail."""
-        lowpt, lowpt2 = self.lowpt, self.lowpt2
-        v = self.tail[k]
-        self.nesting[k] = 2 * lowpt[k] + (lowpt2[k] < self.height[v])
+    def _orient(self, v):
+        """Orient the edges at v not yet met, away from v, and give each its
+        lowpoints and nesting depth, passed up to the tree edge into v."""
+        height, lowpt, lowpt2 = self.height, self.lowpt, self.lowpt2
         e = self.parent_edge[v]
-        if e is None:
-            return
-        if lowpt[k] < lowpt[e]:
-            lowpt2[e] = min(lowpt[e], lowpt2[k])
-            lowpt[e] = lowpt[k]
-        elif lowpt[k] > lowpt[e]:
-            lowpt2[e] = min(lowpt2[e], lowpt[k])
-        else:
-            lowpt2[e] = min(lowpt2[e], lowpt2[k])
+        for w, k in self.adj[v]:
+            self.budget.spend()
+            if self.tail[k] is not None:
+                continue  # met again from its other end
+            self.tail[k], self.head[k] = v, w
+            self.out[v].append(k)
+            lowpt[k] = lowpt2[k] = height[v]
+            if height[w] is None:  # tree edge
+                self.parent_edge[w] = k
+                height[w] = height[v] + 1
+                yield w
+            else:  # back edge to an ancestor
+                lowpt[k] = height[w]
+            self.nesting[k] = 2 * lowpt[k] + (lowpt2[k] < height[v])
+            if e is None:
+                continue
+            if lowpt[k] < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[k])
+                lowpt[e] = lowpt[k]
+            elif lowpt[k] > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], lowpt[k])
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[k])
 
     def planar(self):
-        head, height, lowpt = self.head, self.height, self.lowpt
-        nxt = [0] * self.n
-        started = [False] * len(head)
-        for root in self.roots:
-            path = [root]
-            while path:
-                v = path[-1]
-                e = self.parent_edge[v]
-                out = self.out[v]
-                while nxt[v] < len(out):
-                    ei = out[nxt[v]]
-                    if not started[ei]:
-                        started[ei] = True
-                        self.budget.spend()
-                        self.stack_bottom[ei] = self.stack[-1] if self.stack else None
-                        if ei == self.parent_edge[head[ei]]:
-                            break  # descend; ei is integrated on the way back
-                        self.lowpt_edge[ei] = ei
-                        self.stack.append([None, None, ei, ei])
-                    if lowpt[ei] < height[v]:  # ei has return edges
-                        if ei == out[0]:
-                            self.lowpt_edge[e] = self.lowpt_edge[ei]
-                        elif not self._add_constraints(ei, e):
-                            return False
-                    nxt[v] += 1
-                if nxt[v] < len(out):
-                    path.append(head[out[nxt[v]]])
-                    continue
-                path.pop()
-                if e is not None:
-                    self._remove_back_edges(e)
+        try:
+            for root in self.roots:
+                _walk(self._test, root)
+        except _Conflict:
+            return False
         return True
+
+    def _test(self, v):
+        """Push the return edges of each edge leaving v onto the constraint
+        stack, merging them with its earlier siblings', then drop those that
+        end at v's parent."""
+        e = self.parent_edge[v]
+        out = self.out[v]
+        for ei in out:
+            self.budget.spend()
+            self.stack_bottom[ei] = self.stack[-1] if self.stack else None
+            w = self.head[ei]
+            if ei == self.parent_edge[w]:
+                yield w
+            else:
+                self.lowpt_edge[ei] = ei
+                self.stack.append([None, None, ei, ei])
+            if self.lowpt[ei] < self.height[v]:  # ei has return edges
+                if ei == out[0]:
+                    self.lowpt_edge[e] = self.lowpt_edge[ei]
+                else:
+                    self._add_constraints(ei, e)
+        if e is not None:
+            self._remove_back_edges(e)
 
     def _conflicting(self, pair, i, b):
         """Interval i (0 left, 2 right) of pair holds a return edge that
@@ -144,11 +147,7 @@ class _LeftRight:
         return high is not None and self.lowpt[high] > self.lowpt[b]
 
     def _lowest(self, pair):
-        if pair[0] is None:
-            return self.lowpt[pair[2]]
-        if pair[2] is None:
-            return self.lowpt[pair[0]]
-        return min(self.lowpt[pair[0]], self.lowpt[pair[2]])
+        return min([self.lowpt[low] for low in pair[::2] if low is not None])
 
     def _extend(self, pair, i, low, high):
         """Chain the interval [low, high] below interval i of pair."""
@@ -160,7 +159,7 @@ class _LeftRight:
 
     def _add_constraints(self, ei, e):
         """Merge the return edges of ei with those of its earlier siblings;
-        False when the two sides cannot keep them apart."""
+        raise `_Conflict` when the two sides cannot keep them apart."""
         stack, lowpt = self.stack, self.lowpt
         p = [None, None, None, None]
         while True:  # the return edges of ei all go right
@@ -168,7 +167,7 @@ class _LeftRight:
             if q[0] is not None:
                 q[:] = q[2:] + q[:2]
             if q[0] is not None:
-                return False
+                raise _Conflict
             if lowpt[q[2]] > lowpt[e]:
                 self._extend(p, 2, q[2], q[3])
             else:  # returns to the lowpoint of e: same side as lowpt_edge[e]
@@ -182,13 +181,12 @@ class _LeftRight:
             if self._conflicting(q, 2, ei):
                 q[:] = q[2:] + q[:2]
             if self._conflicting(q, 2, ei):
-                return False
+                raise _Conflict
             if q[2] is not None:
                 self._extend(p, 2, q[2], q[3])
             self._extend(p, 0, q[0], q[1])
         if p != [None, None, None, None]:
             stack.append(p)
-        return True
 
     def _remove_back_edges(self, e):
         """Drop the return edges that end at the tail u of e, then give e
@@ -231,7 +229,7 @@ class _LeftRight:
     def rotation(self):
         """Clockwise neighbour order around each vertex of a plane
         embedding; call only after `planar` returned True."""
-        head, out = self.head, self.out
+        head, out, parent_edge = self.head, self.out, self.parent_edge
         for k in range(len(head)):
             self.nesting[k] *= self._sign(k)
         for edges in out:
@@ -252,43 +250,34 @@ class _LeftRight:
             cw[v][anchor], cw[v][w] = w, after
             ccw[v][after], ccw[v][w] = w, anchor
 
-        # a back edge into w from below w's child c goes clockwise right
-        # after c when on the right, else counter-clockwise before the
-        # leftmost edge placed so far
         left_ref = [None] * self.n
         right_ref = [None] * self.n
-        nxt = [0] * self.n
-        for root in self.roots:
-            path = [root]
-            while path:
-                v = path[-1]
-                if nxt[v] == len(out[v]):
-                    path.pop()
-                    continue
-                k = out[v][nxt[v]]
-                nxt[v] += 1
+
+        def embed(v):
+            # a back edge into w from below w's child c goes clockwise right
+            # after c when on the right, else counter-clockwise before the
+            # leftmost edge placed so far
+            for k in out[v]:
                 self.budget.spend()
                 w = head[k]
-                if k == self.parent_edge[w]:
+                if k == parent_edge[w]:
                     # the parent goes first, ahead of w's own edges
                     insert_after(w, ccw[w][head[out[w][0]]] if out[w] else None, v)
                     left_ref[v] = right_ref[v] = w
-                    path.append(w)
+                    yield w
                 elif self.side[k] == 1:
                     insert_after(w, right_ref[w], v)
                 else:
                     insert_after(w, ccw[w][left_ref[w]], v)
                     left_ref[w] = v
+
+        for root in self.roots:
+            _walk(embed, root)
         rings = []
-        for v in range(self.n):
-            ring = []
-            if cw[v]:
-                start = w = next(iter(cw[v]))
-                while True:
-                    ring.append(w)
-                    w = cw[v][w]
-                    if w == start:
-                        break
+        for after in cw:  # clockwise successor of each neighbour
+            ring = list(after)[:1]  # from the first neighbour placed
+            while ring and after[ring[-1]] != ring[0]:
+                ring.append(after[ring[-1]])
             rings.append(ring)
         return rings
 

@@ -215,30 +215,65 @@ def _negate_col(i, *ms):
 
 
 def det_bareiss(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: expand along each row left with one nonzero entry,
+    then eliminate what is left fraction-free (Bareiss).
+
+    Expanding along a row whose one nonzero entry is at column j leaves that
+    entry times the minor without the row and column j, up to sign.  The
+    signs of all the expansions come to that of the permutation sending each
+    expanded row to its column and the rows left, in order, to the columns
+    left.  An identity expands to the end, and so does the witness of a
+    planar certificate: past e_0 its rows are the faces' cotree columns, the
+    incidence of a spanning tree of the dual less one vertex, and every
+    other leaf face's row has one nonzero entry.  Bareiss skips a row whose
+    entry in the pivot column is 0 while the pivot equals the previous one,
+    where its update is the identity."""
     if a.rows != a.cols:
         raise NotSquare("determinant of non-square matrix")
     n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.data]
-    sign = 1
+    support = [{j for j, x in enumerate(row) if x} for row in a.data]
+    rows_at = [[i for i, row in enumerate(a.data) if row[j]] for j in range(n)]
+    sigma = [None] * n  # the column each row goes to
+    det = 1
+    todo = [i for i in range(n) if len(support[i]) < 2]
+    while todo:
+        i = todo.pop()
+        if not support[i]:
+            return 0
+        j = sigma[i] = support[i].pop()
+        det *= a.data[i][j]
+        for r in rows_at[j]:
+            if sigma[r] is None:
+                support[r].discard(j)
+                if len(support[r]) == 1:
+                    todo.append(r)
+    left = [i for i in range(n) if sigma[i] is None]
+    cols = sorted(set(range(n)).difference(sigma))
+    m = [[a.data[i][j] for j in cols] for i in left]
+    for i, j in zip(left, cols):
+        sigma[i] = j
+    for i in range(n):
+        while sigma[i] != i:  # one transposition per swap
+            k = sigma[i]
+            sigma[i], sigma[k] = sigma[k], k
+            det = -det
+    n = len(m)
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    _swap_rows(k, i, m)
-                    sign = -sign
-                    break
-            else:
-                return 0
+        i = next((i for i in range(k, n) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            _swap_rows(k, i, m)
+            det = -det
         for i in range(k + 1, n):
+            if m[i][k] == 0 and m[k][k] == prev:
+                continue  # the update would leave row i as it is
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return det * m[-1][-1] if m else det
 
 
 def _transposed(m, cols):
@@ -353,7 +388,9 @@ def _symmetric_bareiss(a: IntMatrix):
     the rows left over span the kernel.  The Schur update
     w[i][j] = (w[i][j] * d - w[i][p] * w[p][j]) // prev, where prev is the
     previous pivot, divides exactly (Bareiss); a coupling move is a
-    unimodular congruence on the active rows, so it keeps that so.
+    unimodular congruence on the active rows, so it keeps that so.  A row
+    with w[i][p] = 0 is skipped while d equals prev, where its update changes
+    nothing, so an identity matrix costs no cubic pass.
 
     `order[k]` is the k-th pivot row and `minors[k]` its Bareiss minor D_k:
     the leading principal minor of size k + 1, in pivot order, of a matrix
@@ -388,6 +425,8 @@ def _symmetric_bareiss(a: IntMatrix):
         for i in active:
             wi = w[i]
             f = wi[p]
+            if f == 0 and d == prev:
+                continue  # the update would leave row i as it is
             for j in active:
                 wi[j] = (wi[j] * d - f * wp[j]) // prev
         prev = d

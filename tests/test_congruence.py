@@ -201,15 +201,19 @@ def test_short_vectors_match_brute_force():
     for indefinite in ([[-1]], [[1, 2], [2, 1]], [[0, 1], [1, 0]]):
         with pytest.raises(ValueError, match="not positive definite"):
             short_vectors(IntMatrix.from_rows(indefinite), 3, SearchBudget(100))
-    # one level per coordinate, 200 levels deep under a recursion limit 100
-    # frames above this one: the enumeration keeps its own stack
+    # one level per coordinate, 1,500 levels deep under a recursion limit 100
+    # frames above this one: the enumeration keeps its own stack, and the
+    # elimination before it skips the rows whose update is a no-op, so the
+    # identity costs no cubic pass
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    budget = SearchBudget(10**6)
     try:
-        found = short_vectors(IntMatrix.identity(200), 0, SearchBudget(10**6))
+        with wall_clock_guard(10):
+            found = short_vectors(IntMatrix.identity(1500), 0, budget)
     finally:
         sys.setrecursionlimit(limit)
-    assert found == []
+    assert found == [] and budget.used == 1501
 
 
 def test_searches_spend_pinned_budgets():

@@ -39,6 +39,13 @@ def test_det_matches_cofactor_oracle():
         n = rng.randint(0, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(IntMatrix.from_rows(rows, cols=n)) == det_cofactor(rows)
+    # sparse rows: some have one nonzero entry, or come to one as the rows
+    # expanded along them drop out, and some are zero
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice([-2, -1, 1, 3]) if rng.random() < 0.3 else 0 for _ in range(n)]
+                for _ in range(n)]
+        assert det_bareiss(IntMatrix.from_rows(rows, cols=n)) == det_cofactor(rows)
 
 
 def test_det_requires_square():

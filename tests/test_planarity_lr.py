@@ -188,10 +188,35 @@ def test_nested_chords_get_a_certificate():
         assert result.certificate.replay_core(g)
 
 
+@pytest.mark.parametrize("g", [
+    grid_graph(30, 30),
+    MultiGraph.from_edges(900, [(v, v + 1) for v in range(900) if v % 30 < 29]
+                          + [(v, v + 30) for v in range(870)])], ids=["by vertex", "rows first"])
+def test_grid_certificate_takes_no_dense_determinant(g):
+    # listed rows first, the witness z has -1 on its diagonal past the first
+    # entry, so the Bareiss pivots alternate in sign and no row is left
+    # alone; its determinant expands along the leaves of the dual tree
+    # instead of a cubic elimination, which alone overruns the guard
+    with wall_clock_guard(5):
+        result = decide_planarity(g)
+    assert result.status == "planar" and result.certificate.trace == 2 * g.num_edges
+
+
 @pytest.mark.parametrize("budget", [0, 1, 20])
 def test_small_budget_gives_unknown(k5, budget):
     result = decide_planarity(k5, budget=budget)
     assert result.status == "unknown" and result.best_trace is None
+
+
+@pytest.mark.parametrize("graph, budget, status", [
+    ((4, 4), 144, "planar"), ((5, 6), 294, "planar"), ("k5", 310, "nonplanar"),
+    ("k33", 252, "nonplanar"), ("petersen", 572, "nonplanar")])
+def test_budget_thresholds_are_pinned(request, graph, budget, status):
+    # each half-edge step of the left-right procedures spends one unit, so a
+    # change in where or how often they spend moves these thresholds
+    g = request.getfixturevalue(graph) if isinstance(graph, str) else grid_graph(*graph)
+    assert decide_planarity(g, budget=budget).status == status
+    assert decide_planarity(g, budget=budget - 1).status == "unknown"
 
 
 def test_descent_reaches_floor_on_planar_corpus(catalog6, k5, k33, petersen):
