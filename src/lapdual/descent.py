@@ -6,7 +6,9 @@ f_0 = -(f_1 + ... + f_r) (Conway and Sloane, "Low-dimensional lattices VI",
 1992).  Its trace |f_0|^2 + ... + |f_r|^2 never falls below twice the
 number of non-isthmus edges, and reaches that floor exactly when the graph
 is planar, on a superbase of face boundaries.  `superbase_trace_minimize`
-descends on the trace by basis moves f_i += s * f_j.  `decide_planarity`
+descends on the trace by basis moves f_i += s * f_j, in one loop of basin
+hops, and returns the lowest state it reached: when the budget ends a
+descent midway, the running descent counts as found.  `decide_planarity`
 reaches that superbase by an embedding instead, so this layer is loaded
 only by callers of the descent; the tests cross-check the two.
 
@@ -28,7 +30,7 @@ from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, _hermite
 from .laplacians import _flow_coordinates, border_first, flow_matrix
 
-MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after the first descent
+MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after hop 0
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,6 @@ class _Descent:
             basis_witness=witness, budget_exhausted=budget_exhausted)
 
 
-def _random_forest(g, rng):
-    order = list(range(g.num_edges))
-    rng.shuffle(order)
-    return greedy_forest(g, order)
-
-
 def _short_cycle_basis(g, forest):
     """Flow-lattice basis assembled from shortest circuits, as rows; None when
     the greedy pick comes up short.
@@ -187,51 +183,54 @@ def _short_cycle_basis(g, forest):
 def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseState:
     """Seeded basin-hopping descent on the superbase Gram trace.
 
-    Greedy descent first; afterwards the best state is repeatedly shaken by a
+    Hop 0 descends greedily from the fundamental basis and hop 1 from the
+    short-cycle basis; afterwards the best state is repeatedly shaken by a
     few random moves and re-descended, accepting any state that does not
     increase the trace (plateau drift is what escapes the shallow local
-    minima).  Occasional hops restart from a different maximal forest.  The
+    minima).  Every 64th hop restarts from a shuffled greedy forest.  The
     trace can never go below twice the count of non-isthmus edges, so the
-    search stops as soon as it gets there or after MAX_HOPS hops; budget
-    exhaustion returns the best state found, flagged.  Each candidate move
-    scanned spends one unit of `budget`.
+    search stops as soon as it gets there or after MAX_HOPS hops.  Budget
+    exhaustion returns the lowest state reached, the running descent
+    included, flagged.  Each candidate move scanned spends one unit of
+    `budget`.
     """
     _, isthmuses = classify_edges(g)
     floor_trace = 2 * (g.num_edges - len(isthmuses))
     forest = maximal_forest(g)
     f_start = flow_matrix(g, forest)
-    r = f_start.rows
     rng = random.Random(seed)
     counter = SearchBudget(budget)
 
-    descent = _Descent(f_start.data, f_start.cols, counter)
+    # a greedy descent never raises its trace, so hop 0 starts as the best;
     # a finished descent is never moved again, so it is kept without a copy
-    best = descent.copy()
+    best = descent = _Descent(f_start.data, f_start.cols, counter)
     exhausted = False
     try:
-        descent.descend(floor_trace)
-        if descent.trace <= best.trace:
-            best = descent
-        for hop in range(MAX_HOPS):
-            if best.trace <= floor_trace or r < 2:
-                break
-            if hop == 0:
+        for hop in range(MAX_HOPS + 1):
+            if hop == 1:
                 short = _short_cycle_basis(g, forest)
                 if short is None:
                     continue
                 descent = _Descent(short, f_start.cols, counter, [("short-basis",)])
-            elif hop % 64 == 63 and g.num_edges:
-                alt = _random_forest(g, rng)
+            elif hop and hop % 64 == 0:
+                order = list(range(g.num_edges))
+                rng.shuffle(order)
+                alt = greedy_forest(g, order)
                 descent = _Descent(flow_matrix(g, alt).data, f_start.cols, counter,
                                    [("forest",) + tuple(alt.forest_edges)])
-            else:
+            elif hop:
                 descent = best.copy()
                 descent.shake(rng, 2 + rng.randrange(6))
             descent.descend(floor_trace)
             if descent.trace <= best.trace:
                 best = descent
+            if best.trace <= floor_trace:
+                break
     except BudgetExceeded:
+        # spend raises before a move is applied, so the running state is whole
         exhausted = True
+        if descent.trace < best.trace:
+            best = descent
     # _flow_coordinates reads the witness only off rows that are flows
     for row in best.basis:
         net = [0] * g.num_vertices

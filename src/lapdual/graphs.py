@@ -13,8 +13,10 @@ serves every backtracking search: `_depth_first` keeps its own stack of
 per-level generators and spends one `SearchBudget` unit per node, and the
 2-isomorphism search, the short-vector enumeration and the isometry search
 each give it only their levels, so none of them recurses.  Forest sizes
-n - c and Kirchhoff's forest counts have one home each: `forest_size`,
-`forest_count`.
+n - c and Kirchhoff's forest counts have one home each: `forest_size`, and
+`forest_count`, which takes the determinant of the flow Gram when it is
+under half the reduced Laplacian's size, and of the reduced Laplacian
+otherwise.
 
 A graph's cycle matroid is binary, so its GF(2) cycle space (the edge sets
 of even degree at every vertex) determines it (Whitney; Oxley, *Matroid
@@ -150,10 +152,16 @@ def forest_size(g: MultiGraph) -> int:
 
 
 def forest_count(g: MultiGraph) -> int:
-    """Maximal forests, counted as the reduced Laplacian's determinant (Kirchhoff)."""
+    """Maximal forests, counted by Kirchhoff as a determinant: of the r x r
+    flow Gram when r = m - (n - c) is under half of n - c, else of the (n - c)
+    x (n - c) reduced Laplacian.  Both count the same forests, so a cycle, a
+    path or a bouquet of loops costs a tiny determinant.  The Gram is dense
+    where the Laplacian is sparse, so near r = n - c (a grid) the Laplacian's
+    elimination is the faster one."""
     from .intmatrix import det_bareiss
-    from .laplacians import reduced_laplacian
-    return det_bareiss(reduced_laplacian(g))
+    from .laplacians import flow_gram, reduced_laplacian
+    size = forest_size(g)
+    return det_bareiss(flow_gram(g) if 2 * (g.num_edges - size) < size else reduced_laplacian(g))
 
 
 def greedy_forest(g: MultiGraph, order) -> ForestCertificate:

@@ -12,8 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotUnimodular, UnknownTag
-from .graphs import (MultiGraph, classify_edges, components, forest_count, greedy_forest,
-                     maximal_forest)
+from .graphs import MultiGraph, classify_edges, components, greedy_forest, maximal_forest
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 from .laplacians import (_flow_coordinates, _reduction, border_first, border_last, cut_gram,
                          flow_gram, flow_matrix, incidence, laplacian, reduced_dual_laplacian,
@@ -172,9 +171,10 @@ def _check_ii_star(g):
     return ok, {"reduced": pair.reduced}
 
 def _check_iv_star(g):
-    # matrix-tree: the flow Gram and the reduced Laplacian count the same forests
+    # matrix-tree: the flow Gram and the reduced Laplacian count the same
+    # forests; forest_count may read either, so both are taken here
     pair = reduced_dual_laplacian(g)
-    count = forest_count(g)
+    count = det_bareiss(reduced_laplacian(g))
     ok = _zero_line_sums(pair.unreduced) and det_bareiss(pair.gram_base) == count
     return ok, {"forest_count": count}
 

@@ -9,11 +9,11 @@ import pathlib
 
 import networkx as nx
 
-from lapdual import intmatrix, strict_row_equivalence, superbase_trace_minimize
+from lapdual import descent, intmatrix, strict_row_equivalence, superbase_trace_minimize
 from lapdual.laplacians import flow_matrix
 from lapdual.serialization import dumps
 
-from conftest import complete_graph
+from conftest import complete_graph, grid_graph
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "descent_states.json"
 
@@ -62,3 +62,27 @@ def test_descent_takes_one_determinant(petersen, monkeypatch):
         assert calls == [state.basis_witness.u.rows], g.name
         basis = state.f_hat.submatrix(range(1, state.f_hat.rows), range(state.f_hat.cols))
         assert state.basis_witness == strict_row_equivalence(flow_matrix(g), basis), g.name
+
+
+def test_descent_returns_the_lowest_trace_it_reached(k5, petersen, monkeypatch):
+    # every state a descent enters, shakes included, is recorded; the budget
+    # ends the 12x12 grid's first descent at 10^5 and 10^6, and the running
+    # descent's trace is the lowest there
+    reached = []
+    init, apply = descent._Descent.__init__, descent._Descent.apply
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        reached.append(self.trace)
+
+    def recorded_apply(self, *move):
+        apply(self, *move)
+        reached.append(self.trace)
+
+    monkeypatch.setattr(descent._Descent, "__init__", recorded_init)
+    monkeypatch.setattr(descent._Descent, "apply", recorded_apply)
+    for g in (k5, petersen, grid_graph(12, 12)):
+        for budget in (10**3, 10**4, 10**5, 10**6):
+            reached.clear()
+            state = superbase_trace_minimize(g, budget=budget)
+            assert state.trace <= min(reached), (g.num_vertices, budget)

@@ -312,6 +312,16 @@ def test_two_isomorphism_search_on_a_long_cycle():
     assert first == tuple(range(1200))
 
 
+def test_forest_count_takes_the_smaller_matrix():
+    # a cycle's flow Gram is 1 x 1, a path's 0 x 0 and a bouquet's reduced
+    # Laplacian 0 x 0, where the other matrix is over a thousand rows
+    path = MultiGraph.from_edges(1500, [(i, i + 1) for i in range(1499)])
+    bouquet = MultiGraph.from_edges(1, [(0, 0)] * 1499)
+    with wall_clock_guard(10):
+        assert forest_count(cycle_graph(1200)) == 1200
+        assert forest_count(path) == forest_count(bouquet) == 1
+
+
 def test_two_isomorphism_spends_one_unit_per_node_entered():
     # pinned: the 3x4 grid against a shuffled copy is decided on exactly
     # 278,148 units, the root included

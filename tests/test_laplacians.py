@@ -434,8 +434,9 @@ def test_property_iv_star_compares_with_the_forest_count(monkeypatch, example2):
     report = verify_property(example2, "IV*")
     assert report.passed
     assert report.details == {"forest_count": count_maximal_forests(example2)}
-    monkeypatch.setattr(properties, "forest_count",
-                        lambda g: report.details["forest_count"] + 1)
+    # a wrong Laplacian-side count fails the comparison
+    wrong = IntMatrix.from_rows([[report.details["forest_count"] + 1]], cols=1)
+    monkeypatch.setattr(properties, "reduced_laplacian", lambda g: wrong)
     assert not verify_property(example2, "IV*").passed
 
 

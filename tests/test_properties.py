@@ -19,6 +19,7 @@ from lapdual import (IntMatrix, MultiGraph, UnimodularWitness,
                      reduced_incidence, reduced_laplacian, smith_normal_form,
                      strict_row_equivalence, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
+from lapdual.graphs import forest_count
 from lapdual.laplacians import cut_block, flow_gram, flow_matrix
 
 from conftest import relist, wall_clock_guard
@@ -307,6 +308,7 @@ def test_forest_count_equals_both_determinants(data, g):
     spec = random_spec(g, data.draw(st.booleans()))
     assert det_bareiss(reduced_laplacian(g, spec)) == len(forests)
     assert det_bareiss(flow_gram(g, f)) == len(forests)
+    assert forest_count(g) == len(forests)
 
 
 @prop_settings("test_loop_and_isthmus_insertion_invariance")
