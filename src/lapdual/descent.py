@@ -15,8 +15,9 @@ only by callers of the descent; the tests cross-check the two.
 The descent carries no transform.  Its rows stay flows, and the starting
 flow matrix is -I on its cotree columns, so the one witness W with
 W * flow_matrix = rows is minus the rows' cotree columns.  It is read once,
-when the descent returns, after one pass checks that every row has zero net
-flow at each vertex; its determinant is checked by `UnimodularWitness`.
+when the descent returns, by `_flow_coordinates`, which first checks that
+every row has zero net flow at each vertex; its determinant is checked by
+`UnimodularWitness`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded
 from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
                      classify_edges, greedy_forest, maximal_forest)
-from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, _hermite
+from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, det_bareiss
 from .laplacians import _flow_coordinates, border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after hop 0
@@ -139,9 +140,9 @@ def _short_cycle_basis(g, forest):
     the greedy pick comes up short.
 
     Circuits independent over GF(2) have nonsingular coordinates on the
-    flow matrix of `forest`, minus their cotree columns, but may still span
+    flow matrix of `forest`, read by `_flow_coordinates`, but may still span
     a proper sublattice; the rows are kept exactly when those r x r
-    coordinates have the identity as Hermite form.
+    coordinates have determinant +-1.
 
     Planar graphs have minimal superbases made of face boundaries, so starting
     the descent from short circuits instead of long fundamental ones usually
@@ -175,9 +176,7 @@ def _short_cycle_basis(g, forest):
                 break
     if len(chosen) < r:
         return None
-    w = _flow_coordinates(forest, chosen).to_lists()
-    _hermite(w, r)
-    return chosen if w == IntMatrix.identity(r).to_lists() else None
+    return chosen if det_bareiss(_flow_coordinates(g, forest, chosen)) in (1, -1) else None
 
 
 def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseState:
@@ -231,13 +230,7 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
         exhausted = True
         if descent.trace < best.trace:
             best = descent
-    # _flow_coordinates reads the witness only off rows that are flows
-    for row in best.basis:
-        net = [0] * g.num_vertices
-        for (tail, head), x in zip(g.edges, row):
-            net[tail] -= x
-            net[head] += x
-        if any(net):
-            raise AssertionError("a descent row left the flow lattice")
-    return best.snapshot(UnimodularWitness(_flow_coordinates(forest, best.basis)),
-                         budget_exhausted=exhausted)
+    w = _flow_coordinates(g, forest, best.basis)
+    if w is None:
+        raise AssertionError("a descent row left the flow lattice")
+    return best.snapshot(UnimodularWitness(w), budget_exhausted=exhausted)

@@ -23,10 +23,11 @@ from dataclasses import dataclass, replace
 
 from .errors import BudgetExceeded, NonplanarInput, ShapeMismatch
 from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
-                     _Verdict, adjacency, classify_edges, forest_count, forest_size,
-                     fundamental_circuits, in_cut_space, maximal_forest)
+                     _require_maximal_forest, _Verdict, adjacency, classify_edges,
+                     forest_count, forest_size, fundamental_circuits, in_cut_space,
+                     maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import (_flow_coordinates, _recover, _reduction, flow_gram, flow_matrix,
+from .laplacians import (_flow_coordinates, _recover, _reduction, flow_gram,
                          incidence, reduced_incidence, reduced_laplacian)
 
 PLANAR = "planar"
@@ -61,10 +62,15 @@ class DualCertificate:
         return MultiGraph(g.num_vertices, tuple([g.edges[e] for e in self.core_edges]))
 
     def replay_core(self, g: MultiGraph) -> bool:
-        """Re-derive the bordered flow matrix of the stripped core and check
-        the witness maps it onto the dual core's incidence matrix.  The flow
-        matrix does not depend on V0, but a `core_v0` that is not one vertex
-        per component of the core is still refused.  A `beta` that is not a
+        """Check that the witness carries the bordered flow matrix of the
+        stripped core, a zero row over the core's flow matrix, onto the dual
+        core's incidence rows, with no product: `_flow_coordinates` checks
+        that those rows are flows of the core and reads the one such carrier,
+        which the witness's columns past the first must equal (its first
+        column meets the zero row).  A `core_forest` that is not a maximal
+        forest of the core raises as `flow_matrix` does.  The flow side does
+        not depend on V0, but a `core_v0` that is not one vertex per
+        component of the core is still refused.  A `beta` that is not a
         permutation of g's edges, a core edge outside them, a dual graph
         with another edge count or too few vertices, or a witness of the
         wrong size replays False."""
@@ -73,16 +79,15 @@ class DualCertificate:
                 not all(0 <= e < m for e in self.core_edges):
             return False
         core = self.core_graph(g)
-        fm = flow_matrix(core, self.core_forest)
+        _require_maximal_forest(core, self.core_forest)
         _reduction(core, self.core_v0)
-        a = IntMatrix.zeros(1, fm.cols).vstack(fm)
-        if self.witness_z.u.rows != a.rows or self.dual_graph.num_vertices < a.rows:
+        r = len(self.core_forest.cotree_edges)
+        if self.witness_z.u.rows != r + 1 or self.dual_graph.num_vertices <= r:
             return False
-        ca = self.witness_z.u.mul(a)
-        core_rows = range(self.witness_z.u.rows)
         core_cols = [self.edge_bijection[e] for e in self.core_edges]
-        dual_inc = incidence(self.dual_graph)
-        return ca == dual_inc.submatrix(core_rows, core_cols)
+        rows = incidence(self.dual_graph).submatrix(range(r + 1), core_cols).data
+        w = _flow_coordinates(core, self.core_forest, rows)
+        return w is not None and w == self.witness_z.u.submatrix(range(r + 1), range(1, r + 1))
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     ca = [[-sum(col) for col in zip(*rows)]] + rows
     z = UnimodularWitness(IntMatrix.from_rows(
         [[1 if i == 0 else 0] + list(row)
-         for i, row in enumerate(_flow_coordinates(core_forest, ca).data)]))
+         for i, row in enumerate(_flow_coordinates(core, core_forest, ca).data)]))
     dual_core = _recover(IntMatrix.from_rows(ca, cols=core.num_edges), 2 * core.num_edges)
     cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
                           2 * core.num_edges, core_forest, _reduction(core)[0])
@@ -195,18 +200,19 @@ def construct_abstract_dual(g: MultiGraph, budget=10**6) -> DualCertificate:
 
     The dual's loop count equals the primal isthmus count by construction,
     and the dual's reduced Laplacian is certified congruent to the primal's
-    flow Gram matrix through an explicit row-equivalence witness."""
+    flow Gram matrix through an explicit row-equivalence witness.  The
+    witness W, with W * flow_matrix(g) = the dual's reduced incidence, is
+    read by `_flow_coordinates`, which checks those rows are flows of g
+    without a product; its determinant and the congruence W * flow Gram *
+    W^T are then replayed."""
     result = decide_planarity(g, budget)
     if result.status == NONPLANAR:
         raise NonplanarInput("graph is nonplanar; it has no abstract dual")
     if result.status == UNKNOWN:
         raise BudgetExceeded(result.note or "planarity search exhausted its budget")
     cert = result.certificate
-    f = maximal_forest(g)
-    fm = flow_matrix(g, f)
-    n_dual = reduced_incidence(cert.dual_graph)
-    w = _flow_coordinates(f, n_dual.data)
-    if w.mul(fm) != n_dual:
+    w = _flow_coordinates(g, maximal_forest(g), reduced_incidence(cert.dual_graph).data)
+    if w is None:
         raise AssertionError("dual incidence rows do not span the primal flow lattice")
     u = UnimodularWitness(w)
     base = flow_gram(g)

@@ -13,9 +13,12 @@ writing each column into its edge position directly.  The flow matrix is
 read off the forest, one fundamental circuit per cotree edge, and the cut
 block is its forest columns transposed; nothing inverts the forest block.
 It is -I on its cotree columns, so a flow is fixed by its cotree entries:
-`_flow_coordinates` reads every change of flow basis as minus the new rows'
-cotree columns, the one W with W * flow_matrix = rows, with no Hermite form;
-the trace descent reads its witness this way once, when it returns.
+`_flow_coordinates` is the one checked reading of a change of flow basis.
+It checks that the new rows are flows, by their net flow at each vertex,
+and reads the one W with W * flow_matrix = rows as minus their cotree
+columns, with no product and no Hermite form.  Certificate replay, the
+abstract dual, the trace descent's witness and its short-cycle basis all
+read it.
 
 The vertex side takes V0, a list of vertices with one from each component,
 whose rows it deletes.  The flow side (flow matrix, cut block, superbase,
@@ -135,9 +138,21 @@ def flow_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
                                cols=g.num_edges)
 
 
-def _flow_coordinates(f: ForestCertificate, rows) -> IntMatrix:
-    """Minus the cotree columns of `rows`, unchecked: the W with
-    W * flow_matrix(g, f) = rows when those rows are flows of g."""
+def _flow_coordinates(g: MultiGraph, f: ForestCertificate, rows):
+    """The one W with W * flow_matrix(g, f) = rows, or None when no W exists.
+
+    It exists exactly when every row is a flow of g, and it is then minus the
+    rows' cotree columns: a flow minus its cotree reading is a flow on the
+    forest, which is zero.  So the check is one pass over each row's nonzero
+    entries for zero net flow at every vertex, and no product is formed."""
+    for row in rows:
+        net = [0] * g.num_vertices
+        for (tail, head), x in zip(g.edges, row):
+            if x:
+                net[tail] -= x
+                net[head] += x
+        if any(net):
+            return None
     return IntMatrix.from_rows(([-row[e] for e in f.cotree_edges] for row in rows),
                                cols=len(f.cotree_edges))
 

@@ -24,6 +24,11 @@ The center lemma: the Gram form of `lemma_center_recover`, which multiplies
 out (c.a)(c.a)^T and reads its row sums and trace.  The runtime reads both
 conditions off the columns of c.a instead; the tests check it against this.
 
+Certificate replay: the dense form of `DualCertificate.replay_core`, which
+multiplies the witness into the bordered flow matrix of the core.  The
+runtime checks that the dual's incidence rows are flows and reads the
+witness off their cotree columns instead; the tests check it against this.
+
 All of them are exponential and meant for graphs of about a dozen vertices
 or edges.
 """
@@ -38,7 +43,8 @@ from lapdual.graphs import (ForestCertificate, MultiGraph, SearchBudget,
                             TwoIsomorphismResult, classify_edges,
                             forest_size, fundamental_circuit_vector,
                             is_maximal_forest, maximal_forest, neighbour_sets)
-from lapdual.laplacians import incidence, laplacian
+from lapdual.intmatrix import IntMatrix
+from lapdual.laplacians import _reduction, flow_matrix, incidence, laplacian
 
 
 class CapExceeded(LapdualError):
@@ -599,3 +605,23 @@ def lemma_center_recover_by_gram(a, c):
     if incidence(g) != ca:
         raise AssertionError("recovered incidence does not replay")
     return g
+
+
+def replay_core_by_product(cert, g):
+    """`DualCertificate.replay_core` by the dense product: re-derive the
+    bordered flow matrix of the stripped core, multiply the witness into it
+    and compare the dual core's incidence rows, after the same refusals in
+    the same order."""
+    m = g.num_edges
+    if sorted(cert.edge_bijection) != list(range(m)) or cert.dual_graph.num_edges != m or \
+            not all(0 <= e < m for e in cert.core_edges):
+        return False
+    core = cert.core_graph(g)
+    fm = flow_matrix(core, cert.core_forest)
+    _reduction(core, cert.core_v0)
+    a = IntMatrix.zeros(1, fm.cols).vstack(fm)
+    if cert.witness_z.u.rows != a.rows or cert.dual_graph.num_vertices < a.rows:
+        return False
+    ca = cert.witness_z.u.mul(a)
+    core_cols = [cert.edge_bijection[e] for e in cert.core_edges]
+    return ca == incidence(cert.dual_graph).submatrix(range(ca.rows), core_cols)

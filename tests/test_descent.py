@@ -46,8 +46,9 @@ def test_descent_states_match_golden(catalog6, example3, k5):
 
 def test_descent_takes_one_determinant(petersen, monkeypatch):
     # the short-basis and forest hops build no transform, and the short
-    # basis is tested by a Hermite form; only the returned state's basis
-    # witness, read off its cotree columns, is checked
+    # basis is tested by the descent's own determinant, which this counter
+    # does not see; only the returned state's basis witness, read off its
+    # cotree columns, is checked
     det = intmatrix.det_bareiss
     calls = []
 

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from lapdual import (ForestCertificate, IntMatrix, InvalidReductionSpec,
-                     KuratowskiEvidence, MultiGraph, NonplanarInput, NotMaximalForest,
-                     NotUnimodular, RowSumNonzero, ShapeMismatch,
+                     KuratowskiEvidence, MalformedInput, MultiGraph, NonplanarInput,
+                     NotMaximalForest, NotUnimodular, RowSumNonzero, ShapeMismatch,
                      TraceTooLarge, UnimodularWitness, classify_edges,
                      construct_abstract_dual, decide_planarity,
                      hnf_nonzero_part, incidence, inverse_unimodular,
@@ -21,7 +21,7 @@ from conftest import (cycle_graph, grid_graph, random_connected_multigraph,
                       random_multigraph, random_unimodular, relist, wall_clock_guard)
 from oracles import (_connected_subsets, count_maximal_forests, kuratowski_oracle,
                      lemma_center_recover_by_gram, loopless_isomorphic, maclane_oracle,
-                     verify_abstract_dual_oracle)
+                     replay_core_by_product, verify_abstract_dual_oracle)
 
 
 def identity_witness(n):
@@ -153,6 +153,19 @@ def test_planar_certificate_takes_no_matrix_product(monkeypatch):
     assert len(calls) == 1
 
 
+def test_certificate_replay_and_dual_take_no_flow_product(monkeypatch):
+    """replay_core reads the witness off the dual rows, and the abstract
+    dual's lattice check forms no product; its congruence replay and the
+    witness pair's own check form the three left."""
+    g = grid_graph(4, 4)
+    cert = decide_planarity(g).certificate
+    calls = _count_products(monkeypatch)
+    assert cert.replay_core(g)
+    assert calls == []
+    construct_abstract_dual(g)
+    assert len(calls) == 3
+
+
 def test_trace_minimize_example2_needs_no_moves(example2):
     state = superbase_trace_minimize(example2, budget=10**5, seed=0)
     assert state.trace == 16
@@ -219,6 +232,48 @@ def test_replay_core_refuses_a_tampered_core(k3, k4):
         flow_matrix(k3, ForestCertificate((0, 5), (1, 2)))
     with pytest.raises(InvalidReductionSpec):
         certificate_from_json(dict(cert, core_v0=[0, 1])).replay_core(k4)
+
+
+def _tamperings(rng, cert):
+    """The JSON certificate `cert` and, with two edges or more, three seeded
+    tamperings of each kind: one witness_z entry moved by one, one dual edge
+    reversed or made a loop, and two beta entries swapped."""
+    yield cert
+    z, dual, beta = cert["witness_z"], cert["dual_graph"], cert["beta"]
+    for _ in range(3 if len(beta) > 1 else 0):
+        data = [[int(x) for x in row] for row in z["data"]]
+        data[rng.randrange(z["rows"])][rng.randrange(z["cols"])] += rng.choice((1, -1))
+        yield dict(cert, witness_z=dict(z, data=data))
+        edges = [list(e) for e in dual["edges"]]
+        k = rng.randrange(len(edges))
+        tail, head = edges[k]
+        edges[k] = rng.choice(([head, tail], [tail, tail], [head, head]))
+        yield dict(cert, dual_graph=dict(dual, edges=edges))
+        i, j = rng.sample(range(len(beta)), 2)
+        swapped = list(beta)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield dict(cert, beta=swapped)
+
+
+def test_replay_core_matches_the_dense_product(catalog6):
+    # the replay reads the witness off the dual rows once they check as
+    # flows; the dense product it replaced gives the same verdict on every
+    # planar certificate and on every tampering that the reader accepts
+    rng = random.Random(37)
+    graphs = [g for g in catalog6 if decide_planarity(g).status == "planar"]
+    assert len(graphs) == 129
+    verdicts = []
+    for g in graphs + [grid_graph(5, 5)]:
+        for tampered in _tamperings(rng, json.loads(dumps(decide_planarity(g).certificate))):
+            try:
+                cert = certificate_from_json(tampered)
+            except (MalformedInput, NotUnimodular):
+                continue
+            verdicts.append(cert.replay_core(g))
+            assert verdicts[-1] == replay_core_by_product(cert, g), g.edges
+    # the 130 honest certificates replay, and so do the tamperings that
+    # leave the core's rows and the witness's read columns as they were
+    assert verdicts.count(True) > 230 and verdicts.count(False) > 800
 
 
 def test_decide_planarity_k33(k33):

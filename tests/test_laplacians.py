@@ -371,20 +371,29 @@ def test_flow_coordinates_equal_the_hermite_witness(catalog6):
         f1, _, fm1, fm2, u = properties._forest_change(g)
         assert u == strict_row_equivalence(fm1, fm2), g.edges
         hop = flow_matrix(g, greedy_forest(g, rng.sample(range(g.num_edges), g.num_edges)))
-        assert laplacians._flow_coordinates(f1, hop.data) == \
+        assert laplacians._flow_coordinates(g, f1, hop.data) == \
             strict_row_equivalence(fm1, hop).u, g.edges
         # the descent keeps short circuits exactly when they span the lattice
         short = _short_cycle_basis(g, f1)
         if short is not None:
             w = strict_row_equivalence(fm1, IntMatrix.from_rows(short, cols=g.num_edges))
             assert w is not None, g.edges
-            assert w.u == laplacians._flow_coordinates(f1, short), g.edges
+            assert w.u == laplacians._flow_coordinates(g, f1, short), g.edges
         try:
             cert = construct_abstract_dual(g)
         except NonplanarInput:
             continue
         assert cert.laplacian_witness == \
             strict_row_equivalence(fm1, reduced_incidence(cert.dual_graph)), g.edges
+
+
+def test_flow_coordinates_refuse_a_row_that_is_not_a_flow(k4):
+    # the flow matrix reads as the identity; a vertex's incidence row has
+    # nonzero net flow, so no W carries the flow matrix onto it
+    f = maximal_forest(k4)
+    rows = flow_matrix(k4, f).data
+    assert laplacians._flow_coordinates(k4, f, rows) == IntMatrix.identity(len(rows))
+    assert laplacians._flow_coordinates(k4, f, rows + (incidence(k4).data[0],)) is None
 
 
 def test_forest_change_refuses_rows_spanning_a_sublattice(k4, monkeypatch):

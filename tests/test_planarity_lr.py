@@ -202,6 +202,19 @@ def test_grid_certificate_takes_no_dense_determinant(g):
     assert result.status == "planar" and result.certificate.trace == 2 * g.num_edges
 
 
+@pytest.mark.parametrize("g", [
+    grid_graph(30, 30),
+    MultiGraph.from_edges(900, [(v, v + 1) for v in range(900) if v % 30 < 29]
+                          + [(v, v + 30) for v in range(870)])], ids=["by vertex", "rows first"])
+def test_grid_certificate_replays_with_no_dense_product(g):
+    # the replay checks the dual's rows as flows and reads the witness off
+    # their cotree columns; a dense product of the 842 x 842 witness with
+    # the 842 x 1,740 bordered flow matrix overruns the guard
+    cert = decide_planarity(g).certificate
+    with wall_clock_guard(5):
+        assert cert.replay_core(g)
+
+
 @pytest.mark.parametrize("budget", [0, 1, 20])
 def test_small_budget_gives_unknown(k5, budget):
     result = decide_planarity(k5, budget=budget)
