@@ -29,7 +29,7 @@ from .errors import BudgetExceeded
 from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
                      classify_edges, greedy_forest, maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, det_bareiss
-from .laplacians import _flow_coordinates, border_first, flow_matrix
+from .laplacians import _flow_coordinates, _superbase, border_first, flow_matrix
 
 MAX_HOPS = 20000  # basin hops of superbase_trace_minimize after hop 0
 
@@ -126,13 +126,12 @@ class _Descent:
             self.apply(i, j, rng.choice((1, -1)))
 
     def snapshot(self, witness, budget_exhausted=False):
-        dep = [-sum(r[j] for r in self.basis) for j in range(self.m)]
-        f_hat = IntMatrix.from_rows([dep] + self.basis, cols=self.m)
-        # bordered by the dependent row's products
+        # the Gram is bordered by the dependent row's products
         gram = border_first(IntMatrix.from_rows(self.gram, cols=len(self.basis)))
         return SuperbaseState(
-            f_hat=f_hat, gram=gram, trace=self.trace, move_log=tuple(self.moves),
-            basis_witness=witness, budget_exhausted=budget_exhausted)
+            f_hat=_superbase(self.basis, self.m), gram=gram, trace=self.trace,
+            move_log=tuple(self.moves), basis_witness=witness,
+            budget_exhausted=budget_exhausted)
 
 
 def _short_cycle_basis(g, forest):

@@ -27,7 +27,7 @@ from .graphs import (ForestCertificate, MultiGraph, SearchBudget, _bfs_tree,
                      forest_count, forest_size, fundamental_circuits, in_cut_space,
                      maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness
-from .laplacians import (_flow_coordinates, _recover, _reduction, flow_gram,
+from .laplacians import (_flow_coordinates, _recover, _reduction, _superbase, flow_gram,
                          incidence, reduced_incidence, reduced_laplacian)
 
 PLANAR = "planar"
@@ -62,21 +62,24 @@ class DualCertificate:
         return MultiGraph(g.num_vertices, tuple([g.edges[e] for e in self.core_edges]))
 
     def replay_core(self, g: MultiGraph) -> bool:
-        """Check that the witness carries the bordered flow matrix of the
-        stripped core, a zero row over the core's flow matrix, onto the dual
-        core's incidence rows, with no product: `_flow_coordinates` checks
-        that those rows are flows of the core and reads the one such carrier,
-        which the witness's columns past the first must equal (its first
-        column meets the zero row).  A `core_forest` that is not a maximal
-        forest of the core raises as `flow_matrix` does.  The flow side does
-        not depend on V0, but a `core_v0` that is not one vertex per
+        """Check that the certificate's core is g's stripped core, its trace
+        twice the core edges and loops, and its witness carries the bordered
+        flow matrix of that core, a zero row over the core's flow matrix, onto
+        the dual core's incidence rows, with no product: `_flow_coordinates`
+        checks that those rows are flows of the core and reads the one such
+        carrier, which the witness's columns past the first must equal (its
+        first column meets the zero row).  A `core_forest` that is not a
+        maximal forest of the core raises as `flow_matrix` does.  The flow
+        side does not depend on V0, but a `core_v0` that is not one vertex per
         component of the core is still refused.  A `beta` that is not a
-        permutation of g's edges, a core edge outside them, a dual graph
-        with another edge count or too few vertices, or a witness of the
-        wrong size replays False."""
+        permutation of g's edges, a dual graph with another edge count or too
+        few vertices, another core, another trace, or a witness of the wrong
+        size replays False."""
         m = g.num_edges
-        if sorted(self.edge_bijection) != list(range(m)) or self.dual_graph.num_edges != m or \
-                not all(0 <= e < m for e in self.core_edges):
+        if sorted(self.edge_bijection) != list(range(m)) or self.dual_graph.num_edges != m:
+            return False
+        core_edges, loops = _stripped_core(g)
+        if self.core_edges != core_edges or self.trace != 2 * (len(core_edges) + len(loops)):
             return False
         core = self.core_graph(g)
         _require_maximal_forest(core, self.core_forest)
@@ -126,35 +129,12 @@ def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
     return joined.issuperset((i, j) for i in range(3) for j in range(3, 6))
 
 
-def _strip_for_planarity(g: MultiGraph):
+def _stripped_core(g: MultiGraph):
+    """g's stripped core: its ascending edges that are neither loops nor
+    isthmuses, and its loops."""
     loops, isthmuses = classify_edges(g)
     skip = set(loops) | set(isthmuses)
-    core_edges = tuple([e for e in range(g.num_edges) if e not in skip])
-    core = MultiGraph(g.num_vertices, tuple([g.edges[e] for e in core_edges]))
-    return core, core_edges, loops, isthmuses
-
-
-def _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z, trace_core,
-                   core_forest, core_v0):
-    n_core = dual_core.num_vertices
-    dual_vertices = n_core + len(loops)
-    edges = [None] * g.num_edges
-    for pos, e in enumerate(core_edges):
-        edges[e] = dual_core.edges[pos]
-    for i, e in enumerate(loops):
-        edges[e] = (0, n_core + i)  # pendant isthmus in the dual
-    for e in isthmuses:
-        edges[e] = (0, 0)  # loop in the dual
-    dual = MultiGraph(dual_vertices, tuple(edges), name=f"dual({g.name})" if g.name else "")
-    return DualCertificate(
-        dual_graph=dual,
-        witness_z=z,
-        edge_bijection=tuple(range(g.num_edges)),
-        trace=trace_core + 2 * len(loops),
-        core_edges=core_edges,
-        core_forest=core_forest,
-        core_v0=core_v0,
-    )
+    return tuple([e for e in range(g.num_edges) if e not in skip]), loops
 
 
 def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
@@ -169,7 +149,8 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     positionally, such as the benchmark's planarity op."""
     from .embedding import _face_basis, _kuratowski_subdivision
 
-    core, core_edges, loops, isthmuses = _strip_for_planarity(g)
+    core_edges, loops = _stripped_core(g)
+    core = MultiGraph(g.num_vertices, tuple([g.edges[e] for e in core_edges]))
     core_forest = maximal_forest(core)
     counter = SearchBudget(budget)
     try:
@@ -182,16 +163,25 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
         if not verify_kuratowski_evidence(g, evidence):
             raise AssertionError("Kuratowski evidence failed verification")
         return PlanarityResult(NONPLANAR, evidence=evidence)
-    # the lemma reads ca: the faces under minus their sum.  z puts e_0 before
-    # ca's flow coordinates, so it carries the flow matrix under a zero row onto ca
-    rows = [[face.get(e, 0) for e in range(core.num_edges)] for face in faces]
-    ca = [[-sum(col) for col in zip(*rows)]] + rows
+    # the lemma reads ca, the superbase of the faces.  z puts e_0 before ca's
+    # flow coordinates, so it carries the flow matrix under a zero row onto ca
+    ca = _superbase([[face.get(e, 0) for e in range(core.num_edges)] for face in faces],
+                    core.num_edges)
     z = UnimodularWitness(IntMatrix.from_rows(
         [[1 if i == 0 else 0] + list(row)
-         for i, row in enumerate(_flow_coordinates(core, core_forest, ca).data)]))
-    dual_core = _recover(IntMatrix.from_rows(ca, cols=core.num_edges), 2 * core.num_edges)
-    cert = _assemble_dual(g, core_edges, loops, isthmuses, dual_core, z,
-                          2 * core.num_edges, core_forest, _reduction(core)[0])
+         for i, row in enumerate(_flow_coordinates(core, core_forest, ca.data).data)]))
+    dual_core = _recover(ca, 2 * core.num_edges)
+    # an isthmus is a loop of the dual, and a loop a pendant isthmus
+    edges = [(0, 0)] * g.num_edges
+    for pos, e in enumerate(core_edges):
+        edges[e] = dual_core.edges[pos]
+    for i, e in enumerate(loops):
+        edges[e] = (0, dual_core.num_vertices + i)
+    dual = MultiGraph(dual_core.num_vertices + len(loops), tuple(edges),
+                      name=f"dual({g.name})" if g.name else "")
+    cert = DualCertificate(dual, z, tuple(range(g.num_edges)),
+                           2 * (len(core_edges) + len(loops)), core_edges, core_forest,
+                           _reduction(core)[0])
     return PlanarityResult(PLANAR, certificate=cert, best_trace=cert.trace)
 
 

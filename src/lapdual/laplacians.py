@@ -25,6 +25,12 @@ whose rows it deletes.  The flow side (flow matrix, cut block, superbase,
 flow and cut Grams, dual Laplacian) depends on the maximal forest only: its
 rows span the kernel of the incidence matrix, which is the kernel of every
 reduced incidence whatever V0 deletes.
+
+A superbase is rows under their dependent row, minus their sum, and
+`_superbase` is its one construction: the superbase matrix, the trace
+descent's state and the face rows of a planar certificate are built by it.
+Bordering a matrix so that every row and column sums to zero is the
+superbase of its rows, then of that result's columns.
 """
 
 from dataclasses import dataclass
@@ -167,30 +173,29 @@ def cut_block(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
     return fm.submatrix(range(fm.rows), f.forest_edges).transpose()
 
 
+def _superbase(rows, cols: int) -> IntMatrix:
+    """The rows under their dependent row, minus their sum, so that all rows
+    sum to the zero vector; `cols` is the width of a matrix with no rows."""
+    dep = [-sum(col) for col in zip(*rows)] or [0] * cols
+    return IntMatrix.from_rows([dep, *rows], cols=cols)
+
+
 def superbase_matrix(g: MultiGraph, f: ForestCertificate = None) -> IntMatrix:
-    """Flow matrix with the dependent row (negative of the row sum) on top, so
-    all rows sum to the zero vector."""
+    """Flow matrix with its dependent row on top."""
     fm = flow_matrix(g, f)
-    dep = tuple([-sum(col) for col in fm.transpose().data])
-    return IntMatrix(fm.rows + 1, fm.cols, (dep,) + fm.data)
-
-
-def border_last(r: IntMatrix) -> IntMatrix:
-    """Append one row and column making all row/column sums zero: the new
-    column is minus the row sums, the new row minus the column sums."""
-    sums = [sum(row) for row in r.data]
-    rows = [row + (-s,) for row, s in zip(r.data, sums)]
-    rows.append(tuple([-sum(col) for col in r.transpose().data]) + (sum(sums),))
-    return IntMatrix.from_rows(rows, cols=r.cols + 1)
+    return _superbase(fm.data, fm.cols)
 
 
 def border_first(r: IntMatrix) -> IntMatrix:
-    """border_last with the new row and column put first."""
-    sums = [sum(row) for row in r.data]
-    rows = [(sum(sums),) + tuple([-sum(col) for col in r.transpose().data])]
-    for row, s in zip(r.data, sums):
-        rows.append((-s,) + row)
-    return IntMatrix.from_rows(rows, cols=r.cols + 1)
+    """Put one row and one column first making all row and column sums zero:
+    the superbase of the rows, then of the result's columns."""
+    return _superbase(_superbase(r.data, r.cols).transpose().data, r.rows + 1).transpose()
+
+
+def border_last(r: IntMatrix) -> IntMatrix:
+    """border_first with the new row and column put last."""
+    b = border_first(r)
+    return b.submatrix([*range(1, b.rows), 0], [*range(1, b.cols), 0])
 
 
 @dataclass(frozen=True)

@@ -198,18 +198,6 @@ def _verdict_json(v):
             "note": v.note}
 
 
-def _certificate_json(c):
-    return {"dual_graph": graph_to_json(c.dual_graph),
-            "witness_z": matrix_to_json(c.witness_z.u),
-            "beta": list(c.edge_bijection),
-            "trace": c.trace,
-            "core_edges": list(c.core_edges),
-            "core_forest": to_jsonable(c.core_forest),
-            "core_v0": to_jsonable(c.core_v0),
-            "laplacian_witness": matrix_to_json(c.laplacian_witness.u)
-            if c.laplacian_witness else None}
-
-
 def _property_x_json(r):
     return {"cond1": to_jsonable(r.cond1_reduced_congruence),
             "cond2": {"status": r.cond2_strict_reduced.status},
@@ -220,9 +208,11 @@ def _property_x_json(r):
             "unreduced_agree": r.unreduced_proposition.get("agree")}
 
 
-# wire form of each result class whose JSON is not its dataclass fields, by
-# class name: classes are matched without importing their layers, which a
-# value of such a class has loaded already
+# wire form of each result class whose JSON is not the dict of its dataclass
+# fields, by class name: classes are matched without importing their layers,
+# which a value of such a class has loaded already.  The two superbase results
+# are their fields, a certificate's edge bijection under "beta" and a descent
+# state's fields but its basis witness
 _TO_JSON = {
     "IntMatrix": matrix_to_json,
     "UnimodularWitness": lambda w: matrix_to_json(w.u),
@@ -230,12 +220,10 @@ _TO_JSON = {
                             "left": matrix_to_json(r.left.u),
                             "right": matrix_to_json(r.right.u)},
     "CongruenceVerdict": _verdict_json,
-    "DualCertificate": _certificate_json,
-    "SuperbaseState": lambda st: {"f_hat": matrix_to_json(st.f_hat),
-                                  "gram": matrix_to_json(st.gram),
-                                  "trace": st.trace,
-                                  "move_log": [list(mv) for mv in st.move_log],
-                                  "budget_exhausted": st.budget_exhausted},
+    "DualCertificate": lambda c: {"beta" if k == "edge_bijection" else k: to_jsonable(v)
+                                  for k, v in vars(c).items()},
+    "SuperbaseState": lambda st: {k: to_jsonable(v) for k, v in vars(st).items()
+                                  if k != "basis_witness"},
     "PropertyXReport": _property_x_json,
 }
 

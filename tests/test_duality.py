@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from lapdual import (ForestCertificate, IntMatrix, InvalidReductionSpec,
                      superbase_matrix, superbase_trace_minimize, verify_abstract_dual,
                      verify_kuratowski_evidence)
 from lapdual.laplacians import flow_matrix, reduced_laplacian
-from lapdual.serialization import certificate_from_json, dumps
+from lapdual.serialization import certificate_from_json, dumps, graph_from_json
 
 from conftest import (cycle_graph, grid_graph, random_connected_multigraph,
                       random_multigraph, random_unimodular, relist, wall_clock_guard)
@@ -213,7 +214,8 @@ def test_replay_core_refuses_a_tampered_core(k3, k4):
     # refused although the flow matrix does not read it.  Core edges and a
     # beta outside g's edges replay False, negative ones included, which
     # Python would otherwise read from the end.  So do a dual graph too small
-    # for the core and a witness of the wrong size
+    # for the core, a witness of the wrong size, and a trace other than twice
+    # the core edges and loops
     cert = json.loads(dumps(decide_planarity(k4).certificate))
     assert certificate_from_json(cert).replay_core(k4)
     dual = cert["dual_graph"]
@@ -223,7 +225,9 @@ def test_replay_core_refuses_a_tampered_core(k3, k4):
                      {"core_edges": [0, 1, 2, 3, 4, 99]},
                      {"dual_graph": dict(dual, edges=dual["edges"][:5])},
                      {"dual_graph": {"num_vertices": 2, "edges": [[0, 1]] * 6}},
-                     {"witness_z": identity3}):
+                     {"witness_z": identity3},
+                     {"trace": cert["trace"] - 2},
+                     {"trace": cert["trace"] + 2}):
         assert not certificate_from_json(dict(cert, **tampered)).replay_core(k4)
     forest = dict(cert["core_forest"], forest_edges=[0, 1, 9])
     with pytest.raises(NotMaximalForest):
@@ -232,6 +236,21 @@ def test_replay_core_refuses_a_tampered_core(k3, k4):
         flow_matrix(k3, ForestCertificate((0, 5), (1, 2)))
     with pytest.raises(InvalidReductionSpec):
         certificate_from_json(dict(cert, core_v0=[0, 1])).replay_core(k4)
+
+
+def test_replay_core_refuses_a_forged_certificate_of_k5(k5):
+    # K5 less its last edge is planar; its certificate, with that edge added
+    # to the dual as a loop and beta the identity, fits every check but the
+    # core, which is K5's ten edges and not the nine it lists
+    minus = MultiGraph(5, k5.edges[:-1])
+    cert = json.loads(dumps(decide_planarity(minus).certificate))
+    assert certificate_from_json(cert).replay_core(minus)
+    dual = cert["dual_graph"]
+    forged = dict(cert, dual_graph=dict(dual, edges=dual["edges"] + [[0, 0]]),
+                  beta=list(range(10)))
+    assert not certificate_from_json(forged).replay_core(k5)
+    assert not replace(certificate_from_json(cert), edge_bijection=tuple(range(10)),
+                       dual_graph=graph_from_json(forged["dual_graph"])).replay_core(k5)
 
 
 def _tamperings(rng, cert):

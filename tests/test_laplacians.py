@@ -289,6 +289,17 @@ def test_border_helpers():
     assert border_last(r).to_lists() == [[2, 1, -3], [1, 2, -3], [-3, -3, 6]]
     assert border_first(r).to_lists() == [[6, -3, -3], [-3, 2, 1], [-3, 1, 2]]
     assert border_last(skew).to_lists() == [[1, 2, -3], [3, 4, -7], [-4, -6, 10]]
+    # non-square and empty shapes
+    wide = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert border_last(wide).to_lists() == [[1, 2, 3, -6], [4, 5, 6, -15], [-5, -7, -9, 21]]
+    assert border_first(wide).to_lists() == [[21, -5, -7, -9], [-6, 1, 2, 3], [-15, 4, 5, 6]]
+    assert border_last(wide.transpose()) == border_last(wide).transpose()
+    tall = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert border_last(tall).to_lists() == [[1, 2, -3], [3, 4, -7], [5, 6, -11], [-9, -12, 21]]
+    for rows, cols, bordered in (([], 0, [[0]]), ([], 3, [[0, 0, 0, 0]]),
+                                 ([[], [], []], 0, [[0]] * 4)):
+        empty = IntMatrix.from_rows(rows, cols=cols)
+        assert border_last(empty).to_lists() == border_first(empty).to_lists() == bordered
 
 
 @pytest.mark.parametrize("tag", PROPERTY_TAGS)
