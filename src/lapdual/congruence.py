@@ -22,6 +22,9 @@ meeting or on its budget.
 
 The report searches for a 2-isomorphism once, for condition 4, and tests
 the two row equivalences, conditions 2 and 3, on the bijection it finds.
+Its constructive direction hands the center lemma of `laplacians` the
+superbase of condition 1's witness times g1's reduced incidence, as
+`decide_planarity` hands it face rows, and takes no determinant of its own.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .intmatrix import (IntMatrix, UnimodularWitness, _add_col, _add_row, _negat
                         _negate_row, _pivot_inertia, _smith_elimination, _swap_cols,
                         _swap_rows, _symmetric_bareiss, hermite_normal_form, inertia,
                         inverse_unimodular)
-from .laplacians import (_reduction, flow_matrix, incidence, laplacian,
-                         lemma_center_recover, reduced_incidence, reduced_laplacian)
+from .laplacians import (_recover, _reduction, _superbase, flow_matrix, incidence, laplacian,
+                         reduced_incidence, reduced_laplacian)
 
 CONGRUENT = "congruent"
 NOT_CONGRUENT = "not_congruent"
@@ -428,44 +431,45 @@ def _row_equivalence_on_bijection(g1, g2, cond4):
 
 
 def _constructive_strict_equivalence(g1, g2, verdict: CongruenceVerdict):
-    """Replay the constructive direction: from a congruence witness between the
-    reduced Laplacians, identify each V0 to a point, border the witness, and
-    recover the second graph from the transformed incidence matrix.  The
+    """Replay the constructive direction: from a congruence witness u between
+    the reduced Laplacians, hand the center lemma the superbase of u times
+    g1's reduced incidence, as `decide_planarity` hands it the face rows, and
+    recover the second graph with its V0 identified to vertex 0.  The
     recovered graph must equal g2 with V0 identified, vertex for vertex, which
     is checked by comparing labelled Laplacians: O(n^2), with no isomorphism
     search and no size cap.  A graph without vertices has no V0 to identify,
     so nothing is replayed.
 
+    With V0 identified to vertex 0, g1's incidence is its reduced incidence
+    under a first row, minus their sum, so the paper's bordered witness z,
+    u bordered by a first row and column so that every column of z sums to
+    1, carries it onto this same superbase.  Its determinant is that of u,
+    which the verdict's witness has already checked, so z is not built.
+
     The replay always recovers g2 from g1, since congruent reduced
-    Laplacians make the non-loop edge counts equal: z fixes the all-ones
-    row vector, so each non-loop column of z*a is a nonzero zero-sum vector,
-    of squared norm at least 2, and the squared norms add up to the trace
-    of the bordered u L1 u^T = L2, twice g2's non-loop edge count; so g1
-    has at most as many, and the inverse witness gives the reverse."""
+    Laplacians make the non-loop edge counts equal: u is invertible and a
+    superbase's columns sum to zero, so each non-loop column of the
+    superbase is a nonzero zero-sum vector, of squared norm at least 2, and
+    the squared norms add up to the trace of the bordered u L1 u^T = L2,
+    twice g2's non-loop edge count; so g1 has at most as many, and the
+    inverse witness gives the reverse."""
     if verdict.status != CONGRUENT:
         return {"attempted": False}
-    u = verdict.witness.u
     v1, v2 = _reduction(g1)[0], _reduction(g2)[0]
     if not v1 or not v2:
         return {"attempted": False}
-    g1p = identify_vertices(g1, v1)
-    g2p = identify_vertices(g2, v2)
-    k = u.rows
-    z = UnimodularWitness(IntMatrix.from_rows(
-        [[1] + [1 - sum(col) for col in u.transpose().data]] + [[0] + list(row) for row in u.data],
-        cols=k + 1))
-    a = incidence(g1p)
-    # lemma_center_recover raises unless the recovered incidence equals z*a,
-    # and rows 1..k of z*a are u times rows 1..k of a: strict row equivalence
-    # holds once it returns
-    recovered = lemma_center_recover(a, z)
+    n1 = reduced_incidence(g1)
+    # _recover raises unless the recovered incidence replays the superbase,
+    # whose rows past the first are u * n1: strict row equivalence holds once
+    # it returns
+    recovered = _recover(_superbase(verdict.witness.u.mul(n1).data, n1.cols),
+                         2 * len(n1.nonzero_columns()))
     # The rows of u are g2's kept vertices in order, so the recovered reduced
     # Laplacian is u L1 u^T = L2, and a labelled Laplacian determines a
     # multigraph up to its loops: equal Laplacians mean the same graph.
-    laplacian_ok = laplacian(recovered) == laplacian(g2p)
+    laplacian_ok = laplacian(recovered) == laplacian(identify_vertices(g2, v2))
     return {
         "attempted": True,
-        "z": z,
         "recovered": recovered,
         "strict_row_equivalence_ok": True,
         "recovered_laplacian_equals_identified": laplacian_ok,

@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through,
-                     classify_edges, greedy_forest, maximal_forest)
+from .graphs import (MultiGraph, SearchBudget, adjacency, circuit_through, greedy_forest,
+                     maximal_forest)
 from .intmatrix import IntMatrix, UnimodularWitness, _add_col, _add_row, det_bareiss
 from .laplacians import _flow_coordinates, _superbase, border_first, flow_matrix
 
@@ -192,10 +192,12 @@ def superbase_trace_minimize(g: MultiGraph, budget=10**6, seed=0) -> SuperbaseSt
     included, flagged.  Each candidate move scanned spends one unit of
     `budget`.
     """
-    _, isthmuses = classify_edges(g)
-    floor_trace = 2 * (g.num_edges - len(isthmuses))
     forest = maximal_forest(g)
     f_start = flow_matrix(g, forest)
+    # the floor counts the edges that are not isthmuses; an isthmus lies on no
+    # fundamental circuit, so it is a zero column of the flow matrix, and a
+    # loop is a circuit of its own
+    floor_trace = 2 * len(f_start.nonzero_columns())
     rng = random.Random(seed)
     counter = SearchBudget(budget)
 

@@ -78,10 +78,9 @@ class DualCertificate:
         m = g.num_edges
         if sorted(self.edge_bijection) != list(range(m)) or self.dual_graph.num_edges != m:
             return False
-        core_edges, loops = _stripped_core(g)
+        core_edges, loops, core = _stripped_core(g)
         if self.core_edges != core_edges or self.trace != 2 * (len(core_edges) + len(loops)):
             return False
-        core = self.core_graph(g)
         _require_maximal_forest(core, self.core_forest)
         _reduction(core, self.core_v0)
         r = len(self.core_forest.cotree_edges)
@@ -131,10 +130,11 @@ def verify_kuratowski_evidence(g: MultiGraph, ev: KuratowskiEvidence) -> bool:
 
 def _stripped_core(g: MultiGraph):
     """g's stripped core: its ascending edges that are neither loops nor
-    isthmuses, and its loops."""
+    isthmuses, its loops, and the graph of the core edges on g's vertices."""
     loops, isthmuses = classify_edges(g)
     skip = set(loops) | set(isthmuses)
-    return tuple([e for e in range(g.num_edges) if e not in skip]), loops
+    core_edges = tuple([e for e in range(g.num_edges) if e not in skip])
+    return core_edges, loops, MultiGraph(g.num_vertices, tuple([g.edges[e] for e in core_edges]))
 
 
 def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
@@ -149,8 +149,7 @@ def decide_planarity(g: MultiGraph, budget=10**6, seed=0) -> PlanarityResult:
     positionally, such as the benchmark's planarity op."""
     from .embedding import _face_basis, _kuratowski_subdivision
 
-    core_edges, loops = _stripped_core(g)
-    core = MultiGraph(g.num_vertices, tuple([g.edges[e] for e in core_edges]))
+    core_edges, loops, core = _stripped_core(g)
     core_forest = maximal_forest(core)
     counter = SearchBudget(budget)
     try:

@@ -398,12 +398,9 @@ def _kuratowski_subdivision(core: MultiGraph, budget: SearchBudget):
         budget.spend()
         if not _LeftRight(core.num_vertices, trial, budget).planar():
             keep = trial
-    nbrs = {}
-    for a, b in keep:
-        walk = (a,) + paths[(a, b)] + (b,)
-        for x, y in zip(walk, walk[1:]):
-            nbrs.setdefault(x, []).append(y)
-            nbrs.setdefault(y, []).append(x)
+    walks = [(a,) + paths[(a, b)] + (b,) for a, b in keep]
+    nbrs = neighbour_sets(MultiGraph(core.num_vertices,
+                                     tuple([e for w in walks for e in zip(w, w[1:])])))
     branch = sorted(v for v, ws in nbrs.items() if len(ws) >= 3)
     owner = {b: b for b in branch}
     joined = {b: set() for b in branch}

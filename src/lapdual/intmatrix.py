@@ -1,4 +1,10 @@
-"""Dense exact-integer matrices with Hermite/Smith normal forms.
+"""Exact-integer matrices, stored dense, with Hermite/Smith normal forms.
+
+A product reads only nonzero entries: row i of a * b adds x times row k of
+b, over that row's nonzeros, for each nonzero x at column k of row i of a
+(F. G. Gustavson, ACM TOMS 4, 1978).  The flow, incidence and witness
+matrices the layers above multiply are mostly zeros, so on them a product
+costs about the number of nonzero pairs it meets, not a cubic pass.
 
 Every elimination, here and in the layers above, moves rows and columns
 through one set of elementary operations: swap, add a multiple and negate,
@@ -33,7 +39,6 @@ next full collection, and a long-lived caller's memory grows with its calls.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import NotSquare, NotSymmetric, NotUnimodular, ShapeMismatch
@@ -87,10 +92,16 @@ class IntMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().data
-        return IntMatrix(self.rows, other.cols,
-                         tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
-                                for row in self.data]))
+        nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in other.data]
+        data = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for x, nz in zip(row, nonzeros):
+                if x:
+                    for j, y in nz:
+                        acc[j] += x * y
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(data))
 
     def add(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -3,9 +3,10 @@ the center lemma, which recovers a graph from its incidence matrix.
 
 This layer holds the constructions only; the checks of the classical facts
 about them are the `properties` layer, which nothing here loads.  The
-center lemma is here because both upper layers run it: `duality` on the
-face rows of a plane embedding, and `congruence` in property X's
-constructive replay, so neither loads the other.
+center lemma is here because both upper layers run it, each on a
+superbase: `duality` on the face rows of a plane embedding, and
+`congruence`, in property X's constructive replay, on a congruence witness
+times a reduced incidence, so neither loads the other.
 
 Column permutations are never materialized: every edge-indexed matrix keeps
 its columns in ascending edge order, and block formulas are assembled by

@@ -11,7 +11,7 @@ loads this one.
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotUnimodular, UnknownTag
+from .errors import PROPERTY_TAGS, BudgetExceeded, NotUnimodular, UnknownTag
 from .graphs import MultiGraph, classify_edges, components, greedy_forest, maximal_forest
 from .intmatrix import IntMatrix, UnimodularWitness, det_bareiss
 from .laplacians import (_flow_coordinates, _reduction, border_first, border_last, cut_gram,
@@ -221,15 +221,13 @@ def _check_ix_star(g):
     return ok, {"witness": u, "bordered_witness": hat_u}
 
 
-# one check per tag of `errors.PROPERTY_TAGS`, in its order
-_PROPERTY_CHECKS = {
-    "I": _check_i, "II": _check_ii, "III": _check_iii, "IV": _check_iv,
-    "V": _check_v, "VI": _check_vi, "VII": _check_vii, "VIII": _check_viii,
-    "IX": _check_ix, "X": _check_x, "XI": _check_xi,
-    "I*": _check_i_star, "II*": _check_ii_star, "IV*": _check_iv_star,
-    "V*": _check_v_star, "VI*": _check_vi_star, "VII*": _check_vii_star,
-    "VIII*": _check_viii_star, "IX*": _check_ix_star,
-}
+# one check per tag of `errors.PROPERTY_TAGS`, in its order; a missing check
+# raises at import
+_PROPERTY_CHECKS = dict(zip(PROPERTY_TAGS, (
+    _check_i, _check_ii, _check_iii, _check_iv, _check_v, _check_vi, _check_vii,
+    _check_viii, _check_ix, _check_x, _check_xi, _check_i_star, _check_ii_star,
+    _check_iv_star, _check_v_star, _check_vi_star, _check_vii_star, _check_viii_star,
+    _check_ix_star), strict=True))
 
 
 def verify_property(g: MultiGraph, tag: str) -> PropertyReport:

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from lapdual import (IntMatrix, LoopCountMismatch, MultiGraph, NotSymmetric,
-                     ShapeMismatch, UnimodularWitness, congruence_invariants,
+from lapdual import (IntMatrix, LapdualError, LoopCountMismatch, MultiGraph,
+                     NotSymmetric, ShapeMismatch, UnimodularWitness, congruence_invariants,
                      decide_congruence, det_bareiss, identify_vertices, incidence,
                      inertia, laplacian, loose_row_equivalence, permute_vertices,
                      property_x_report, reduced_incidence, reduced_laplacian,
@@ -19,9 +19,9 @@ from lapdual.congruence import (ConditionOutcome, _constructive_strict_equivalen
 from lapdual.graphs import SearchBudget
 from lapdual.laplacians import _reduction, reduced_dual_laplacian
 
-from conftest import (grid_graph, random_connected_multigraph, random_unimodular,
-                      relist, shuffled_copy, wall_clock_guard)
-from oracles import loopless_isomorphic
+from conftest import (grid_graph, random_connected_multigraph, random_multigraph,
+                      random_unimodular, relist, shuffled_copy, wall_clock_guard)
+from oracles import constructive_replay_by_bordered_witness, loopless_isomorphic
 
 
 def quadrupled(g):
@@ -535,6 +535,72 @@ def test_labelled_laplacian_check_agrees_with_isomorphism():
             loopless_isomorphic(replay["recovered"], g2p) == replay["ok"]
         attempted += 1
     assert attempted >= 40
+
+
+def _replay_outcome(replay, g1, g2, verdict):
+    """The replay's dict without the bordered witness, or the error it raised."""
+    try:
+        result = replay(g1, g2, verdict)
+    except (LapdualError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    result.pop("z", None)
+    return result
+
+
+def test_constructive_replay_matches_the_bordered_witness():
+    # the superbase of u times g1's reduced incidence is the bordered witness
+    # z times g1's incidence with V0 identified, so both replays recover the
+    # same graph; the pairs are relabelled grids and multigraphs with loops,
+    # parallel edges and several components, against relabelled copies, and
+    # witnesses that carry no Laplacian onto a Laplacian refuse alike
+    rng = random.Random(40)
+    pairs = []
+    for rows, cols in ((2, 3), (3, 3), (2, 5), (3, 4)):
+        g = grid_graph(rows, cols)
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        pairs.append((g, permute_vertices(g, perm)))
+    for _ in range(40):
+        g = random_multigraph(rng, max_n=7, max_m=10)
+        pairs.append((g, shuffled_copy(g, rng)))
+    attempted = refused = 0
+    with wall_clock_guard(60):
+        for g1, g2 in pairs:
+            verdict = decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2),
+                                        budget=10**4)
+            verdicts = [verdict]
+            k = reduced_laplacian(g1).rows
+            if k:
+                forged = UnimodularWitness(random_unimodular(rng, k, steps=4))
+                verdicts.append(congruence.CongruenceVerdict("congruent", witness=forged))
+            for v in verdicts:
+                got = _replay_outcome(_constructive_strict_equivalence, g1, g2, v)
+                assert got == _replay_outcome(constructive_replay_by_bordered_witness,
+                                              g1, g2, v), (g1.edges, g2.edges)
+                attempted += isinstance(got, dict) and got["attempted"]
+                refused += isinstance(got, tuple)
+    assert attempted >= 40 and refused >= 10
+
+
+def test_constructive_replay_takes_no_determinant(k4, petersen, monkeypatch):
+    # the superbase's determinant is the congruence witness's, which the
+    # verdict has already checked, so the replay builds no witness of its own
+    pairs = [(k4, permute_vertices(k4, (1, 3, 2, 0))),
+             (petersen, permute_vertices(petersen, (3, 1, 4, 0, 2, 8, 6, 9, 5, 7)))]
+    verdicts = [decide_congruence(reduced_laplacian(g1), reduced_laplacian(g2))
+                for g1, g2 in pairs]
+    calls = []
+    det = intmatrix.det_bareiss
+
+    def counted(a):
+        calls.append(a.rows)
+        return det(a)
+
+    monkeypatch.setattr(intmatrix, "det_bareiss", counted)
+    for (g1, g2), verdict in zip(pairs, verdicts):
+        assert verdict.status == "congruent"
+        assert _constructive_strict_equivalence(g1, g2, verdict)["ok"]
+    assert calls == []
 
 
 def test_witness_for_a_relabelled_copy_is_rejected():

@@ -5,14 +5,14 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from lapdual import (IntMatrix, NotSquare, NotSymmetric, NotUnimodular,
-                     UnimodularWitness, det_bareiss, hermite_normal_form,
+                     ShapeMismatch, UnimodularWitness, det_bareiss, hermite_normal_form,
                      hnf_nonzero_part, inertia, inverse_unimodular,
                      permute_vertices, rank, smith_normal_form)
 from lapdual.laplacians import flow_gram, incidence, laplacian, reduced_laplacian
 
 from conftest import (complete_graph, det_cofactor, grid_graph, random_unimodular,
                       wall_clock_guard)
-from oracles import count_maximal_forests
+from oracles import count_maximal_forests, dense_mul
 
 
 def test_det_identity():
@@ -46,6 +46,34 @@ def test_det_matches_cofactor_oracle():
         rows = [[rng.choice([-2, -1, 1, 3]) if rng.random() < 0.3 else 0 for _ in range(n)]
                 for _ in range(n)]
         assert det_bareiss(IntMatrix.from_rows(rows, cols=n)) == det_cofactor(rows)
+
+
+def test_product_matches_the_dense_definition():
+    # the product adds scaled rows over nonzero entries only; it must equal
+    # the full row-by-column sums on sparse and dense inputs with negative
+    # entries, zero rows and columns, and shapes with no rows or columns
+    rng = random.Random(40)
+
+    def draw(rows, cols, density):
+        m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if rows and cols and rng.random() < 0.5:
+            m[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        return IntMatrix.from_rows(m, cols=cols)
+
+    for _ in range(400):
+        n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.random()
+        a, b = draw(n, k, density), draw(k, m, density)
+        assert a.mul(b) == dense_mul(a, b), (a, b)
+    assert IntMatrix.zeros(3, 0).mul(IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
+    for a, b in ((IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 3)),
+                 (IntMatrix.zeros(0, 1), IntMatrix.zeros(0, 1))):
+        with pytest.raises(ShapeMismatch):
+            a.mul(b)
 
 
 def test_det_requires_square():

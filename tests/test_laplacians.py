@@ -240,6 +240,14 @@ def test_dual_pair_with_witness(example1):
     assert pair.unreduced == border_last(pair.reduced)
 
 
+def test_reduced_dual_laplacian_of_a_20x20_grid_ends_quickly():
+    # the 361 x 361 flow Gram and the replay of its identity witness multiply
+    # over nonzero entries only; as dense products they took seconds
+    with wall_clock_guard(2):
+        pair = reduced_dual_laplacian(grid_graph(20, 20))
+    assert pair.reduced.rows == 361
+
+
 def test_property_xi_witness(k3):
     # the forest block of the reduced incidence conjugates the cut Gram
     # matrix onto the reduced Laplacian
